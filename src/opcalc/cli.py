@@ -159,8 +159,7 @@ def _run_task(task: dict, fam_or_backend, tol: float | None, rng) -> dict:
             seed=int(rng.integers(2 ** 31)),
             sq_trials=int(task.get("sq_trials", 20)))
         comp = [r["composition_residual"] for r in rows]
-        monotone = all(b < a for a, b in zip(comp, comp[1:]))
-        ok = (monotone or len(comp) == 1) and comp[-1] < 1e-4 \
+        ok = magnetic.composition_refines(rows) and comp[-1] < 1e-4 \
             and all(r["gauge_linear_residual"] <= 1e-10 for r in rows) \
             and all(r["reduction_residual"] <= 1e-8 for r in rows)
         return {"kind": kind, "verdict": "pass" if ok else "fail", "rows": rows}

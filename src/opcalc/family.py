@@ -133,7 +133,8 @@ class SqReport:
             "tested_pairs": int(self.tested_pairs),
             "tol": float(self.tol),
             "mode": self.mode,
-            "pairs": [{"quadruple": list(q), "residual": float(r)}
+            "pairs": [{"quadruple": list(q) if self.mode == "basis" else int(q),
+                       "residual": float(r)}
                       for q, r in zip(self.quadruples, self.residuals)],
         }
 

@@ -175,3 +175,17 @@ def test_console_entry_point(tmp_path):
                                              "PYTHONPATH": source_root})
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["hdim"] == 2
+
+
+def test_verify_sq_random_mode_report(tmp_path):
+    # hdim 16 is above the basis-enumeration limit, so the certificate is
+    # sampled and its report lists trial ids instead of index quadruples
+    cfg = write(tmp_path, "cfg.json", {"backend": {"kind": "discrete_weyl", "N": 16},
+                                       "seed": 5, "tasks": [{"kind": "verify_sq"}]})
+    out = tmp_path / "report.json"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 0
+    task = json.loads(out.read_text())["tasks"][0]
+    assert task["verdict"] == "pass"
+    assert task["report"]["mode"] == "random"
+    pairs = task["report"]["pairs"]
+    assert [p["quadruple"] for p in pairs] == list(range(len(pairs)))

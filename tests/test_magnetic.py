@@ -24,6 +24,26 @@ def standard_weyl_oracle(n):
     return mats
 
 
+def circulation_loop_family(bk):
+    """The family built entry by entry through the public circulation table."""
+    n = bk.n
+    m = np.arange(n)
+    ops = []
+    for r in bk.k:
+        circ = np.array([bk.circulation(i, i + r) for i in range(n)])
+        for xi in bk.xi:
+            M = np.zeros((n, n), dtype=complex)
+            M[m, (m + r) % n] = np.exp(-1j * (bk.x + r * bk.dx / 2.0) * xi - 1j * circ)
+            ops.append(M)
+    return np.array(ops)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_family_matches_circulation_loop_bitwise(n):
+    bk = mg.magnetic_weyl_grid(n, L, A=mg.sine_potential(n, L, 0.8))
+    assert np.array_equal(bk.family().stack, circulation_loop_family(bk))
+
+
 def test_family_reduces_to_standard_weyl_entrywise():
     bk = mg.magnetic_weyl_grid(8, L)
     fam = bk.family()
@@ -157,6 +177,64 @@ def test_moyal_q_only_is_pointwise_product():
     assert np.abs(c.values - a.values * b.values).max() < 1e-13
 
 
+def moyal_per_midpoint(bk, a, b):
+    """The composition quadrature summed directly, one output midpoint at a time.
+
+    Lag transforms of both refined symbols at all 4n - 1 midpoint differences,
+    then one (2n)^2 x n matrix product per output midpoint: 8n^4 work.
+    """
+    n = bk.n
+    a_ref = mg._refine_in_xi(bk, a.values.reshape(2 * n, n))
+    b_ref = mg._refine_in_xi(bk, b.values.reshape(2 * n, n))
+    qsym = np.arange(-n, n)
+    csym = np.arange(-(2 * n - 1), 2 * n)
+    F = np.exp(-1j * np.pi * np.outer(qsym, csym) / n)
+    a_hat = a_ref @ F
+    b_hat = b_ref @ F
+    alpha = np.arange(2 * n)
+    G = np.exp(-2j * np.pi * np.outer(alpha, bk.k) / n)
+    out = np.empty((2 * n, n), dtype=complex)
+    offset = 2 * n - 1
+    for ax in range(2 * n):
+        M = a_hat[:, alpha - ax + offset] * b_hat[:, ax - alpha + offset].T
+        out[ax] = np.einsum("yk,yk->k", G, M @ G.conj())
+    return out.reshape(-1) / (2 * n) ** 2
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_moyal_matches_per_midpoint_sum(n):
+    bk = mg.magnetic_weyl_grid(n, L, A=mg.sine_potential(n, L, 0.8))
+    a = mg.gaussian_symbol(bk, sigma=(1.0, 3.0), center=(0.4, 0.6),
+                           modulation=(0.3, -0.2))
+    b = mg.gaussian_symbol(bk, sigma=(0.7, 2.0), center=(-0.5, 0.2),
+                           modulation=(-0.4, 0.5))
+    want = moyal_per_midpoint(bk, a, b)
+    got = mg.magnetic_moyal(bk, a, b, check=False).values
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def refinement_rows(*pairs):
+    return [{"n": n, "composition_residual": r} for n, r in pairs]
+
+
+def test_composition_refines_rule():
+    eps = np.finfo(float).eps
+    # strict decrease passes
+    assert mg.composition_refines(refinement_rows((64, 1e-5), (128, 1e-9)))
+    # a single grid has no step to fail
+    assert mg.composition_refines(refinement_rows((64, 1e-5)))
+    # a rise between two round-off values at the finer grid's floor passes
+    assert mg.composition_refines(
+        refinement_rows((64, 1.2e-9), (128, 1.9e-16), (192, 2.1e-16)))
+    assert mg.composition_refines(refinement_rows((64, 1e-16), (128, 128 * eps)))
+    # a rise above the floor fails
+    assert not mg.composition_refines(refinement_rows((64, 1e-9), (128, 1e-8)))
+    assert not mg.composition_refines(
+        refinement_rows((64, 1e-16), (128, 2 * 128 * eps)))
+    # a flat plateau above the floor fails
+    assert not mg.composition_refines(refinement_rows((64, 1e-9), (128, 1e-9)))
+
+
 def test_composition_residual_decreases():
     residuals = []
     for n in (32, 64):
@@ -182,6 +260,19 @@ def test_moyal_check_gate():
 def test_gauge_zero():
     bk = mg.magnetic_weyl_grid(16, L, A=mg.sine_potential(16, L, 0.7))
     assert mg.gauge_transform_check(bk, np.zeros(16)) < 1e-14
+
+
+def test_gauge_check_matches_rebuilt_backend_route():
+    bk = mg.magnetic_weyl_grid(16, L, A=mg.sine_potential(16, L, 0.7))
+    rho = 0.3 * np.sin(2 * np.pi * bk.x / L)
+    drho = mg.discrete_gradient(bk, rho)
+    # the shifted potential on a backend with its own, separately built spaces
+    shifted = mg.magnetic_weyl_grid(16, L, A=bk.A + drho)
+    a = mg.gaussian_symbol(bk)
+    phase = np.exp(1j * rho)
+    conjugated = phase[:, None] * mg.op_a(bk, a) * np.conj(phase)[None, :]
+    want = oc.op_norm(mg.op_a(shifted, mg.gaussian_symbol(shifted)) - conjugated)
+    assert mg.gauge_transform_check(bk, rho) == want
 
 
 def test_gauge_linear_exact():
