@@ -37,8 +37,7 @@ class Frame:
         return self.fam.space
 
 
-def make_frame(fam: OperatorFamily, w, tol: float | None = None,
-               check_sq: bool = True) -> Frame:
+def make_frame(fam: OperatorFamily, w, tol: float | None = None) -> Frame:
     """Build the frame and assert the resolution of identity.
 
     The weighted sum of the rank-one projections onto w(s) must reproduce
@@ -49,7 +48,7 @@ def make_frame(fam: OperatorFamily, w, tol: float | None = None,
     w = as_vector(w, fam.hdim)
     if abs(vec_norm(w) - 1.0) > tol:
         raise ValueError("fiducial vector must be a unit vector")
-    if check_sq and not verify_sq(fam, tol=tol).passed:
+    if not verify_sq(fam, tol=tol).passed:
         raise ValueError("family fails square-integrability; no frame")
     wfield = np.einsum("sji,j->si", np.conj(fam.stack), w)   # pi(s)* w
     kernel = wfield.conj() @ wfield.T                        # <w(t), w(s)>

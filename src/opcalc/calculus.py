@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import (DEFAULT_TOL, RANK_DROP_TOL, MeasureSpace, Symbol, _readonly,
                    _require, as_operator, hs_norm, l2_inner, op_norm, trace_norm)
-from .family import OperatorFamily, SqReport, verify_sq
+from .family import OperatorFamily, verify_sq
 
 #: Guard for materializing the three-point kernel of the explicit star product.
 _KERNEL_ENTRY_CAP = 20_000_000
@@ -34,7 +34,6 @@ class Quantizer:
     fam: OperatorFamily
     b2_basis: np.ndarray
     b2_rank: int
-    sq_report: SqReport
 
     @property
     def space(self) -> MeasureSpace:
@@ -44,14 +43,13 @@ class Quantizer:
         return np.conj(np.swapaxes(self.fam.stack, 1, 2))
 
 
-def build_quantizer(fam: OperatorFamily, tol: float | None = None,
-                    rng: np.random.Generator | None = None) -> Quantizer:
+def build_quantizer(fam: OperatorFamily, tol: float | None = None) -> Quantizer:
     """Orthonormalize the coefficient symbols of all elementary tensors.
 
     Raises if the family fails the square-integrability test.  The rank
     decision uses a relative singular-value drop tolerance.
     """
-    report = verify_sq(fam, tol=tol, rng=rng)
+    report = verify_sq(fam, tol=tol)
     if not report.passed:
         raise ValueError(
             f"family fails square-integrability (deviation {report.max_deviation:.3e} "
@@ -63,7 +61,7 @@ def build_quantizer(fam: OperatorFamily, tol: float | None = None,
     _, svals, Vh = np.linalg.svd(X * sqrt_w, full_matrices=False)
     rank = int(np.sum(svals > RANK_DROP_TOL * svals[0]))
     basis = Vh[:rank] / sqrt_w                    # orthonormal in the weighted metric
-    return Quantizer(fam, _readonly(basis), rank, report)
+    return Quantizer(fam, _readonly(basis), rank)
 
 
 def quantize(q: Quantizer, f: Symbol) -> np.ndarray:

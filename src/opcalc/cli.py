@@ -53,6 +53,12 @@ class ConfigError(Exception):
     """Invalid configuration content (exit code 3)."""
 
 
+def _is_int(x, lo: int, hi: int | None = None) -> bool:
+    """True for an integer (not a bool) in [lo, hi)."""
+    return (isinstance(x, int) and not isinstance(x, bool) and lo <= x
+            and (hi is None or x < hi))
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -70,9 +76,27 @@ def _validate_config(config: dict) -> None:
         if not isinstance(task, dict) or task.get("kind") not in _TASK_KINDS:
             raise ConfigError(f"task {i} has an unknown kind "
                               f"(expected one of {', '.join(_TASK_KINDS)})")
-    seed = config.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    if not _is_int(config.get("seed", 0), 0):
+        raise ConfigError("seed must be a non-negative integer")
+
+
+def _validate_tasks(tasks: list, hdim: int) -> None:
+    """Reject task parameters the backend cannot run, before any task runs."""
+    for i, task in enumerate(tasks):
+        if "n_random" in task and not _is_int(task["n_random"], 1):
+            raise ConfigError(f"task {i}: n_random must be a positive integer")
+        if task["kind"] in ("berezin", "inftensor") and \
+                not _is_int(task.get("w_index", 0), 0, hdim):
+            raise ConfigError(f"task {i}: w_index must be an integer "
+                              f"in [0, {hdim})")
+
+
+def _build_backend(spec: dict):
+    from . import backends as bk
+    try:
+        return bk.backend_from_spec(spec)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"invalid backend spec: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +104,9 @@ def _validate_config(config: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _describe_backend(spec: dict) -> dict:
-    import numpy as np
-
-    from . import backends as bk
     from . import calculus, magnetic
 
-    built = bk.backend_from_spec(spec)
+    built = _build_backend(spec)
     if isinstance(built, magnetic.MagneticBackend):
         out = {
             "kind": spec["kind"],
@@ -128,7 +149,7 @@ def _batch_symbols(task: dict, space, rng):
     from . import core
     n_random = task.get("n_random")
     if n_random is not None:
-        return [core.random_symbol(rng, space) for _ in range(int(n_random))]
+        return [core.random_symbol(rng, space) for _ in range(n_random)]
     raw = task.get("symbols")
     if not raw:
         raise ConfigError("task needs 'symbols' or 'n_random'")
@@ -168,7 +189,7 @@ def _run_task(task: dict, fam_or_backend, tol: float | None, rng) -> dict:
     tol = fam.working_tol() if tol is None else tol
 
     if kind == "verify_sq":
-        report = fm.verify_sq(fam, tol=float(task.get("tol", tol)), rng=rng)
+        report = fm.verify_sq(fam, tol=float(task.get("tol", tol)))
         return {"kind": kind, "verdict": report.verdict, "report": report.to_json()}
 
     if kind == "quantize":
@@ -222,9 +243,8 @@ def _run_task(task: dict, fam_or_backend, tol: float | None, rng) -> dict:
 
     if kind == "berezin":
         q = ca.build_quantizer(fam)
-        w_index = int(task.get("w_index", 0))
         w = np.zeros(fam.hdim, dtype=complex)
-        w[w_index] = 1.0
+        w[task.get("w_index", 0)] = 1.0
         fr = bz.make_frame(fam, w, tol=tol)
         symbols = _batch_symbols(task, fam.space, rng) \
             if (task.get("symbols") or task.get("n_random")) \
@@ -280,7 +300,7 @@ def _run_task(task: dict, fam_or_backend, tol: float | None, rng) -> dict:
             raise ConfigError("backend has no identity point; "
                               "cannot form a restricted product")
         w = np.zeros(fam.hdim, dtype=complex)
-        w[int(task.get("w_index", 0))] = 1.0
+        w[task.get("w_index", 0)] = 1.0
         rp = inftensor.build_restricted([(fam, base, w)] * copies)
         product_vec = rp.embed(np.ones(1, dtype=complex), 0)
         ent = np.zeros(rp.full_dim, dtype=complex)
@@ -316,15 +336,14 @@ def run_config(config: dict, out_path: str | None,
                seed_override: int | None = None) -> int:
     import numpy as np
 
-    from . import backends as bk
+    from . import magnetic
 
     _validate_config(config)
     seed = seed_override if seed_override is not None else config.get("seed", 0)
     tol = tol_override if tol_override is not None else config.get("tol")
-    try:
-        backend = bk.backend_from_spec(config["backend"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"invalid backend spec: {exc}") from exc
+    backend = _build_backend(config["backend"])
+    _validate_tasks(config["tasks"], backend.n if isinstance(
+        backend, magnetic.MagneticBackend) else backend.hdim)
 
     rng = np.random.default_rng(seed)
     report = {"seed": int(seed),

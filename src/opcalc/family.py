@@ -14,17 +14,13 @@ which is why construction helpers for them never claim a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import (DEFAULT_TOL, MeasureSpace, Symbol, _readonly, _require,
-                   as_vector, operator_to_json, product_space, random_unit_vector,
-                   space_to_json, vec_inner, vec_norm)
-
-#: Basis quadruples are enumerated exhaustively up to this Hilbert dimension;
-#: above it, verification samples seeded random unit quadruples.
-BASIS_ENUM_MAX_DIM = 8
-RANDOM_TRIALS = 200
+                   as_vector, operator_to_json, product_space, space_to_json,
+                   vec_norm)
 
 
 class OperatorFamily:
@@ -32,7 +28,9 @@ class OperatorFamily:
 
     Operators are stored as one dense stack of shape (npoints, hdim, hdim).
     ``tol`` is None for exact families; quadrature-built families carry the
-    declared tolerance of their construction.
+    declared tolerance of their construction.  The stack and weights are
+    read-only, so the square-integrability witness derived from them is
+    computed once, on first use.
     """
 
     def __init__(self, space: MeasureSpace, operators, tol: float | None = None):
@@ -62,6 +60,17 @@ class OperatorFamily:
 
     def working_tol(self) -> float:
         return DEFAULT_TOL if self.tol is None else self.tol
+
+    @cached_property
+    def _sq_witness(self) -> tuple[float, tuple[int, int, int, int]]:
+        """Largest deviation of the basis Gram from the identity, and where."""
+        d = self.hdim
+        G = _basis_gram(self)
+        G[np.diag_indices_from(G)] -= 1.0
+        np.abs(G, out=G)
+        row, col = divmod(int(G.real.argmax()), d * d)
+        (j1, i1), (j2, i2) = divmod(row, d), divmod(col, d)
+        return float(G.real[row, col]), (i1, j1, i2, j2)
 
     def __repr__(self):
         return (f"OperatorFamily(hdim={self.hdim}, npoints={self.npoints}, "
@@ -97,26 +106,31 @@ def coefficient(fam: OperatorFamily, u, v) -> Symbol:
 def _basis_gram(fam: OperatorFamily) -> np.ndarray:
     """Weighted Gram matrix of all basis coefficient symbols.
 
-    Entry ((i1,j1),(i2,j2)) is the orthogonality integral for the basis
-    quadruple; square integrability means the matrix is the identity.
+    Entry ((j1,i1),(j2,i2)) is the complex conjugate of the orthogonality
+    integral for the basis quadruple (i1, j1, i2, j2); square integrability
+    means the matrix is the identity.  It is the Choi matrix of the twirl
+    X -> integral of pi(s) X pi(s)* dmu(s).
     """
-    # C[s, i, j] = <pi(s) e_i, e_j> = stack[s, j, i]
-    coeff = np.swapaxes(fam.stack, 1, 2)
-    d = fam.hdim
-    X = coeff.reshape(fam.npoints, d * d).T        # rows indexed by (i, j)
-    return (X * fam.space.weights) @ X.conj().T
+    # S[s, (j, i)] = stack[s, j, i] = <pi(s) e_i, e_j>
+    S = fam.stack.reshape(fam.npoints, fam.hdim * fam.hdim)
+    A = S.T.conj()
+    A *= fam.space.weights
+    return A @ S
 
 
 @dataclass(frozen=True)
 class SqReport:
-    """Outcome of the square-integrability test."""
+    """Outcome of the square-integrability test.
+
+    ``max_deviation`` is the largest residual over all hdim^4 basis
+    quadruples (i1, j1, i2, j2); ``worst`` is a quadruple attaining it.
+    """
 
     max_deviation: float
+    worst: tuple[int, int, int, int]
     tested_pairs: int
     tol: float
-    mode: str                      # "basis" or "random"
-    residuals: np.ndarray          # per tested quadruple
-    quadruples: tuple              # index tuples (basis mode) or trial ids
+    mode = "basis"      # the only mode: every basis quadruple is covered
 
     @property
     def verdict(self) -> str:
@@ -133,48 +147,23 @@ class SqReport:
             "tested_pairs": int(self.tested_pairs),
             "tol": float(self.tol),
             "mode": self.mode,
-            "pairs": [{"quadruple": list(q) if self.mode == "basis" else int(q),
-                       "residual": float(r)}
-                      for q, r in zip(self.quadruples, self.residuals)],
+            "worst": {"quadruple": list(self.worst),
+                      "residual": float(self.max_deviation)},
         }
 
 
-def verify_sq(fam: OperatorFamily, tol: float | None = None,
-              rng: np.random.Generator | None = None,
-              trials: int = RANDOM_TRIALS) -> SqReport:
-    """Test the orthogonality relation on a spanning set of quadruples.
+def verify_sq(fam: OperatorFamily, tol: float | None = None) -> SqReport:
+    """Exact square-integrability certificate from the basis Gram matrix.
 
-    Checking on canonical-basis quadruples suffices by sesquilinearity; above
-    dimension ``BASIS_ENUM_MAX_DIM`` the test switches to seeded random unit
-    quadruples.  Failure is a verdict, never an exception.
+    By sesquilinearity the orthogonality relation holds iff it holds on all
+    canonical-basis quadruples, i.e. iff the basis Gram matrix is the
+    identity.  The deviation and its witness are computed once per family;
+    ``tol`` is applied on each call.  Failure is a verdict, never an
+    exception.
     """
     tol = fam.working_tol() if tol is None else tol
-    d = fam.hdim
-    if d <= BASIS_ENUM_MAX_DIM:
-        G = _basis_gram(fam)
-        R = np.abs(G - np.eye(d * d))
-        quadruples = tuple((i1, j1, i2, j2)
-                           for i1 in range(d) for j1 in range(d)
-                           for i2 in range(d) for j2 in range(d))
-        residuals = R.reshape(-1)  # row (i1,j1), col (i2,j2), row-major
-        return SqReport(float(residuals.max()), d ** 4, tol, "basis",
-                        _readonly(residuals), quadruples)
-
-    rng = np.random.default_rng(0) if rng is None else rng
-    w = fam.space.weights
-    flat = fam.stack.reshape(fam.npoints * d, d)
-    residuals = np.empty(trials)
-    for t in range(trials):
-        u1, v1, u2, v2 = (random_unit_vector(rng, d) for _ in range(4))
-        # batched coefficient symbols for the pair of (u, v) couples
-        pu = (flat @ np.column_stack([u1, u2])).reshape(fam.npoints, d, 2)
-        f1 = pu[:, :, 0] @ np.conj(v1)
-        f2 = pu[:, :, 1] @ np.conj(v2)
-        integral = np.dot(w, f1 * np.conj(f2))
-        expected = vec_inner(u1, u2) * vec_inner(v2, v1)
-        residuals[t] = abs(integral - expected)
-    return SqReport(float(residuals.max()), trials, tol, "random",
-                    _readonly(residuals), tuple(range(trials)))
+    deviation, worst = fam._sq_witness
+    return SqReport(deviation, worst, fam.hdim ** 4, tol)
 
 
 def commutant_dim(fam: OperatorFamily) -> int:

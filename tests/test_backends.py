@@ -129,7 +129,7 @@ def test_metaplectic_k2_calibrated():
 def test_metaplectic_product_group():
     fam = oc.abelian_metaplectic([3, 3], 1)
     assert fam.hdim == 9 and fam.npoints == 81
-    report = verify_sq(fam, rng=np.random.default_rng(0))
+    report = verify_sq(fam)
     assert report.passed
 
 

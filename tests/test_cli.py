@@ -8,6 +8,7 @@ import pytest
 
 import opcalc
 from opcalc import cli
+from opcalc import family as fm
 
 
 def write(tmp_path, name, payload):
@@ -177,15 +178,61 @@ def test_console_entry_point(tmp_path):
     assert json.loads(proc.stdout)["hdim"] == 2
 
 
-def test_verify_sq_random_mode_report(tmp_path):
-    # hdim 16 is above the basis-enumeration limit, so the certificate is
-    # sampled and its report lists trial ids instead of index quadruples
+def test_verify_sq_report_names_worst_witness(tmp_path):
+    # hdim 16: the exact certificate covers all 16^4 basis quadruples, and the
+    # report names the worst one instead of listing them
     cfg = write(tmp_path, "cfg.json", {"backend": {"kind": "discrete_weyl", "N": 16},
                                        "seed": 5, "tasks": [{"kind": "verify_sq"}]})
     out = tmp_path / "report.json"
     assert cli.main(["run", cfg, "--out", str(out)]) == 0
     task = json.loads(out.read_text())["tasks"][0]
     assert task["verdict"] == "pass"
-    assert task["report"]["mode"] == "random"
-    pairs = task["report"]["pairs"]
-    assert [p["quadruple"] for p in pairs] == list(range(len(pairs)))
+    report = task["report"]
+    assert report["mode"] == "basis" and "pairs" not in report
+    assert report["tested_pairs"] == 16 ** 4
+    assert len(report["worst"]["quadruple"]) == 4
+    assert report["worst"]["residual"] == report["max_deviation"] < 1e-10
+    assert len(json.dumps(task, sort_keys=True, separators=(",", ":"))) < 4096
+
+
+def test_sq_certificate_computed_once_per_family(tmp_path, monkeypatch):
+    calls = []
+    real_gram = fm._basis_gram
+    monkeypatch.setattr(fm, "_basis_gram",
+                        lambda fam: calls.append(fam.hdim) or real_gram(fam))
+    cfg = write(tmp_path, "cfg.json", {
+        "backend": {"kind": "discrete_weyl", "N": 16}, "seed": 3,
+        "tasks": [{"kind": "verify_sq"}, {"kind": "quantize", "n_random": 2},
+                  {"kind": "dequantize", "n_random": 2},
+                  {"kind": "star_table", "n_random": 2},
+                  {"kind": "berezin", "n_random": 2}]})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == [16]
+
+    # the tolerance is applied per call, never cached with the witness
+    fam = opcalc.discrete_weyl(3)
+    assert not fm.verify_sq(fam, tol=1e-30).passed
+    assert fm.verify_sq(fam).passed
+    assert calls == [16, 3]
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"backend": {"kind": "discrete_weyl", "N": 3}, "seed": True,
+      "tasks": [{"kind": "verify_sq"}]}, "seed"),
+    ({"backend": {"kind": "discrete_weyl", "N": 3},
+      "tasks": [{"kind": "berezin", "w_index": 7}]}, "w_index"),
+    ({"backend": {"kind": "discrete_weyl", "N": 3},
+      "tasks": [{"kind": "quantize", "n_random": -2}]}, "n_random"),
+])
+def test_bad_task_input_is_validation_failure(tmp_path, capsys, config, message):
+    cfg = write(tmp_path, "cfg.json", config)
+    out = tmp_path / "report.json"
+    assert cli.main(["run", cfg, "--out", str(out)]) == cli.EXIT_VALIDATION_FAILURE
+    assert message in capsys.readouterr().err
+    assert not out.exists()      # rejected before any task ran
+
+
+def test_describe_incomplete_spec_is_validation_failure(tmp_path, capsys):
+    spec = write(tmp_path, "backend.json", {"kind": "discrete_weyl"})
+    assert cli.main(["describe", spec]) == cli.EXIT_VALIDATION_FAILURE
+    assert "invalid backend spec" in capsys.readouterr().err

@@ -71,6 +71,12 @@ def test_verify_sq_weyl3_matches_brute_force(weyl3):
                     worst = max(worst, abs(val - expected))
     assert worst < 1e-12
     assert report.max_deviation == pytest.approx(worst, abs=1e-12)
+    # the reported witness attains the brute-force maximum
+    i1, j1, i2, j2 = report.worst
+    at_witness = brute_pairing_integral(mats, weights, basis(3, i1), basis(3, j1),
+                                        basis(3, i2), basis(3, j2))
+    expected = 1.0 if (i1, j1) == (i2, j2) else 0.0
+    assert abs(at_witness - expected) == pytest.approx(worst, abs=1e-12)
 
 
 def test_verify_sq_direct_sum_counterexample(weyl2):
@@ -84,19 +90,42 @@ def test_verify_sq_direct_sum_counterexample(weyl2):
                                       witness, witness, witness, witness)
     assert integral == pytest.approx(2.0, abs=1e-12)
     assert report.max_deviation == pytest.approx(1.0, abs=1e-12)
+    assert report.worst == (0, 0, 0, 0)
+    assert report.to_json()["worst"] == {"quadruple": [0, 0, 0, 0],
+                                         "residual": pytest.approx(1.0, abs=1e-12)}
 
 
-def test_verify_sq_random_mode(rng):
-    fam = oc.tensor(oc.discrete_weyl(4), oc.discrete_weyl(4))  # hdim 16 > 8
-    report = verify_sq(fam, rng=rng, trials=40)
-    assert report.mode == "random"
+def test_verify_sq_worst_matches_brute_force_on_generic_family(rng):
+    # random operators: all 81 residuals differ, so the witness is unique and
+    # any slip in mapping the Gram index back to (i1, j1, i2, j2) shows
+    ops = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    weights = [0.1, 0.2, 0.3, 0.4]
+    fam = oc.OperatorFamily(oc.MeasureSpace(tuple(range(4)), np.array(weights)), ops)
+    report = verify_sq(fam)
+    residual = {}
+    for q in np.ndindex(3, 3, 3, 3):
+        i1, j1, i2, j2 = q
+        val = brute_pairing_integral(ops, weights, basis(3, i1), basis(3, j1),
+                                     basis(3, i2), basis(3, j2))
+        residual[q] = abs(val - (1.0 if (i1, j1) == (i2, j2) else 0.0))
+    assert report.worst == max(residual, key=residual.get)
+    assert report.max_deviation == pytest.approx(max(residual.values()), rel=1e-12)
+
+
+def test_verify_sq_exact_on_hdim16():
+    fam = oc.tensor(oc.discrete_weyl(4), oc.discrete_weyl(4))
+    report = verify_sq(fam)
+    assert report.mode == "basis" and report.tested_pairs == 65536
     assert report.passed and report.max_deviation < 1e-10
 
 
 def test_sq_report_json(weyl2):
     d = verify_sq(weyl2).to_json()
     assert d["verdict"] == "pass"
-    assert len(d["pairs"]) == d["tested_pairs"] == 16
+    assert d["tested_pairs"] == 16 and "pairs" not in d
+    assert len(d["worst"]["quadruple"]) == 4
+    assert all(0 <= i < 2 for i in d["worst"]["quadruple"])
+    assert d["worst"]["residual"] == d["max_deviation"] < 1e-12
 
 
 def test_commutant_dim(weyl2, weyl3):

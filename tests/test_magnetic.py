@@ -72,10 +72,10 @@ def test_family_is_unitary_valued(rng):
         assert np.abs(M.conj().T @ M - np.eye(16)).max() < 1e-13
 
 
-def test_verify_sq_exact_on_grid(rng):
+def test_verify_sq_exact_on_grid():
     A = mg.sine_potential(16, L, 0.9)
     bk = mg.magnetic_weyl_grid(16, L, A=A)
-    report = verify_sq(bk.family(), rng=rng, trials=50)
+    report = verify_sq(bk.family())
     assert report.passed and report.max_deviation < 1e-12
 
 
