@@ -14,9 +14,9 @@ from .calculus import (Quantizer, build_quantizer, dequantize, e_symbol,
                        star, star_explicit, symbol_norms, trace_pairing)
 from .berezin import (Frame, analysis, berezin_as_quantization, berezin_op,
                       covariant_berezin_symbol, covariant_symbol_sigma,
-                      covariant_symbol_tau, kernel_projector, make_frame,
-                      resolution_residual, synthesis, toeplitz_op,
-                      upsilon_transform)
+                      covariant_symbol_tau, frame_identities,
+                      kernel_projector, make_frame, resolution_residual,
+                      synthesis, toeplitz_op, upsilon_transform)
 from .inftensor import (RestrictedProduct, berezin_truncated, build_restricted,
                         frame_kernel_inf, projected_overlap, sq_defect)
 from .backends import (abelian_metaplectic, backend_from_spec, cyclic_character,

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (MeasureSpace, Symbol, _readonly, _require, as_operator,
-                   as_vector, l2_inner, op_norm, product_space, vec_norm)
-from .family import OperatorFamily, coefficient, verify_sq
+                   as_vector, op_norm, product_space, trace, vec_norm)
+from .family import OperatorFamily, verify_sq
 from .calculus import Quantizer, quantize
 
 
@@ -52,12 +52,12 @@ def make_frame(fam: OperatorFamily, w, tol: float | None = None) -> Frame:
         raise ValueError("family fails square-integrability; no frame")
     wfield = np.einsum("sji,j->si", np.conj(fam.stack), w)   # pi(s)* w
     kernel = wfield.conj() @ wfield.T                        # <w(t), w(s)>
-    resolution = wfield.T @ (fam.space.weights[:, None] * wfield.conj())
-    residual = op_norm(resolution - np.eye(fam.hdim))
+    fr = Frame(fam, _readonly(w), _readonly(wfield), _readonly(kernel))
+    residual = resolution_residual(fr)
     if residual > tol:
         raise ArithmeticError(
             f"resolution of identity fails (residual {residual:.3e} > {tol:.1e})")
-    return Frame(fam, _readonly(w), _readonly(wfield), _readonly(kernel))
+    return fr
 
 
 def resolution_residual(fr: Frame) -> float:
@@ -142,6 +142,11 @@ def covariant_berezin_symbol(fr: Frame, g: Symbol) -> Symbol:
     return Symbol(fr.space, values)
 
 
+def _frame_pairing(fr: Frame) -> np.ndarray:
+    """pair[s, t] = <pi(s) w(t), w(t)>; against f over t, Tr[berezin_op(f) pi(s)]."""
+    return np.einsum("sij,tj,ti->st", fr.fam.stack, fr.wfield, fr.wfield.conj())
+
+
 def berezin_as_quantization(fr: Frame, q: Quantizer, f: Symbol,
                             tol: float | None = None) -> Symbol:
     """Symbol whose quantization is the Berezin operator of f.
@@ -154,17 +159,53 @@ def berezin_as_quantization(fr: Frame, q: Quantizer, f: Symbol,
              "quantizer and frame must share a family")
     tol = fr.fam.working_tol() if tol is None else tol
     _require(f.space == fr.space, "symbol lives on a different space")
-    # <pi(s) w(t), w(t)> integrated against f over t; this is exactly
-    # Tr[berezin_op(f) pi(s)] unfolded through the rank-one trace identities
-    pair = np.einsum("sij,tj,ti->st", fr.fam.stack,
-                     fr.wfield, fr.wfield.conj())
-    values = pair @ (fr.space.weights * f.values)
-    smoothed = Symbol(fr.space, values)
+    smoothed = Symbol(fr.space, _frame_pairing(fr) @ (fr.space.weights * f.values))
     residual = op_norm(quantize(q, smoothed) - berezin_op(fr, f))
     if residual > tol:
         raise ArithmeticError(
             f"Berezin factorization fails (residual {residual:.3e} > {tol:.1e})")
     return smoothed
+
+
+def frame_identities(fr: Frame, q: Quantizer, symbols) -> dict:
+    """Residuals of the Berezin-Toeplitz identities, each the worst over symbols.
+
+    Keys: the identity resolution; ||berezin_op(f)|| - sup|f| (at most 0);
+    the least eigenvalue of berezin_op(|f|) (at least 0); the trace formula;
+    toeplitz_op(f) against analysis-conjugated berezin_op(f); sigma and tau
+    against covariant_berezin_symbol(f); and berezin_as_quantization.
+    """
+    _require(q.fam is fr.fam or q.fam.space == fr.space,
+             "quantizer and frame must share a family")
+    weights = fr.space.weights
+    analysis_mat = fr.wfield.conj()
+    synthesis_mat = weights * fr.wfield.T
+    w_norms = np.linalg.norm(fr.wfield, axis=1) ** 2
+    pair = _frame_pairing(fr)
+    norm_margin = pos_floor = trace_res = toeplitz_res = cov_res = fact_res = 0.0
+    for f in symbols:
+        om = berezin_op(fr, f)
+        toep = toeplitz_op(fr, f)
+        norm_margin = max(norm_margin, op_norm(om) - float(np.abs(f.values).max()))
+        eigs = np.linalg.eigvalsh(berezin_op(fr, Symbol(fr.space, np.abs(f.values))))
+        pos_floor = min(pos_floor, float(eigs.min()))
+        trace_res = max(trace_res, abs(trace(om) - np.dot(weights, f.values * w_norms)))
+        toeplitz_res = max(toeplitz_res, float(np.abs(
+            toep - analysis_mat @ om @ synthesis_mat).max()))
+        three = covariant_berezin_symbol(fr, f).values
+        sigma = covariant_symbol_sigma(fr, toep).values
+        tau = covariant_symbol_tau(fr, om).values
+        cov_res = max(cov_res, float(np.abs(sigma - three).max()),
+                      float(np.abs(tau - three).max()))
+        smoothed = Symbol(fr.space, pair @ (weights * f.values))
+        fact_res = max(fact_res, op_norm(quantize(q, smoothed) - om))
+    return {"resolution_residual": resolution_residual(fr),
+            "norm_bound_margin": norm_margin,
+            "positivity_floor": pos_floor,
+            "trace_identity_residual": trace_res,
+            "toeplitz_equality_residual": toeplitz_res,
+            "covariant_identity_residual": cov_res,
+            "factorization_residual": fact_res}
 
 
 def upsilon_transform(fr: Frame, g: Symbol) -> Symbol:

@@ -10,6 +10,7 @@ under the transported star product and involution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,40 +29,47 @@ class Quantizer:
     ``b2_basis`` rows are symbol value vectors, orthonormal in the weighted
     inner product; their span is the image of the coefficient map inside
     L2 of the space (all of it for discrete Weyl systems, a proper subspace
-    for compact-group backends).
+    for compact-group backends).  The basis costs an SVD, so it is computed
+    on first use and then kept.
     """
 
     fam: OperatorFamily
-    b2_basis: np.ndarray
-    b2_rank: int
 
     @property
     def space(self) -> MeasureSpace:
         return self.fam.space
+
+    @cached_property
+    def b2_basis(self) -> np.ndarray:
+        """Coefficient symbols orthonormalized; rank by relative singular-value drop."""
+        d = self.fam.hdim
+        coeff = np.swapaxes(self.fam.stack, 1, 2)     # C[s, i, j] = <pi(s)e_i, e_j>
+        X = coeff.reshape(self.fam.npoints, d * d).T  # one coefficient symbol per row
+        sqrt_w = np.sqrt(self.space.weights)
+        _, svals, Vh = np.linalg.svd(X * sqrt_w, full_matrices=False)
+        rank = int(np.sum(svals > RANK_DROP_TOL * svals[0]))
+        return _readonly(Vh[:rank] / sqrt_w)      # orthonormal in the weighted metric
+
+    @property
+    def b2_rank(self) -> int:
+        return self.b2_basis.shape[0]
 
     def _pistar(self) -> np.ndarray:
         return np.conj(np.swapaxes(self.fam.stack, 1, 2))
 
 
 def build_quantizer(fam: OperatorFamily, tol: float | None = None) -> Quantizer:
-    """Orthonormalize the coefficient symbols of all elementary tensors.
+    """Quantizer of a family that passes the square-integrability test.
 
-    Raises if the family fails the square-integrability test.  The rank
-    decision uses a relative singular-value drop tolerance.
+    Raises if the family fails the test.  The range basis is left to
+    ``Quantizer.b2_basis``, which only range projections read.
     """
     report = verify_sq(fam, tol=tol)
     if not report.passed:
         raise ValueError(
             f"family fails square-integrability (deviation {report.max_deviation:.3e} "
             f"> tol {report.tol:.1e}); cannot quantize")
-    d = fam.hdim
-    coeff = np.swapaxes(fam.stack, 1, 2)          # C[s, i, j] = <pi(s)e_i, e_j>
-    X = coeff.reshape(fam.npoints, d * d).T       # one coefficient symbol per row
-    sqrt_w = np.sqrt(fam.space.weights)
-    _, svals, Vh = np.linalg.svd(X * sqrt_w, full_matrices=False)
-    rank = int(np.sum(svals > RANK_DROP_TOL * svals[0]))
-    basis = Vh[:rank] / sqrt_w                    # orthonormal in the weighted metric
-    return Quantizer(fam, _readonly(basis), rank)
+    return Quantizer(fam)
 
 
 def quantize(q: Quantizer, f: Symbol) -> np.ndarray:

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import opcalc as oc
+from opcalc import cli
 
 
 def unit(d, i=0):
@@ -192,6 +195,25 @@ def test_berezin_as_quantization_trivial():
     f = oc.Symbol(fam.space, np.array([0.3 + 0.7j]))
     smoothed = oc.berezin_as_quantization(fr, q, f)
     assert smoothed.values[0] == pytest.approx(0.3 + 0.7j)
+
+
+@pytest.mark.parametrize("frame", ["weyl3_frame", "s3_frame"])
+def test_frame_identities(frame, request, rng):
+    fr = request.getfixturevalue(frame)
+    q = oc.build_quantizer(fr.fam)
+    res = oc.frame_identities(fr, q, [oc.random_symbol(rng, fr.space) for _ in range(3)])
+    assert res.pop("positivity_floor") >= -1e-10
+    assert all(v <= 1e-10 for v in res.values()), res
+    const = oc.Symbol(fr.space, np.full(fr.space.npoints, 2.5 - 1.0j))
+    assert abs(oc.frame_identities(fr, q, [const])["norm_bound_margin"]) < 1e-12
+
+
+def test_frame_identities_are_the_cli_berezin_residuals(weyl3_frame, capsys):
+    config = {"backend": {"kind": "discrete_weyl", "N": 3}, "tasks": [{"kind": "berezin"}]}
+    assert cli.run_config(config, None) == cli.EXIT_OK
+    task = json.loads(capsys.readouterr().out)["tasks"][0]
+    res = oc.frame_identities(weyl3_frame, oc.build_quantizer(weyl3_frame.fam), [])
+    assert set(res) == set(task) - {"kind", "verdict"}
 
 
 def test_upsilon_isometry(weyl2_frame, rng):

@@ -27,7 +27,9 @@ def b2_random(q, rng):
 
 
 def test_ranks():
-    assert oc.build_quantizer(oc.trivial_backend()).b2_rank == 1
+    q = oc.build_quantizer(oc.trivial_backend())
+    assert "b2_basis" not in vars(q)     # the SVD waits for the first use
+    assert q.b2_rank == 1 and "b2_basis" in vars(q)
     for N in (2, 3, 4):
         assert oc.build_quantizer(oc.discrete_weyl(N)).b2_rank == N * N
 

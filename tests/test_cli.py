@@ -216,20 +216,37 @@ def test_sq_certificate_computed_once_per_family(tmp_path, monkeypatch):
     assert calls == [16, 3]
 
 
+WEYL3 = {"kind": "discrete_weyl", "N": 3}
+
+
 @pytest.mark.parametrize("config, message", [
-    ({"backend": {"kind": "discrete_weyl", "N": 3}, "seed": True,
-      "tasks": [{"kind": "verify_sq"}]}, "seed"),
-    ({"backend": {"kind": "discrete_weyl", "N": 3},
-      "tasks": [{"kind": "berezin", "w_index": 7}]}, "w_index"),
-    ({"backend": {"kind": "discrete_weyl", "N": 3},
-      "tasks": [{"kind": "quantize", "n_random": -2}]}, "n_random"),
+    ({"backend": WEYL3, "seed": True, "tasks": [{"kind": "verify_sq"}]}, "seed"),
+    ({"backend": WEYL3, "tasks": [{"kind": "berezin", "w_index": 7}]}, "w_index"),
+    ({"backend": WEYL3, "tasks": [{"kind": "quantize", "n_random": -2}]}, "n_random"),
+    ({"backend": WEYL3, "tasks": [{"kind": "verify_sq"}, {"kind": "quantize"}]},
+     "quantize needs 'symbols' or 'n_random'"),
+    ({"backend": WEYL3, "tasks": [{"kind": "verify_sq"},
+                                  {"kind": "star_table", "symbols": []}]},
+     "star_table needs 'symbols' or 'n_random'"),
+    ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "grids": [33]}]}, "grids"),
+    ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "sq_trials": 0}]},
+     "sq_trials"),
+    ({"backend": WEYL3, "tol": "abc", "tasks": [{"kind": "verify_sq"}]}, "tol"),
+    ({"backend": WEYL3, "tasks": [{"kind": "inftensor", "copies": 0}]}, "copies"),
+    ({"backend": {"kind": "trivial"}, "tasks": [{"kind": "inftensor", "copies": 13}]},
+     "copies"),                  # more factors than build_restricted allows
+    ({"backend": WEYL3, "tasks": [{"kind": "inftensor", "copies": 8}]},
+     "copies"),                  # 3**8 exceeds the restricted-product dimension cap
+    ({"backend": WEYL3, "tasks": [{"kind": ["verify_sq"]}]}, "unknown kind"),
 ])
 def test_bad_task_input_is_validation_failure(tmp_path, capsys, config, message):
     cfg = write(tmp_path, "cfg.json", config)
     out = tmp_path / "report.json"
     assert cli.main(["run", cfg, "--out", str(out)]) == cli.EXIT_VALIDATION_FAILURE
-    assert message in capsys.readouterr().err
-    assert not out.exists()      # rejected before any task ran
+    err = capsys.readouterr().err
+    assert message in err
+    assert "[opcalc] task" not in err   # rejected before any task ran
+    assert not out.exists()
 
 
 def test_describe_incomplete_spec_is_validation_failure(tmp_path, capsys):
