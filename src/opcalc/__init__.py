@@ -1,5 +1,14 @@
 """opcalc: quantization and dequantization via square-integrable operator families."""
 
+import os as _os
+
+# OPCALC_THREADS caps BLAS parallelism; BLAS reads its variables when numpy is
+# first imported, so they are set here, before the submodules import numpy.
+if _os.environ.get("OPCALC_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["OPCALC_THREADS"])
+
 from .core import (DEFAULT_TOL, MeasureSpace, Symbol, hs_inner, hs_norm,
                    integrate, l2_inner, l2_norm, op_norm, product_space,
                    random_symbol, random_unit_vector, random_vector, rank_one,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -30,15 +29,6 @@ EXIT_OK = 0
 EXIT_TASK_FAILURE = 1
 EXIT_PARSE_FAILURE = 2
 EXIT_VALIDATION_FAILURE = 3
-
-
-def _setup_threads():
-    """Honor OPCALC_THREADS before numpy is imported anywhere."""
-    cap = os.environ.get("OPCALC_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 class ConfigError(Exception):
@@ -360,7 +350,6 @@ def run_config(config: dict, out_path: str | None,
 
 
 def main(argv=None) -> int:
-    _setup_threads()
     parser = argparse.ArgumentParser(prog="opcalc")
     sub = parser.add_subparsers(dest="command", required=True)
 

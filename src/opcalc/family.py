@@ -203,10 +203,7 @@ def invariant_subspace_check(fam: OperatorFamily, basis,
 def tensor(f1: OperatorFamily, f2: OperatorFamily) -> OperatorFamily:
     """Kronecker-product family on the product space."""
     space = product_space(f1.space, f2.space)
-    m1, d1 = f1.npoints, f1.hdim
-    m2, d2 = f2.npoints, f2.hdim
-    stack = np.einsum("sij,tkl->stikjl", f1.stack, f2.stack)
-    stack = stack.reshape(m1 * m2, d1 * d2, d1 * d2)
+    stack = np.kron(f1.stack, f2.stack)
     tol = None
     if f1.tol is not None or f2.tol is not None:
         tol = max(t for t in (f1.tol, f2.tol) if t is not None)
@@ -293,12 +290,8 @@ def direct_sum_product(f1: OperatorFamily, f2: OperatorFamily) -> OperatorFamily
     d1, d2 = f1.hdim, f2.hdim
     D = d1 + d2
     stack = np.zeros((space.npoints, D, D), dtype=complex)
-    idx = 0
-    for i in range(f1.npoints):
-        for j in range(f2.npoints):
-            stack[idx, :d1, :d1] = f1.stack[i]
-            stack[idx, d1:, d1:] = f2.stack[j]
-            idx += 1
+    stack[:, :d1, :d1] = np.repeat(f1.stack, f2.npoints, 0)   # first factor slowest
+    stack[:, d1:, d1:] = np.tile(f2.stack, (f1.npoints, 1, 1))
     tols = [t for t in (f1.tol, f2.tol) if t is not None]
     return OperatorFamily(space, stack, tol=max(tols) if tols else None)
 

@@ -11,6 +11,7 @@ what the defect curves report.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ class Factor:
 
 
 class RestrictedProduct:
-    """Finitely many pointed factors with their materialized tensor data."""
+    """Finitely many pointed factors; level-N operators act mode by mode."""
 
     def __init__(self, factors: list[Factor]):
         self.factors = factors
@@ -38,14 +39,11 @@ class RestrictedProduct:
         self.dims = [f.fam.hdim for f in factors]
         self.full_dim = int(np.prod(self.dims))
         self._level_spaces: dict[int, MeasureSpace] = {}
-        self._level_stacks: dict[int, np.ndarray] = {}
 
     def tail_vector(self, M: int) -> np.ndarray:
         """Kronecker product of the distinguished vectors beyond level M."""
-        v = np.ones(1, dtype=complex)
-        for f in self.factors[M:]:
-            v = np.kron(v, f.w)
-        return v
+        return functools.reduce(np.kron, [f.w for f in self.factors[M:]],
+                                np.ones(1, dtype=complex))
 
     def level_embedding(self, M: int) -> np.ndarray:
         """Isometry from the level-M tensor space into the full space."""
@@ -68,25 +66,28 @@ class RestrictedProduct:
             self._level_spaces[N] = space
         return self._level_spaces[N]
 
-    def level_stack(self, N: int) -> np.ndarray:
-        """Full-space operators over the level-N points (tail factors are 1)."""
+    def level_vectors(self, N: int, u) -> np.ndarray:
+        """pi(s) u at every level-N point, as an (m_N, D) array.
+
+        Factor k's stack acts on tensor mode k of u, one broadcast matmul per
+        factor; the tail modes are untouched, which is the exact identity.
+        Memory is m_N * D, never the m_N * D^2 of the level stack.
+        """
         _require(1 <= N <= self.J, "truncation level out of range")
-        if N not in self._level_stacks:
-            stack = self.factors[0].fam.stack
-            for f in self.factors[1:N]:
-                other = f.fam.stack
-                ma, da = stack.shape[0], stack.shape[1]
-                mb, db = other.shape[0], other.shape[1]
-                stack = np.einsum("sij,tkl->stikjl", stack, other)
-                stack = stack.reshape(ma * mb, da * db, da * db)
-            tail_dim = int(np.prod(self.dims[N:])) if N < self.J else 1
-            if tail_dim > 1:
-                eye = np.eye(tail_dim, dtype=complex)
-                m, d = stack.shape[0], stack.shape[1]
-                stack = np.einsum("sij,kl->sikjl", stack, eye)
-                stack = stack.reshape(m, d * tail_dim, d * tail_dim)
-            self._level_stacks[N] = stack
-        return self._level_stacks[N]
+        X = as_vector(u, self.full_dim)
+        lead = 1
+        for f, d in zip(self.factors[:N], self.dims):
+            X = np.matmul(f.fam.stack[:, None],
+                          X.reshape(-1, 1, lead, d, self.full_dim // (lead * d)))
+            lead *= d
+        return X.reshape(-1, self.full_dim)
+
+    def level_stack(self, N: int) -> np.ndarray:
+        """Dense level-N operators, tail factors 1: the m_N * D^2 test reference."""
+        _require(1 <= N <= self.J, "truncation level out of range")
+        tail = np.eye(int(np.prod(self.dims[N:])))
+        return functools.reduce(np.kron, [f.fam.stack for f in self.factors[:N]]
+                                + [tail])
 
 
 def build_restricted(factors, dim_cap: int = DEFAULT_DIM_CAP,
@@ -128,8 +129,7 @@ def sq_defect(rp: RestrictedProduct, N: int, u, v) -> float:
     """
     u = as_vector(u, rp.full_dim)
     v = as_vector(v, rp.full_dim)
-    stack = rp.level_stack(N)
-    phi = (stack @ u) @ np.conj(v)
+    phi = rp.level_vectors(N, u) @ np.conj(v)
     integral = float(np.dot(rp.level_space(N).weights, np.abs(phi) ** 2))
     return abs(integral - vec_norm(u) ** 2 * vec_norm(v) ** 2)
 
@@ -141,15 +141,15 @@ def projected_overlap(rp: RestrictedProduct, N: int, M: int,
     Returns (integral of |<pi u1, P v1> <P v2, pi u2>| dmu^(N),
     ||u1|| ||P v1|| ||u2|| ||P v2||) where P projects onto the level-M range.
     """
-    iota = rp.level_embedding(M)
-    P = iota @ iota.conj().T
-    pv1 = P @ as_vector(v1, rp.full_dim)
-    pv2 = P @ as_vector(v2, rp.full_dim)
+    _require(0 <= M <= rp.J, "level out of range")
+    tail = rp.tail_vector(M)
+    # P v = iota iota* v, applied without the D x D projector
+    pv1, pv2 = (rp.embed(as_vector(v, rp.full_dim).reshape(-1, tail.size)
+                         @ tail.conj(), M) for v in (v1, v2))
     u1 = as_vector(u1, rp.full_dim)
     u2 = as_vector(u2, rp.full_dim)
-    stack = rp.level_stack(N)
-    f1 = (stack @ u1) @ np.conj(pv1)
-    f2 = (stack @ u2) @ np.conj(pv2)
+    f1 = rp.level_vectors(N, u1) @ np.conj(pv1)
+    f2 = rp.level_vectors(N, u2) @ np.conj(pv2)
     integral = float(np.dot(rp.level_space(N).weights, np.abs(f1) * np.abs(f2)))
     bound = vec_norm(u1) * vec_norm(pv1) * vec_norm(u2) * vec_norm(pv2)
     return integral, bound
@@ -164,9 +164,7 @@ def berezin_truncated(rp: RestrictedProduct, N: int, u,
     """
     _require(f.space == rp.level_space(N),
              "symbol must live on the level-N product space")
-    u = as_vector(u, rp.full_dim)
-    stack = rp.level_stack(N)
-    X = stack @ u                                     # pi(s) u per point
+    X = rp.level_vectors(N, u)                        # pi(s) u per point
     wf = rp.level_space(N).weights * f.values
     return (X.T * wf) @ X.conj()
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import opcalc
-from opcalc import cli
+from opcalc import cli, inftensor
 from opcalc import family as fm
 
 
@@ -176,6 +176,36 @@ def test_console_entry_point(tmp_path):
                                              "PYTHONPATH": source_root})
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["hdim"] == 2
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the thread count from Linux procfs")
+def test_thread_cap_holds_when_opcalc_is_imported_first():
+    # BLAS sizes its thread pool when numpy is first imported, so the cap must
+    # be in place by then; the child has no BLAS variables of its own
+    code = ("import opcalc\nimport numpy as np\na = np.ones((600, 600))\na @ a\n"
+            "print(open('/proc/self/status').read())")
+    source_root = str(Path(opcalc.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={"PATH": "/usr/bin:/bin",
+                                          "OPCALC_THREADS": "1",
+                                          "PYTHONPATH": source_root})
+    assert proc.returncode == 0, proc.stderr
+    assert "Threads:\t1\n" in proc.stdout
+
+
+def test_inftensor_six_copies_builds_no_level_stack(tmp_path, monkeypatch):
+    def refuse(self, N):
+        raise AssertionError("the dense level stack is a test reference only")
+
+    monkeypatch.setattr(inftensor.RestrictedProduct, "level_stack", refuse)
+    cfg = write(tmp_path, "cfg.json", {"backend": {"kind": "discrete_weyl", "N": 2},
+                                       "tasks": [{"kind": "inftensor", "copies": 6}]})
+    out = tmp_path / "report.json"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 0
+    task = json.loads(out.read_text())["tasks"][0]
+    assert task["verdict"] == "pass"
+    assert [row["N"] for row in task["rows"]] == [1, 2, 3, 4, 5, 6]
 
 
 def test_verify_sq_report_names_worst_witness(tmp_path):

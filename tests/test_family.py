@@ -173,6 +173,20 @@ def test_tensor_sq_and_coefficient_factorization(weyl2, weyl3, rng):
     assert np.abs(joint.values - product).max() < 1e-12
 
 
+def test_direct_sum_product_point_order(weyl3):
+    # first factor slowest, as in product_space: the plain double loop
+    weyl4 = oc.discrete_weyl(4)
+    out = oc.direct_sum_product(weyl3, weyl4)
+    s = 0
+    for a in weyl3.stack:
+        for b in weyl4.stack:
+            expected = np.zeros((7, 7), dtype=complex)
+            expected[:3, :3], expected[3:, 3:] = a, b
+            assert np.array_equal(out.stack[s], expected)
+            s += 1
+    assert s == out.npoints
+
+
 def test_compress_identity(weyl3):
     out = oc.compress(weyl3, np.arange(9), weyl3.space, np.eye(3))
     assert np.abs(out.stack - weyl3.stack).max() < 1e-14

@@ -19,6 +19,19 @@ def rp3():
     return it.build_restricted([(fam, 0, unit(2))] * 3)
 
 
+def identity_point(fam):
+    return next(s for s in range(fam.npoints)
+                if np.abs(fam.op(s) - np.eye(fam.hdim)).max() < 1e-12)
+
+
+@pytest.fixture(params=["weyl3^3", "weyl2*s3*weyl3"])
+def mixed_rp(request):
+    w2, w3 = oc.discrete_weyl(2), oc.discrete_weyl(3)
+    s3 = oc.finite_group_backend(oc.s3_table()[0], oc.s3_standard_irrep())
+    fams = [w3] * 3 if request.param == "weyl3^3" else [w2, s3, w3]
+    return it.build_restricted([(f, identity_point(f), unit(f.hdim)) for f in fams])
+
+
 def test_single_factor_is_unchanged():
     fam = oc.discrete_weyl(2)
     rp = it.build_restricted([(fam, 0, unit(2))])
@@ -111,6 +124,32 @@ def test_projected_overlap_exact_when_nested(rp3, rng):
     w = rp3.level_space(2).weights
     direct = brute_pairing_integral(stack, w, u, v, u, v)
     assert value == pytest.approx(abs(direct), abs=1e-11)
+
+
+def test_level_vectors_match_level_stack(mixed_rp, rng):
+    rp = mixed_rp
+    for N in range(1, rp.J + 1):
+        u = oc.random_vector(rng, rp.full_dim)
+        X = rp.level_vectors(N, u)
+        assert X.shape == (rp.level_space(N).npoints, rp.full_dim)
+        assert np.abs(X - rp.level_stack(N) @ u).max() <= 1e-13
+
+
+def test_projected_overlap_matches_dense_projector(mixed_rp, rng):
+    rp = mixed_rp
+    for N in range(1, rp.J + 1):
+        stack, weights = rp.level_stack(N), rp.level_space(N).weights
+        for M in range(rp.J + 1):
+            iota = rp.level_embedding(M)
+            P = iota @ iota.conj().T
+            u1, v1, u2, v2 = (oc.random_vector(rng, rp.full_dim) for _ in range(4))
+            value, bound = it.projected_overlap(rp, N, M, u1, v1, u2, v2)
+            f1 = (stack @ u1) @ np.conj(P @ v1)
+            f2 = (stack @ u2) @ np.conj(P @ v2)
+            assert value == pytest.approx(np.dot(weights, np.abs(f1) * np.abs(f2)),
+                                          abs=1e-12)
+            norms = [np.linalg.norm(x) for x in (u1, P @ v1, u2, P @ v2)]
+            assert bound == pytest.approx(np.prod(norms), abs=1e-12)
 
 
 def test_berezin_truncated_identity(rp3):
