@@ -16,7 +16,7 @@ import numpy as np
 from .core import (MeasureSpace, Symbol, _readonly, _require, as_operator,
                    as_vector, op_norm, product_space, trace, vec_norm)
 from .family import OperatorFamily, verify_sq
-from .calculus import Quantizer, quantize
+from .calculus import Quantizer, _adjoint_sum, quantize
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +50,7 @@ def make_frame(fam: OperatorFamily, w, tol: float | None = None) -> Frame:
         raise ValueError("fiducial vector must be a unit vector")
     if not verify_sq(fam, tol=tol).passed:
         raise ValueError("family fails square-integrability; no frame")
-    wfield = np.einsum("sji,j->si", np.conj(fam.stack), w)   # pi(s)* w
+    wfield = (w.conj() @ fam.stack).conj()                   # pi(s)* w
     kernel = wfield.conj() @ wfield.T                        # <w(t), w(s)>
     fr = Frame(fam, _readonly(w), _readonly(wfield), _readonly(kernel))
     residual = resolution_residual(fr)
@@ -126,8 +126,8 @@ def covariant_symbol_sigma(fr: Frame, A) -> Symbol:
 
 def covariant_symbol_tau(fr: Frame, S) -> Symbol:
     """Covariant symbol of a Hilbert-space operator: s -> <S w(s), w(s)>."""
-    S = as_operator(S, fr.fam.hdim)
-    values = np.einsum("ij,sj,si->s", S, fr.wfield, fr.wfield.conj())
+    W = fr.wfield
+    values = np.sum((W @ as_operator(S, fr.fam.hdim).T) * W.conj(), axis=1)
     return Symbol(fr.space, values)
 
 
@@ -144,7 +144,9 @@ def covariant_berezin_symbol(fr: Frame, g: Symbol) -> Symbol:
 
 def _frame_pairing(fr: Frame) -> np.ndarray:
     """pair[s, t] = <pi(s) w(t), w(t)>; against f over t, Tr[berezin_op(f) pi(s)]."""
-    return np.einsum("sij,tj,ti->st", fr.fam.stack, fr.wfield, fr.wfield.conj())
+    W = fr.wfield
+    R = (W.conj()[:, :, None] * W[:, None, :]).reshape(len(W), -1)  # conj w(t) (x) w(t)
+    return fr.fam.flat @ R.T
 
 
 def berezin_as_quantization(fr: Frame, q: Quantizer, f: Symbol,
@@ -215,9 +217,7 @@ def upsilon_transform(fr: Frame, g: Symbol) -> Symbol:
     the pair (w(t), w(s)); on range symbols the map preserves the norm.
     """
     _require(g.space == fr.space, "symbol lives on a different space")
-    # phi[r, t, s] = <pi(r) w(t), w(s)>
-    pw = np.einsum("rij,tj->rti", fr.fam.stack, fr.wfield)
-    phi = np.einsum("rti,si->rts", pw, fr.wfield.conj())
-    wg = fr.space.weights * g.values
-    values = np.einsum("r,rts->st", wg, phi.conj())
+    # sum over r of w g(r) conj<pi(r) w(t), w(s)> is <Q w(s), w(t)>, Q = sum w g pi*
+    W = fr.wfield
+    values = W @ _adjoint_sum(fr.fam, fr.space.weights * g.values).T @ W.conj().T
     return Symbol(product_space(fr.space, fr.space), values.reshape(-1))

@@ -14,8 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, RANK_DROP_TOL, MeasureSpace, Symbol, _readonly,
-                   _require, as_operator, hs_norm, l2_inner, op_norm, trace_norm)
+from .core import (RANK_DROP_TOL, MeasureSpace, Symbol, _readonly, _require,
+                   as_operator, hs_norm, op_norm, trace_norm)
 from .family import OperatorFamily, verify_sq
 
 #: Guard for materializing the three-point kernel of the explicit star product.
@@ -29,8 +29,8 @@ class Quantizer:
     ``b2_basis`` rows are symbol value vectors, orthonormal in the weighted
     inner product; their span is the image of the coefficient map inside
     L2 of the space (all of it for discrete Weyl systems, a proper subspace
-    for compact-group backends).  The basis costs an SVD, so it is computed
-    on first use and then kept.
+    for compact-group backends).  The basis costs an SVD and ``three_point``
+    holds m^3 numbers, so each is computed on first use and then kept.
     """
 
     fam: OperatorFamily
@@ -42,11 +42,8 @@ class Quantizer:
     @cached_property
     def b2_basis(self) -> np.ndarray:
         """Coefficient symbols orthonormalized; rank by relative singular-value drop."""
-        d = self.fam.hdim
-        coeff = np.swapaxes(self.fam.stack, 1, 2)     # C[s, i, j] = <pi(s)e_i, e_j>
-        X = coeff.reshape(self.fam.npoints, d * d).T  # one coefficient symbol per row
-        sqrt_w = np.sqrt(self.space.weights)
-        _, svals, Vh = np.linalg.svd(X * sqrt_w, full_matrices=False)
+        sqrt_w = np.sqrt(self.space.weights)   # flat.T: one coefficient symbol per row
+        _, svals, Vh = np.linalg.svd(self.fam.flat.T * sqrt_w, full_matrices=False)
         rank = int(np.sum(svals > RANK_DROP_TOL * svals[0]))
         return _readonly(Vh[:rank] / sqrt_w)      # orthonormal in the weighted metric
 
@@ -54,8 +51,10 @@ class Quantizer:
     def b2_rank(self) -> int:
         return self.b2_basis.shape[0]
 
-    def _pistar(self) -> np.ndarray:
-        return np.conj(np.swapaxes(self.fam.stack, 1, 2))
+    @cached_property
+    def three_point(self) -> np.ndarray:
+        """Kernel of the explicit composition law, built once per quantizer."""
+        return _three_point_kernel(self)
 
 
 def build_quantizer(fam: OperatorFamily, tol: float | None = None) -> Quantizer:
@@ -72,24 +71,28 @@ def build_quantizer(fam: OperatorFamily, tol: float | None = None) -> Quantizer:
     return Quantizer(fam)
 
 
+def _adjoint_sum(fam: OperatorFamily, c: np.ndarray) -> np.ndarray:
+    """Sum of c[s] pi(s)*, one product with the coefficient matrix."""
+    d = fam.hdim
+    return (np.conj(c) @ fam.flat).conj().reshape(d, d).T
+
+
 def quantize(q: Quantizer, f: Symbol) -> np.ndarray:
     """Weighted sum of f(s) pi(s)*; kills the orthocomplement of the range."""
     _require(f.space == q.space, "symbol lives on a different space")
-    wf = q.fam.space.weights * f.values
-    return np.einsum("s,sij->ij", wf, q._pistar())
+    return _adjoint_sum(q.fam, q.space.weights * f.values)
 
 
 def dequantize(q: Quantizer, T) -> Symbol:
     """Symbol of an operator: s -> Tr[T pi(s)]."""
     T = as_operator(T, q.fam.hdim)
-    values = np.einsum("ij,sji->s", T, q.fam.stack)
-    return Symbol(q.space, values)
+    return Symbol(q.space, q.fam.flat @ T.T.ravel())
 
 
 def project_b2(q: Quantizer, f: Symbol) -> Symbol:
     """Orthogonal projection onto the span of the coefficient symbols."""
     _require(f.space == q.space, "symbol lives on a different space")
-    coeffs = q.b2_basis.conj() @ (q.space.weights * f.values)
+    coeffs = (q.b2_basis @ np.conj(q.space.weights * f.values)).conj()
     return Symbol(q.space, coeffs @ q.b2_basis)
 
 
@@ -108,13 +111,13 @@ def involution(q: Quantizer, f: Symbol) -> Symbol:
 
 
 def _three_point_kernel(q: Quantizer) -> np.ndarray:
-    """K[s, t, r] = Tr[pi(s)* pi(t)* pi(r)] for the explicit composition law."""
+    """K[s*m + t, r] = Tr[pi(s)* pi(t)* pi(r)], one (m^2, d^2) x (d^2, m) product."""
     m, d = q.fam.npoints, q.fam.hdim
     _require(m * m * m <= _KERNEL_ENTRY_CAP,
              "space too large to materialize the three-point kernel")
-    pistar = q._pistar()
-    ts = np.einsum("sab,tbc->stac", pistar, pistar)    # pi(s)* pi(t)*
-    return np.einsum("stac,rca->str", ts, q.fam.stack)
+    pistar = q.fam.stack.conj().swapaxes(1, 2)
+    ts = pistar[:, None] @ pistar[None]                # pi(s)* pi(t)*
+    return ts.swapaxes(2, 3).reshape(m * m, d * d) @ q.fam.flat.T
 
 
 def star_explicit(q: Quantizer, f: Symbol, g: Symbol) -> Symbol:
@@ -127,30 +130,26 @@ def star_explicit(q: Quantizer, f: Symbol, g: Symbol) -> Symbol:
     """
     _require(f.space == q.space and g.space == q.space,
              "symbols live on a different space")
-    K = _three_point_kernel(q)
-    wf = q.space.weights * f.values
-    wg = q.space.weights * g.values
-    values = np.einsum("s,t,str->r", wf, wg, K)
-    return Symbol(q.space, values)
+    w = q.space.weights
+    return Symbol(q.space, np.kron(w * f.values, w * g.values) @ q.three_point)
 
 
 def involution_explicit(q: Quantizer, f: Symbol) -> Symbol:
     """Explicit involution: r -> integral of Tr[pi(r) pi(s)] conj(f(s))."""
     _require(f.space == q.space, "symbol lives on a different space")
-    two_point = np.einsum("rab,sba->rs", q.fam.stack, q.fam.stack)
-    values = two_point @ (q.space.weights * np.conj(f.values))
-    return Symbol(q.space, values)
+    m = q.fam.npoints
+    two_point = q.fam.flat @ q.fam.stack.swapaxes(1, 2).reshape(m, -1).T
+    return Symbol(q.space, two_point @ (q.space.weights * np.conj(f.values)))
 
 
 def e_symbol(q: Quantizer, s: int) -> Symbol:
     """Point symbol: the symbol quantizing to pi(s)*."""
-    return dequantize(q, q._pistar()[s])
+    return Symbol(q.space, q.fam.flat @ q.fam.flat[s].conj())
 
 
 def pairing_with_e(q: Quantizer, f: Symbol, s: int) -> complex:
     """Trace pairing Tr[quantize(f) pi(s)]; reproduces f(s) on range symbols."""
-    T = quantize(q, f)
-    return complex(np.einsum("ij,ji->", T, q.fam.stack[s]))
+    return complex(q.fam.flat[s] @ quantize(q, f).T.ravel())
 
 
 def quantize_measure(q: Quantizer, atoms, tol: float | None = None) -> np.ndarray:
@@ -161,13 +160,13 @@ def quantize_measure(q: Quantizer, atoms, tol: float | None = None) -> np.ndarra
     ||result|| <= total variation x sup ||pi(s)|| is asserted.
     """
     tol = q.fam.working_tol() if tol is None else tol
-    pistar = q._pistar()
-    T = np.zeros((q.fam.hdim, q.fam.hdim), dtype=complex)
+    c = np.zeros(q.fam.npoints, dtype=complex)
     total_variation = 0.0
     for idx, mass in atoms:
-        T += complex(mass) * pistar[int(idx)]
+        c[int(idx)] += complex(mass)
         total_variation += abs(complex(mass))
-    sup_norm = max(op_norm(P) for P in q.fam.stack)
+    T = _adjoint_sum(q.fam, c)
+    sup_norm = np.linalg.norm(q.fam.stack, 2, axis=(1, 2)).max()
     if op_norm(T) > total_variation * sup_norm + tol:
         raise ArithmeticError("quantized measure violates the norm bound")
     return T
@@ -202,8 +201,8 @@ def mixed_trace(q: Quantizer, f: Symbol, S, tol: float | None = None) -> complex
     tol = q.fam.working_tol() if tol is None else tol
     S = as_operator(S, q.fam.hdim)
     left = complex(np.trace(quantize(q, f) @ S))
-    traces = np.einsum("sji,ji->s", np.conj(q.fam.stack), S)  # Tr[pi(s)* S]
-    right = complex(np.dot(q.space.weights, f.values * traces))
+    traces = q.fam.flat @ S.ravel().conj()                # conj Tr[pi(s)* S]
+    right = complex(np.vdot(traces, q.space.weights * f.values))
     scale = max(1.0, abs(left))
     if abs(left - right) > max(tol, 1e-9 * scale):
         raise ArithmeticError(

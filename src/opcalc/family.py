@@ -26,7 +26,9 @@ from .core import (DEFAULT_TOL, MeasureSpace, Symbol, _readonly, _require,
 class OperatorFamily:
     """The pair (measure space, point -> operator) with dimension metadata.
 
-    Operators are stored as one dense stack of shape (npoints, hdim, hdim).
+    Operators are stored as one dense stack of shape (npoints, hdim, hdim);
+    ``flat`` is its (npoints, hdim^2) coefficient-matrix view, with
+    ``flat[s, j*hdim + i] = <pi(s)e_i, e_j>``, which every map reads.
     ``tol`` is None for exact families; quadrature-built families carry the
     declared tolerance of their construction.  The stack and weights are
     read-only, so the square-integrability witness derived from them is
@@ -41,6 +43,7 @@ class OperatorFamily:
         _require(bool(np.all(np.isfinite(stack))), "operator entries must be finite")
         self.space = space
         self.stack = _readonly(stack)
+        self.flat = self.stack.reshape(space.npoints, -1)
         self.tol = tol
 
     @property
@@ -111,11 +114,9 @@ def _basis_gram(fam: OperatorFamily) -> np.ndarray:
     means the matrix is the identity.  It is the Choi matrix of the twirl
     X -> integral of pi(s) X pi(s)* dmu(s).
     """
-    # S[s, (j, i)] = stack[s, j, i] = <pi(s) e_i, e_j>
-    S = fam.stack.reshape(fam.npoints, fam.hdim * fam.hdim)
-    A = S.T.conj()
+    A = fam.flat.T.conj()
     A *= fam.space.weights
-    return A @ S
+    return A @ fam.flat
 
 
 @dataclass(frozen=True)
@@ -196,8 +197,7 @@ def invariant_subspace_check(fam: OperatorFamily, basis,
     if k >= fam.hdim:
         return True  # full space
     proj_out = np.eye(fam.hdim) - Q @ Q.conj().T
-    residual = max(np.abs(proj_out @ (P @ Q)).max() for P in fam.stack)
-    return residual <= tol
+    return np.abs(proj_out @ (fam.stack @ Q)).max() <= tol
 
 
 def tensor(f1: OperatorFamily, f2: OperatorFamily) -> OperatorFamily:
@@ -244,7 +244,7 @@ def compress(f2: OperatorFamily, point_map, target_space: MeasureSpace,
     if np.abs(iota.conj().T @ iota - np.eye(d1)).max() > tol:
         raise ValueError("iota is not an isometry")
 
-    compressed = np.einsum("ia,sij,jb->sab", np.conj(iota), f2.stack, iota)
+    compressed = iota.conj().T @ f2.stack @ iota
     stack = np.zeros((target_space.npoints, d1, d1), dtype=complex)
     for t in range(target_space.npoints):
         fibre = compressed[p == t]

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import opcalc as oc
+from opcalc import berezin as bz
+from opcalc import calculus as ca
 
 from conftest import brute_inner
 
@@ -151,6 +153,26 @@ def test_involution_explicit_matches(weyl3_q, rng):
     a = oc.involution(weyl3_q, f)
     b = oc.involution_explicit(weyl3_q, f)
     assert np.abs(a.values - b.values).max() < 1e-11
+
+
+def test_explicit_routes_never_quantize(weyl3_q, rng, monkeypatch):
+    # the cross-checks must stay independent of the maps they check
+    f, g = b2_random(weyl3_q, rng), b2_random(weyl3_q, rng)
+    S = oc.random_vector(rng, 9).reshape(3, 3)
+    star, inv = oc.star(weyl3_q, f, g), oc.involution(weyl3_q, f)
+    fr = oc.make_frame(weyl3_q.fam, np.eye(3)[0])
+
+    def refuse(*args):
+        raise AssertionError("an explicit route called the transported maps")
+
+    for mod in (ca, bz):
+        for name in ("quantize", "dequantize"):
+            monkeypatch.setattr(mod, name, refuse, raising=False)
+    assert np.abs(oc.star_explicit(weyl3_q, f, g).values - star.values).max() < 1e-10
+    assert np.abs(oc.involution_explicit(weyl3_q, f).values - inv.values).max() < 1e-11
+    assert bz._frame_pairing(fr).shape == (9, 9)
+    with pytest.raises(AssertionError, match="explicit route"):
+        oc.mixed_trace(weyl3_q, f, S)       # its left side is the quantized route
 
 
 def test_e_symbol_quantizes_to_adjoint(weyl3_q):

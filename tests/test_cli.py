@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import opcalc
+from opcalc import calculus as ca
 from opcalc import cli, inftensor
 from opcalc import family as fm
 
@@ -244,6 +245,20 @@ def test_sq_certificate_computed_once_per_family(tmp_path, monkeypatch):
     assert not fm.verify_sq(fam, tol=1e-30).passed
     assert fm.verify_sq(fam).passed
     assert calls == [16, 3]
+
+
+def test_three_point_kernel_built_once_per_star_table(tmp_path, monkeypatch):
+    calls = []
+    real_kernel = ca._three_point_kernel
+    monkeypatch.setattr(ca, "_three_point_kernel",
+                        lambda q: calls.append(q.fam.hdim) or real_kernel(q))
+    cfg = write(tmp_path, "cfg.json", {
+        "backend": {"kind": "discrete_weyl", "N": 4}, "seed": 3,
+        "tasks": [{"kind": "star_table", "n_random": 3, "check_explicit": True}]})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "r.json")]) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["tasks"][0]["explicit_residual"] < 1e-10
+    assert calls == [4]           # nine explicit products, one kernel
 
 
 WEYL3 = {"kind": "discrete_weyl", "N": 3}
