@@ -10,6 +10,7 @@ on the kernel space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,7 @@ class Frame:
 
     ``wfield[s]`` holds pi(s)* w; ``kernel[s, t]`` is <w(t), w(s)>, which is
     conjugate-symmetric and reproduces the range of the analysis map.
+    ``overlap[s, t]`` is |<w(s), w(t)>|^2, computed on first use.
     """
 
     fam: OperatorFamily
@@ -35,6 +37,10 @@ class Frame:
     @property
     def space(self) -> MeasureSpace:
         return self.fam.space
+
+    @cached_property
+    def overlap(self) -> np.ndarray:
+        return _readonly((np.abs(self.kernel.T) ** 2).astype(complex))
 
 
 def make_frame(fam: OperatorFamily, w, tol: float | None = None) -> Frame:
@@ -138,8 +144,7 @@ def covariant_berezin_symbol(fr: Frame, g: Symbol) -> Symbol:
     sigma(toeplitz_op(g)) and tau(berezin_op(g)).
     """
     _require(g.space == fr.space, "symbol lives on a different space")
-    values = (np.abs(fr.kernel.T) ** 2) @ (fr.space.weights * g.values)
-    return Symbol(fr.space, values)
+    return Symbol(fr.space, fr.overlap @ (fr.space.weights * g.values))
 
 
 def _frame_pairing(fr: Frame) -> np.ndarray:

@@ -74,9 +74,6 @@ class MeasureSpace:
     def mass(self) -> float:
         return float(np.sum(self.weights))
 
-    def index(self, label) -> int:
-        return self.points.index(str(label))
-
     def __eq__(self, other):
         if self is other:
             return True

@@ -170,14 +170,16 @@ def verify_sq(fam: OperatorFamily, tol: float | None = None) -> SqReport:
 def commutant_dim(fam: OperatorFamily) -> int:
     """Dimension of {T : T pi(s) = pi(s) T for all s}.
 
-    Computed as the nullity of the stacked linear system; square-integrable
-    families must return 1.
+    Nullity of L = sum w B*B, B = pi (x) 1 - 1 (x) pi^T on row-major vec T, read
+    off the basis Gram by a reshuffle and two partial traces.  Eigenvalues of L
+    square singular values, so couplings below about sqrt(d^2 eps) are lost.
     """
-    d = fam.hdim
-    eye = np.eye(d)
-    blocks = [np.kron(eye, P) - np.kron(P.T, eye) for P in fam.stack]
-    M = np.vstack(blocks)
-    return d * d - int(np.linalg.matrix_rank(M))
+    d, eye = fam.hdim, np.eye(fam.hdim)
+    G = _basis_gram(fam).reshape(d, d, d, d)
+    X = G.transpose(2, 0, 3, 1).reshape(d * d, d * d)
+    L = (np.kron(np.trace(G, axis1=0, axis2=2), eye)
+         + np.kron(eye, np.trace(G, axis1=1, axis2=3)) - X - X.conj().T)
+    return d * d - int(np.linalg.matrix_rank(L, hermitian=True))
 
 
 def invariant_subspace_check(fam: OperatorFamily, basis,
@@ -204,10 +206,8 @@ def tensor(f1: OperatorFamily, f2: OperatorFamily) -> OperatorFamily:
     """Kronecker-product family on the product space."""
     space = product_space(f1.space, f2.space)
     stack = np.kron(f1.stack, f2.stack)
-    tol = None
-    if f1.tol is not None or f2.tol is not None:
-        tol = max(t for t in (f1.tol, f2.tol) if t is not None)
-    return OperatorFamily(space, stack, tol=tol)
+    tols = [t for t in (f1.tol, f2.tol) if t is not None]
+    return OperatorFamily(space, stack, tol=max(tols) if tols else None)
 
 
 def adjoint_family(fam: OperatorFamily) -> OperatorFamily:

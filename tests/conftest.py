@@ -37,5 +37,13 @@ def brute_pairing_integral(ops, weights, u1, v1, u2, v2):
     return total
 
 
+def random_family(rng):
+    """A generic family that is not square-integrable, with distinct entries."""
+    m, d = 11, 3        # more points than hdim^2: the range is a proper subspace
+    ops = rng.normal(size=(m, d, d)) + 1j * rng.normal(size=(m, d, d))
+    space = oc.MeasureSpace(tuple(range(m)), rng.uniform(0.1, 1.0, m))
+    return oc.OperatorFamily(space, ops)
+
+
 def brute_inner(u, v):
     return complex(np.sum(np.asarray(u) * np.conj(v)))

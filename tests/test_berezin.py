@@ -172,6 +172,17 @@ def test_covariant_three_way_identity(weyl2_frame, rng):
         assert np.abs(via_tau.values - reference.values).max() < 1e-11
 
 
+def test_overlap_is_memoized_on_first_use(weyl3_frame, rng):
+    fr = weyl3_frame
+    assert "overlap" not in vars(fr)                 # make_frame does not build it
+    g = oc.random_symbol(rng, fr.space)
+    first = oc.covariant_berezin_symbol(fr, g)
+    memo = vars(fr)["overlap"]
+    assert oc.covariant_berezin_symbol(fr, g).values.tolist() == first.values.tolist()
+    assert vars(fr)["overlap"] is memo and not memo.flags.writeable
+    assert np.array_equal(memo, np.abs(fr.kernel.T) ** 2)
+
+
 def test_berezin_as_quantization(weyl2_frame, rng):
     q = oc.build_quantizer(weyl2_frame.fam)
     for _ in range(5):

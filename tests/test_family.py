@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import opcalc as oc
 from opcalc.family import verify_sq
 
-from conftest import brute_pairing_integral, brute_inner, weyl_matrices_oracle
+from conftest import (brute_pairing_integral, brute_inner, random_family,
+                      weyl_matrices_oracle)
 
 
 @pytest.fixture
@@ -128,12 +131,65 @@ def test_sq_report_json(weyl2):
     assert d["worst"]["residual"] == d["max_deviation"] < 1e-12
 
 
-def test_commutant_dim(weyl2, weyl3):
-    assert oc.commutant_dim(oc.trivial_backend()) == 1
-    assert oc.commutant_dim(weyl2) == 1
-    assert oc.commutant_dim(weyl3) == 1
-    two_copies = oc.direct_sum([weyl2, weyl2])
-    assert oc.commutant_dim(two_copies) >= 2
+def stacked_commutant_dim(fam):
+    """Reference: nullity of the (m*d^2, d^2) system stacking T pi(s) - pi(s) T."""
+    d = fam.hdim
+    eye = np.eye(d)
+    M = np.vstack([np.kron(eye, P) - np.kron(P.T, eye) for P in fam.stack])
+    return d * d - int(np.linalg.matrix_rank(M))
+
+
+def coupled_copies(eps):
+    """Two copies of Weyl 3 whose off-diagonal block is eps times a fixed matrix."""
+    two = oc.direct_sum([oc.discrete_weyl(3), oc.discrete_weyl(3)])
+    stack = two.stack.copy()
+    stack[:, :3, 3:] += eps * oc.random_vector(np.random.default_rng(3), 9).reshape(3, 3)
+    return oc.OperatorFamily(two.space, stack)
+
+
+def compressed_weyl3(rng):
+    unitary = np.linalg.qr(oc.random_vector(rng, 9).reshape(3, 3))[0]
+    w3 = oc.discrete_weyl(3)
+    return oc.compress(w3, np.arange(9), w3.space, unitary)
+
+
+COMMUTANT_CASES = {
+    "trivial": (oc.trivial_backend, 1),
+    "weyl2": (lambda: oc.discrete_weyl(2), 1),
+    "weyl3": (lambda: oc.discrete_weyl(3), 1),
+    "weyl4": (lambda: oc.discrete_weyl(4), 1),
+    "s3": (lambda: oc.finite_group_backend(oc.s3_table()[0], oc.s3_standard_irrep()), 1),
+    "metaplectic5": (lambda: oc.abelian_metaplectic((5,), k=2), 1),
+    "tensor23": (lambda: oc.tensor(oc.discrete_weyl(2), oc.discrete_weyl(3)), 1),
+    "adjoint3": (lambda: oc.adjoint_family(oc.discrete_weyl(3)), 1),
+    "compress3": (lambda: compressed_weyl3(np.random.default_rng(5)), 1),
+    "magnetic8": (lambda: oc.magnetic_weyl_grid(8, 6.0).family(), 1),
+    "random_generic": (lambda: random_family(np.random.default_rng(7)), 1),
+    "two_copies_weyl2": (lambda: oc.direct_sum([oc.discrete_weyl(2)] * 2), 4),
+    "direct_sum_product34": (lambda: oc.direct_sum_product(oc.discrete_weyl(3),
+                                                           oc.discrete_weyl(4)), 2),
+    "coupled_1e-3": (lambda: coupled_copies(1e-3), 2),
+    "coupled_1e-5": (lambda: coupled_copies(1e-5), 2),
+    "coupled_0": (lambda: coupled_copies(0.0), 4),
+}
+
+
+def test_commutant_dim():
+    for name, (build, expected) in COMMUTANT_CASES.items():
+        fam = build()
+        got = (oc.commutant_dim(fam), stacked_commutant_dim(fam))
+        assert got == (expected, expected), name
+
+
+def test_commutant_dim_memory():
+    fam = oc.discrete_weyl(12)
+    tracemalloc.start()
+    try:
+        assert oc.commutant_dim(fam) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20      # the stacked (m*d^2, d^2) system peaks near 96 MB
 
 
 def test_invariant_subspace_check(weyl2):

@@ -16,6 +16,8 @@ from opcalc import berezin as bz
 from opcalc import calculus as ca
 from opcalc.core import RANK_DROP_TOL
 
+from conftest import random_family
+
 REL = 1e-13
 
 
@@ -59,13 +61,6 @@ def ref_upsilon(fr, g):
 # ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------
-
-def random_family(rng):
-    m, d = 11, 3        # more points than hdim^2: the range is a proper subspace
-    ops = rng.normal(size=(m, d, d)) + 1j * rng.normal(size=(m, d, d))
-    space = oc.MeasureSpace(tuple(range(m)), rng.uniform(0.1, 1.0, m))
-    return oc.OperatorFamily(space, ops)
-
 
 FAMILIES = {
     "random": None,
