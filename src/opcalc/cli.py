@@ -41,15 +41,16 @@ def _is_int(x, lo: int, hi: int | None = None) -> bool:
             and (hi is None or x < hi))
 
 
-def _is_tol(x) -> bool:
-    """True for a positive real number (not a bool)."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
+def _is_num(x, positive: bool = True) -> bool:
+    """True for a finite real number (not a bool); positive unless positive=False."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max and (x > 0 or not positive))
 
 
 #: Checks on task parameters: name -> (test of (value, hdim), what it must be).
 #: Every task that sets a parameter is checked before the first task runs.
 _PARAM_CHECKS = {
-    "tol": (lambda x, hdim: _is_tol(x), "a positive number"),
+    "tol": (lambda x, hdim: _is_num(x), "a positive number"),
     "n_random": (lambda x, hdim: _is_int(x, 1), "a positive integer"),
     "w_index": (lambda x, hdim: _is_int(x, 0, hdim), "an integer in [0, {hdim})"),
     "copies": (lambda x, hdim: _is_int(x, 1, inftensor.DEFAULT_FACTOR_CAP + 1)
@@ -60,6 +61,12 @@ _PARAM_CHECKS = {
                   _is_int(n, 4) and n % 2 == 0 for n in x),
               "a nonempty list of even integers >= 4"),
     "sq_trials": (lambda x, hdim: _is_int(x, 1), "a positive integer"),
+    "L": (lambda x, hdim: _is_num(x), "a positive number"),
+    "amplitude": (lambda x, hdim: _is_num(x, positive=False), "a finite real number"),
+    "sigma": (lambda x, hdim: _is_num(x) or (isinstance(x, list) and len(x) == 2
+                                             and all(map(_is_num, x))),
+              "a positive number or a pair of positive numbers"),
+    "check_explicit": (lambda x, hdim: isinstance(x, bool), "true or false"),
 }
 
 #: Task kinds that need their symbols given, as "symbols" or "n_random".
@@ -86,7 +93,7 @@ def _validate_config(config: dict) -> None:
                               f"(expected one of {', '.join(kinds)})")
     if not _is_int(config.get("seed", 0), 0):
         raise ConfigError("seed must be a non-negative integer")
-    if config.get("tol") is not None and not _is_tol(config["tol"]):
+    if config.get("tol") is not None and not _is_num(config["tol"]):
         raise ConfigError("tol must be a positive number")
 
 
@@ -200,7 +207,7 @@ def _dequantize(task, fam, tol, rng):
 def _star_table(task, fam, tol, rng):
     q = ca.build_quantizer(fam)
     symbols = _symbols(task, fam.space, rng)
-    check = bool(task.get("check_explicit", fam.npoints <= 64))
+    check = task.get("check_explicit", fam.npoints <= 64)
     table, residual = [], 0.0
     for f in symbols:
         row = []
@@ -272,16 +279,9 @@ def _on_family(run):
 
 def _magnetic_study(task, backend, tol, rng):
     """Builds its own grids, so it never materializes the backend's family."""
-    sigma = task.get("sigma", (1.0, 3.0))
-    if isinstance(sigma, (int, float)):
-        sigma = (sigma, sigma)
     rows = magnetic.magnetic_study(
-        task.get("grids", [32, 64]),
-        L=float(task.get("L", 12.0)),
-        amplitude=float(task.get("amplitude", 0.8)),
-        sigma=tuple(float(s) for s in sigma),
-        seed=int(rng.integers(2 ** 31)),
-        sq_trials=task.get("sq_trials", 20))
+        task.get("grids", [32, 64]), seed=int(rng.integers(2 ** 31)),
+        **{k: task[k] for k in ("L", "amplitude", "sigma", "sq_trials") if k in task})
     ok = magnetic.composition_refines(rows) \
         and rows[-1]["composition_residual"] < 1e-4 \
         and all(r["gauge_linear_residual"] <= 1e-10 for r in rows) \

@@ -17,11 +17,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MeasureSpace, Symbol, _require, as_vector, op_norm
+from .core import MeasureSpace, Symbol, _require, as_vector, op_norm, random_unit_vector
 from .family import OperatorFamily
 
 #: Materializing the full operator family costs n^2 matrices of size n^2.
 _FAMILY_MAX_N = 64
+
+
+def _circulation_table(A: np.ndarray, dx: float) -> np.ndarray:
+    """Trapezoid circulation of periodic A from node -n to node t - n, t in [0, 3n];
+    paths are unwrapped chains of grid segments, so circulation is additive."""
+    n = A.size
+    ext = A[np.arange(-n, 2 * n + 1) % n]
+    steps = 0.5 * (ext[:-1] + ext[1:]) * dx
+    return np.concatenate([[0.0], np.cumsum(steps)])
 
 
 class MagneticBackend:
@@ -48,17 +57,7 @@ class MagneticBackend:
         if np.abs(B).max() > 0:
             raise ValueError("in one spatial dimension the field 2-form vanishes; "
                              "B samples must be identically zero")
-        self.B = B
-
-        # trapezoid cumulative of the periodically extended potential; paths are
-        # unwrapped chains of grid segments, so circulation is exactly additive
-        lo, hi = -self.n, 2 * self.n
-        ext = A[np.arange(lo, hi + 1) % self.n]
-        steps = 0.5 * (ext[:-1] + ext[1:]) * self.dx
-        cum = np.concatenate([[0.0], np.cumsum(steps)])
-        self._circ_cum = cum
-        self._circ_lo = lo
-
+        self._circ_cum = _circulation_table(A, self.dx)
         self._family = None
         self._mid_space = None
         self._phase_space = None
@@ -71,22 +70,23 @@ class MagneticBackend:
         Indices are unwrapped positions (multiples of the spacing); negative
         or beyond-the-box indices follow the periodic extension of A.
         """
-        lo = self._circ_lo
-        _require(lo <= i <= 2 * self.n and lo <= j <= 2 * self.n,
+        _require(-self.n <= i <= 2 * self.n and -self.n <= j <= 2 * self.n,
                  "path endpoint outside the tabulated extension")
-        return float(self._circ_cum[j - lo] - self._circ_cum[i - lo])
+        return float(self._circ_cum[j + self.n] - self._circ_cum[i + self.n])
 
     # -- spaces and family ---------------------------------------------------
 
     def phase_space(self) -> MeasureSpace:
         """Shift x dual grid, weight dx*dxi/(2*pi) = 1/n per point."""
         if self._phase_space is None:
-            shifts = self.k  # shifts r*dx with r in the symmetric window
-            points = tuple(f"({r},{k})" for r in shifts for k in self.k)
-            self._phase_space = MeasureSpace(
-                points, np.full(self.n * self.n, 1.0 / self.n),
-                kind="quadrature", tol=self.tol)
+            self._phase_space = self._grid_space(self.k)
         return self._phase_space
+
+    def _grid_space(self, rows) -> MeasureSpace:
+        """Labels "(row,k)" over rows x dual grid, equal weights summing to n."""
+        points = tuple(f"({r},{k})" for r in rows for k in self.k)
+        return MeasureSpace(points, np.full(len(points), self.n / len(points)),
+                            kind="quadrature", tol=self.tol)
 
     def weyl_op(self, x_shift: float, xi: float) -> np.ndarray:
         """The twisted phase-space translation at (x, xi).
@@ -108,7 +108,7 @@ class MagneticBackend:
         """Circulation from every node m to m + r, shape (len(shifts), n)."""
         m = np.arange(self.n)
         r = np.asarray(shifts)[:, None]
-        return self._circ_cum[m + r - self._circ_lo] - self._circ_cum[m - self._circ_lo]
+        return self._circ_cum[m + r + self.n] - self._circ_cum[m + self.n]
 
     def _op_stack(self, shifts, xis) -> np.ndarray:
         """Operators at every (shift, xi) pair, shift-major, (len*len, n, n)."""
@@ -156,10 +156,7 @@ class MagneticBackend:
 
     def midpoint_space(self) -> MeasureSpace:
         if self._mid_space is None:
-            points = tuple(f"({a},{k})" for a in range(2 * self.n) for k in self.k)
-            self._mid_space = MeasureSpace(
-                points, np.full(2 * self.n * self.n, 1.0 / (2 * self.n)),
-                kind="quadrature", tol=self.tol)
+            self._mid_space = self._grid_space(range(2 * self.n))
         return self._mid_space
 
     def midpoints(self) -> np.ndarray:
@@ -218,25 +215,30 @@ def op_a(backend: MagneticBackend, a: Symbol) -> np.ndarray:
     """
     _require(a.space == backend.midpoint_space(),
              "symbol must be sampled on the backend's midpoint grid")
+    return _kernel(backend, a, backend._circ_cum)
+
+
+def _kernel(backend: MagneticBackend, a: Symbol, table: np.ndarray) -> np.ndarray:
+    """``op_a`` with the potential given as its circulation table."""
     n = backend.n
     vals = a.values.reshape(2 * n, n)
-    lags = list(range(-n // 2, n // 2)) + [n // 2]
+    lags = np.arange(-n // 2, n // 2 + 1)
     # lag transforms: (1/n) sum_k exp(i lag dx xi_k) a(mid, xi_k), per midpoint
     E = np.exp(1j * backend.dx * np.outer(backend.xi, lags))
-    lagT = (vals @ E) / n                                    # (2n, nlags)
-
-    cum = backend._circ_cum
-    lo = backend._circ_lo
-    i = np.arange(n)
+    lagT = (vals @ E) / n                                    # (2n, n + 1)
+    i = np.arange(n)[:, None]
+    src = (i - lags) % n                                     # column indices
+    mid = (2 * src + lags) % (2 * n)                         # arc midpoints
+    # gauge phase exp(-i circulation from row node to column node) along
+    # the arc; the reverse orientation negates the trapezoid sum exactly
+    circ = table[src + lags + n] - table[src + n]
+    weight = np.where(np.abs(lags) == n // 2, 0.5, 1.0)
+    terms = weight * np.exp(1j * circ) * lagT[mid, np.arange(n + 1)]
+    # the first n lags reach every column once; the Nyquist lag n/2 lands
+    # on the columns of lag -n/2 and adds the other half of its weight
     M = np.zeros((n, n), dtype=complex)
-    for col, lag in enumerate(lags):
-        weight = 0.5 if abs(lag) == n // 2 else 1.0
-        src = (i - lag) % n                                  # column indices
-        mid = (2 * src + lag) % (2 * n)                      # arc midpoints
-        # gauge phase exp(-i circulation from row node to column node) along
-        # the arc; the reverse orientation negates the trapezoid sum exactly
-        circ = cum[src + lag - lo] - cum[src - lo]
-        M[i, src] += weight * np.exp(1j * circ) * lagT[mid, col]
+    M[i, src[:, :n]] += terms[:, :n]
+    M[i, src[:, n:]] += terms[:, n:]
     return M
 
 
@@ -342,17 +344,17 @@ def gauge_transform_check(backend: MagneticBackend, rho, drho=None,
     under grid refinement.
     """
     rho = np.asarray(rho, dtype=float)
-    _require(rho.shape == (backend.n,), "need one gauge sample per node")
+    _require(rho.shape == (backend.n,) and bool(np.isfinite(rho).all()),
+             "rho needs one finite gauge sample per node")
     drho = discrete_gradient(backend, rho) if drho is None \
         else np.asarray(drho, dtype=float)
-    _require(drho.shape == (backend.n,), "need one gradient sample per node")
-    shifted = MagneticBackend(backend.n, backend.L, A=backend.A + drho,
-                              B=backend.B, tol=backend.tol)
-    shifted._mid_space = backend.midpoint_space()   # same grid, same symbols
+    _require(drho.shape == (backend.n,) and bool(np.isfinite(drho).all()),
+             "drho needs one finite gradient sample per node")
     a = gaussian_symbol(backend) if symbol is None else symbol
     conj_phase = np.exp(1j * rho)
     conjugated = conj_phase[:, None] * op_a(backend, a) * np.conj(conj_phase)[None, :]
-    return op_norm(op_a(shifted, a) - conjugated)
+    shifted = _kernel(backend, a, _circulation_table(backend.A + drho, backend.dx))
+    return op_norm(shifted - conjugated)
 
 
 # ---------------------------------------------------------------------------
@@ -373,24 +375,23 @@ def standard_momentum_matrix(n: int, L: float) -> np.ndarray:
     return synth @ (xi[:, None] * analyze)
 
 
-def reduction_residual(n: int, L: float) -> float:
-    """How far the A = 0 backend sits from the standard Weyl calculus.
+def reduction_residual(backend: MagneticBackend) -> float:
+    """How far the A = 0 quantizer on the backend's grid sits from standard Weyl.
 
     Checks the momentum symbol against the spectral differentiation oracle,
     a position-only symbol against plain multiplication, and the constant
     symbol against the identity; returns the largest operator-norm gap.
     """
-    bk = MagneticBackend(n, L, A=None)
-    p_op = op_a(bk, bk.sample_symbol(lambda Q, P: P + 0j))
+    n, L = backend.n, backend.L
+
+    def op0(fn):   # zero circulation table: the backend's potential plays no part
+        return _kernel(backend, backend.sample_symbol(fn), np.zeros(3 * n + 1))
+
+    p_op = op0(lambda Q, P: P + 0j)
     r1 = op_norm(p_op - standard_momentum_matrix(n, L)) / max(1.0, op_norm(p_op))
-
-    def g(Q, P):
-        return np.cos(2 * np.pi * Q / L) + 0j
-
-    g_op = op_a(bk, bk.sample_symbol(g))
-    r2 = op_norm(g_op - np.diag(np.cos(2 * np.pi * bk.x / L).astype(complex)))
-    r3 = op_norm(op_a(bk, bk.sample_symbol(lambda Q, P: np.ones_like(Q, dtype=complex)))
-                 - np.eye(n))
+    g_op = op0(lambda Q, P: np.cos(2 * np.pi * Q / L) + 0j)
+    r2 = op_norm(g_op - np.diag(np.cos(2 * np.pi * backend.x / L).astype(complex)))
+    r3 = op_norm(op0(lambda Q, P: np.ones_like(Q, dtype=complex)) - np.eye(n))
     return max(r1, r2, r3)
 
 
@@ -415,25 +416,23 @@ def magnetic_study(grids, L: float = 12.0, amplitude: float = 0.8,
         n = int(n)
         A = sine_potential(n, L, amplitude)
         bk = MagneticBackend(n, L, A=A)
-
-        def unit():
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            return v / np.linalg.norm(v)
-
-        sq = max(bk.sq_residual(unit(), unit()) for _ in range(sq_trials))
+        sq = max(bk.sq_residual(random_unit_vector(rng, n), random_unit_vector(rng, n))
+                 for _ in range(sq_trials))
         a = gaussian_symbol(bk, sigma=sigma, center=(0.4, 0.6),
                             modulation=(0.3, -0.2))
         b = gaussian_symbol(bk, sigma=sigma, center=(-0.5, 0.2),
                             modulation=(-0.4, 0.5))
         comp = composition_residual(bk, a, b)
+        gauss = gaussian_symbol(bk)
         alpha = 2 * (2 * np.pi / L)   # torus-compatible linear gauge slope
         gauge_linear = gauge_transform_check(bk, alpha * bk.x,
-                                             drho=np.full(n, alpha))
-        gauge_smooth = gauge_transform_check(bk, 0.3 * np.sin(2 * np.pi * bk.x / L))
+                                             drho=np.full(n, alpha), symbol=gauss)
+        gauge_smooth = gauge_transform_check(
+            bk, 0.3 * np.sin(2 * np.pi * bk.x / L), symbol=gauss)
         rows.append({
             "n": n,
             "sq_residual": float(sq),
-            "reduction_residual": float(reduction_residual(n, L)),
+            "reduction_residual": float(reduction_residual(bk)),
             "gauge_linear_residual": float(gauge_linear),
             "gauge_smooth_residual": float(gauge_smooth),
             "composition_residual": float(comp),

@@ -235,7 +235,7 @@ def test_criterion_10_magnetic_calculus():
     with criterion(10, "magnetic Weyl calculus on the periodic grid"):
         start = time.perf_counter()
         L = 12.0
-        assert mg.reduction_residual(64, L) < 1e-8
+        assert mg.reduction_residual(mg.magnetic_weyl_grid(64, L)) < 1e-8
 
         bk64 = mg.magnetic_weyl_grid(64, L, A=mg.sine_potential(64, L, 0.8))
         alpha = 3 * (2 * np.pi / L)

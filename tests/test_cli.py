@@ -283,6 +283,19 @@ WEYL3 = {"kind": "discrete_weyl", "N": 3}
     ({"backend": WEYL3, "tasks": [{"kind": "inftensor", "copies": 8}]},
      "copies"),                  # 3**8 exceeds the restricted-product dimension cap
     ({"backend": WEYL3, "tasks": [{"kind": ["verify_sq"]}]}, "unknown kind"),
+    ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "L": -1}]},
+     "L must be a positive number"),
+    ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "L": "abc"}]},
+     "L must be a positive number"),
+    ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "amplitude": float("nan")}]},
+     "amplitude must be a finite real number"),
+    ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "sigma": [1]}]},
+     "sigma must be a positive number or a pair"),
+    ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "sigma": [1, -3]}]},
+     "sigma must be a positive number or a pair"),
+    ({"backend": WEYL3, "tasks": [{"kind": "star_table", "n_random": 2,
+                                   "check_explicit": "no"}]}, "check_explicit"),
+    ({"backend": WEYL3, "tol": float("inf"), "tasks": [{"kind": "verify_sq"}]}, "tol"),
 ])
 def test_bad_task_input_is_validation_failure(tmp_path, capsys, config, message):
     cfg = write(tmp_path, "cfg.json", config)

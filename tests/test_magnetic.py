@@ -137,6 +137,33 @@ def test_op_real_symbol_self_adjoint(rng):
     assert np.abs(T - T.conj().T).max() < 1e-13
 
 
+def op_a_per_lag(bk, a):
+    """The kernel quantizer summed one lag at a time, Nyquist lag split in two."""
+    n = bk.n
+    vals = a.values.reshape(2 * n, n)
+    lags = list(range(-n // 2, n // 2)) + [n // 2]
+    E = np.exp(1j * bk.dx * np.outer(bk.xi, lags))
+    lagT = (vals @ E) / n
+    i = np.arange(n)
+    M = np.zeros((n, n), dtype=complex)
+    for col, lag in enumerate(lags):
+        weight = 0.5 if abs(lag) == n // 2 else 1.0
+        src = (i - lag) % n
+        mid = (2 * src + lag) % (2 * n)
+        circ = np.array([bk.circulation(s, s + lag) for s in src])
+        M[i, src] += weight * np.exp(1j * circ) * lagT[mid, col]
+    return M
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("amplitude", [0.0, 0.8])
+def test_op_matches_per_lag_loop_bitwise(n, amplitude):
+    bk = mg.magnetic_weyl_grid(n, L, A=mg.sine_potential(n, L, amplitude))
+    a = mg.gaussian_symbol(bk, sigma=(1.0, 3.0), center=(0.4, 0.6),
+                           modulation=(0.3, -0.2))
+    assert np.array_equal(mg.op_a(bk, a), op_a_per_lag(bk, a))
+
+
 def test_op_requires_midpoint_space():
     bk = mg.magnetic_weyl_grid(16, L)
     wrong = oc.Symbol(bk.phase_space(), np.ones(16 * 16))
@@ -275,6 +302,18 @@ def test_gauge_check_matches_rebuilt_backend_route():
     assert mg.gauge_transform_check(bk, rho) == want
 
 
+def test_gauge_check_rejects_nonfinite_input():
+    bk = mg.magnetic_weyl_grid(16, L, A=mg.sine_potential(16, L, 0.7))
+    drho = np.zeros(16)
+    drho[3] = np.nan
+    with pytest.raises(ValueError, match="^drho "):
+        mg.gauge_transform_check(bk, np.zeros(16), drho=drho)
+    rho = np.zeros(16)
+    rho[5] = np.inf
+    with pytest.raises(ValueError, match="^rho "):
+        mg.gauge_transform_check(bk, rho)
+
+
 def test_gauge_linear_exact():
     bk = mg.magnetic_weyl_grid(32, L, A=mg.sine_potential(32, L, 0.7))
     alpha = 3 * (2 * np.pi / L)   # torus-compatible slope
@@ -292,7 +331,7 @@ def test_gauge_smooth_refines():
 
 
 def test_reduction_residual_small():
-    assert mg.reduction_residual(32, L) < 1e-12
+    assert mg.reduction_residual(mg.magnetic_weyl_grid(32, L)) < 1e-12
 
 
 def test_magnetic_study_shape():
@@ -302,6 +341,25 @@ def test_magnetic_study_shape():
         assert r["sq_residual"] < 1e-10
         assert r["reduction_residual"] < 1e-10
         assert r["gauge_linear_residual"] < 1e-10
+
+
+def test_magnetic_study_builds_one_backend_per_grid(monkeypatch):
+    backends, spaces = [], []
+    init, space = mg.MagneticBackend.__init__, mg.MeasureSpace
+
+    def counting_init(self, n, *args, **kwargs):
+        backends.append(n)
+        init(self, n, *args, **kwargs)
+
+    def counting_space(points, *args, **kwargs):
+        spaces.append(len(points))
+        return space(points, *args, **kwargs)
+
+    monkeypatch.setattr(mg.MagneticBackend, "__init__", counting_init)
+    monkeypatch.setattr(mg, "MeasureSpace", counting_space)
+    mg.magnetic_study([16, 32], sq_trials=2)
+    assert backends == [16, 32]
+    assert spaces == [2 * 16 * 16, 2 * 32 * 32]   # one midpoint space per grid
 
 
 def test_family_materialization_guard():
