@@ -166,8 +166,7 @@ def quantize_measure(q: Quantizer, atoms, tol: float | None = None) -> np.ndarra
         c[int(idx)] += complex(mass)
         total_variation += abs(complex(mass))
     T = _adjoint_sum(q.fam, c)
-    sup_norm = np.linalg.norm(q.fam.stack, 2, axis=(1, 2)).max()
-    if op_norm(T) > total_variation * sup_norm + tol:
+    if op_norm(T) > total_variation * q.fam.sup_norm + tol:
         raise ArithmeticError("quantized measure violates the norm bound")
     return T
 

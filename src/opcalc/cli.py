@@ -310,6 +310,8 @@ def run_config(config: dict, out_path: str | None,
                tol_override: float | None = None,
                seed_override: int | None = None) -> int:
     _validate_config(config)
+    if tol_override is not None and not _is_num(tol_override):
+        raise ConfigError("--tol must be a positive number")
     seed = seed_override if seed_override is not None else config.get("seed", 0)
     tol = tol_override if tol_override is not None else config.get("tol")
     backend = _build_backend(config["backend"])

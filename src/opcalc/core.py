@@ -35,6 +35,29 @@ def _require(cond: bool, msg: str, exc=ValueError) -> None:
 # measure spaces
 # ---------------------------------------------------------------------------
 
+class GridLabels:
+    """The labels "(r,k)" of a rows x cols grid, row-major, made on demand.
+    Distinct integer rows and cols give distinct labels, so a space over a
+    grid needs neither the strings nor their uniqueness check."""
+
+    def __init__(self, rows, cols):
+        self.rows, self.cols = tuple(map(int, rows)), tuple(map(int, cols))
+        _require(len(set(self.rows)) == len(self.rows)
+                 and len(set(self.cols)) == len(self.cols),
+                 "grid rows and cols must each be distinct")
+
+    def __len__(self):
+        return len(self.rows) * len(self.cols)
+
+    def __iter__(self):
+        return (f"({r},{k})" for r in self.rows for k in self.cols)
+
+    def __eq__(self, other):
+        if isinstance(other, GridLabels):
+            return (self.rows, self.cols) == (other.rows, other.cols)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+
 @dataclass(frozen=True, eq=False)
 class MeasureSpace:
     """Finitely many labelled points with strictly positive weights.
@@ -42,23 +65,25 @@ class MeasureSpace:
     ``kind`` is ``"exact"`` for genuinely finite spaces and ``"quadrature"``
     for discretized continuous spaces, in which case ``tol`` declares the
     quadrature tolerance.  ``factors`` records the factor spaces of a product
-    so product points can be reassembled.
+    so product points can be reassembled.  ``points`` is a tuple of labels or
+    a :class:`GridLabels` recipe, which keeps its labels unmade.
     """
 
-    points: tuple
+    points: tuple | GridLabels
     weights: np.ndarray
     kind: str = "exact"
     tol: float | None = None
     factors: tuple | None = None
 
     def __post_init__(self):
-        pts = tuple(str(p) for p in self.points)
+        grid = isinstance(self.points, GridLabels)   # labels unique by construction
+        pts = self.points if grid else tuple(str(p) for p in self.points)
         w = np.asarray(self.weights, dtype=float)
         _require(w.ndim == 1 and len(pts) == w.size, "one weight per point")
         _require(w.size > 0, "a measure space needs at least one point")
         _require(bool(np.all(np.isfinite(w)) and np.all(w > 0)),
                  "weights must be strictly positive and finite")
-        _require(len(set(pts)) == len(pts), "point labels must be unique")
+        _require(grid or len(set(pts)) == len(pts), "point labels must be unique")
         _require(self.kind in ("exact", "quadrature"), f"unknown kind {self.kind!r}")
         if self.kind == "quadrature":
             _require(self.tol is not None and self.tol > 0,

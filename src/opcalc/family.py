@@ -31,8 +31,8 @@ class OperatorFamily:
     ``flat[s, j*hdim + i] = <pi(s)e_i, e_j>``, which every map reads.
     ``tol`` is None for exact families; quadrature-built families carry the
     declared tolerance of their construction.  The stack and weights are
-    read-only, so the square-integrability witness derived from them is
-    computed once, on first use.
+    read-only, so the square-integrability witness and the sup norm derived
+    from them are each computed once, on first use.
     """
 
     def __init__(self, space: MeasureSpace, operators, tol: float | None = None):
@@ -74,6 +74,11 @@ class OperatorFamily:
         row, col = divmod(int(G.real.argmax()), d * d)
         (j1, i1), (j2, i2) = divmod(row, d), divmod(col, d)
         return float(G.real[row, col]), (i1, j1, i2, j2)
+
+    @cached_property
+    def sup_norm(self) -> float:
+        """sup over the points of the operator norm ||pi(s)||."""
+        return float(np.linalg.norm(self.stack, 2, axis=(1, 2)).max())
 
     def __repr__(self):
         return (f"OperatorFamily(hdim={self.hdim}, npoints={self.npoints}, "

@@ -15,9 +15,12 @@ same dual window, weight 1/(2n) per point).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .core import MeasureSpace, Symbol, _require, as_vector, op_norm, random_unit_vector
+from .core import (GridLabels, MeasureSpace, Symbol, _readonly, _require, as_vector,
+                   op_norm, random_unit_vector)
 from .family import OperatorFamily
 
 #: Materializing the full operator family costs n^2 matrices of size n^2.
@@ -34,7 +37,8 @@ def _circulation_table(A: np.ndarray, dx: float) -> np.ndarray:
 
 
 class MagneticBackend:
-    """Grid data, circulation table, and the derived quantization maps."""
+    """Grid data, circulation table, and the derived quantization maps; the
+    tables that depend only on the grid and A are built once, on first use."""
 
     def __init__(self, n: int, L: float, A=None, B=None, tol: float = 1e-6):
         _require(n >= 4 and n % 2 == 0, "grid size must be an even integer >= 4")
@@ -84,7 +88,7 @@ class MagneticBackend:
 
     def _grid_space(self, rows) -> MeasureSpace:
         """Labels "(row,k)" over rows x dual grid, equal weights summing to n."""
-        points = tuple(f"({r},{k})" for r in rows for k in self.k)
+        points = GridLabels(rows, self.k)
         return MeasureSpace(points, np.full(len(points), self.n / len(points)),
                             kind="quadrature", tol=self.tol)
 
@@ -135,14 +139,24 @@ class MagneticBackend:
 
     # -- structure-exploiting fast paths (no family materialization) --------
 
+    @cached_property
+    def _coefficient_tables(self) -> tuple:
+        """Shift gather index, gauge phases, node x freq phases D, half-shift phases."""
+        shift_idx = (np.arange(self.n) + self.k[:, None]) % self.n   # (shifts, nodes)
+        gauge = np.exp(-1j * self._circulations(self.k))
+        D = np.exp(-1j * np.outer(self.x, self.xi))
+        half = np.exp(-0.5j * np.outer(self.k * self.dx, self.xi))
+        return tuple(map(_readonly, (shift_idx, gauge, D, half)))
+
     def coefficient_values(self, u, v) -> np.ndarray:
         """<pi(x,xi)u, v> over the whole phase grid, shape (n shifts, n freqs)."""
         u = as_vector(u, self.n)
         v = as_vector(v, self.n)
-        shifted = u[(np.arange(self.n) + self.k[:, None]) % self.n]   # (shifts, nodes)
-        G = np.exp(-1j * self._circulations(self.k)) * shifted * np.conj(v)
-        D = np.exp(-1j * np.outer(self.x, self.xi))          # nodes x freqs
-        half = np.exp(-0.5j * np.outer(self.k * self.dx, self.xi))
+        shift_idx, gauge, D, half = self._coefficient_tables
+        # named, so numpy cannot reuse the temporary u[shift_idx] in place as
+        # u[shift_idx] * gauge: complex products are not bitwise commutative
+        shifted = u[shift_idx]
+        G = gauge * shifted * np.conj(v)
         return (G @ D) * half
 
     def sq_residual(self, u, v) -> float:
@@ -161,6 +175,28 @@ class MagneticBackend:
 
     def midpoints(self) -> np.ndarray:
         return -self.L / 2 + (self.dx / 2.0) * np.arange(2 * self.n)
+
+    @cached_property
+    def _kernel_tables(self) -> tuple:
+        """Lags -n/2..n/2, the lag transform matrix E, and per (row, lag) the
+        column, the arc midpoint and the weight (the Nyquist lag split in two)."""
+        n = self.n
+        lags = np.arange(-n // 2, n // 2 + 1)
+        E = np.exp(1j * self.dx * np.outer(self.xi, lags))
+        src = (np.arange(n)[:, None] - lags) % n
+        mid = (2 * src + lags) % (2 * n)
+        weight = np.where(np.abs(lags) == n // 2, 0.5, 1.0)
+        return tuple(map(_readonly, (lags, E, src, mid, weight)))
+
+    @cached_property
+    def _refine_tables(self) -> tuple:
+        """DFT from the dual grid to its lattice, and synthesis on half steps."""
+        n = self.n
+        msym = np.arange(-n // 2, n // 2)
+        qsym = np.arange(-n, n)
+        inv = np.exp(-2j * np.pi * np.outer(self.k, msym) / n) / n   # k -> m
+        refine = np.exp(1j * np.pi * np.outer(msym, qsym) / n)       # m -> q
+        return _readonly(inv), _readonly(refine)
 
     def sample_symbol(self, fn) -> Symbol:
         """Sample a callable a(q, p) on the midpoint grid."""
@@ -213,26 +249,25 @@ def op_a(backend: MagneticBackend, a: Symbol) -> np.ndarray:
     Nyquist lag is split evenly between its two representatives.  For A = 0
     this is the standard Weyl quantizer on the grid.
     """
+    return _kernel(backend, _lag_transform(backend, a), backend._circ_cum)
+
+
+def _lag_transform(backend: MagneticBackend, a: Symbol) -> np.ndarray:
+    """(1/n) sum_k exp(i lag dx xi_k) a(mid, xi_k) per midpoint, shape (2n, n + 1)."""
     _require(a.space == backend.midpoint_space(),
              "symbol must be sampled on the backend's midpoint grid")
-    return _kernel(backend, a, backend._circ_cum)
+    E = backend._kernel_tables[1]
+    return (a.values.reshape(-1, backend.n) @ E) / backend.n
 
 
-def _kernel(backend: MagneticBackend, a: Symbol, table: np.ndarray) -> np.ndarray:
-    """``op_a`` with the potential given as its circulation table."""
+def _kernel(backend: MagneticBackend, lagT: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``op_a`` from a lag transform, with the potential as its circulation table."""
     n = backend.n
-    vals = a.values.reshape(2 * n, n)
-    lags = np.arange(-n // 2, n // 2 + 1)
-    # lag transforms: (1/n) sum_k exp(i lag dx xi_k) a(mid, xi_k), per midpoint
-    E = np.exp(1j * backend.dx * np.outer(backend.xi, lags))
-    lagT = (vals @ E) / n                                    # (2n, n + 1)
+    lags, _, src, mid, weight = backend._kernel_tables
     i = np.arange(n)[:, None]
-    src = (i - lags) % n                                     # column indices
-    mid = (2 * src + lags) % (2 * n)                         # arc midpoints
     # gauge phase exp(-i circulation from row node to column node) along
     # the arc; the reverse orientation negates the trapezoid sum exactly
     circ = table[src + lags + n] - table[src + n]
-    weight = np.where(np.abs(lags) == n // 2, 0.5, 1.0)
     terms = weight * np.exp(1j * circ) * lagT[mid, np.arange(n + 1)]
     # the first n lags reach every column once; the Nyquist lag n/2 lands
     # on the columns of lag -n/2 and adds the other half of its weight
@@ -249,11 +284,7 @@ def _refine_in_xi(backend: MagneticBackend, vals: np.ndarray) -> np.ndarray:
     lattice = the spatial grid, symmetric window) and evaluates it on the
     2n-point half-step window.  Even half-steps reproduce the samples.
     """
-    n = backend.n
-    msym = np.arange(-n // 2, n // 2)
-    qsym = np.arange(-n, n)
-    inv = np.exp(-2j * np.pi * np.outer(backend.k, msym) / n) / n   # k -> m
-    refine = np.exp(1j * np.pi * np.outer(msym, qsym) / n)          # m -> q
+    inv, refine = backend._refine_tables
     return vals @ inv @ refine
 
 
@@ -350,10 +381,11 @@ def gauge_transform_check(backend: MagneticBackend, rho, drho=None,
         else np.asarray(drho, dtype=float)
     _require(drho.shape == (backend.n,) and bool(np.isfinite(drho).all()),
              "drho needs one finite gradient sample per node")
-    a = gaussian_symbol(backend) if symbol is None else symbol
+    lagT = _lag_transform(backend, gaussian_symbol(backend) if symbol is None else symbol)
     conj_phase = np.exp(1j * rho)
-    conjugated = conj_phase[:, None] * op_a(backend, a) * np.conj(conj_phase)[None, :]
-    shifted = _kernel(backend, a, _circulation_table(backend.A + drho, backend.dx))
+    conjugated = (conj_phase[:, None] * _kernel(backend, lagT, backend._circ_cum)
+                  * np.conj(conj_phase)[None, :])
+    shifted = _kernel(backend, lagT, _circulation_table(backend.A + drho, backend.dx))
     return op_norm(shifted - conjugated)
 
 
@@ -385,7 +417,8 @@ def reduction_residual(backend: MagneticBackend) -> float:
     n, L = backend.n, backend.L
 
     def op0(fn):   # zero circulation table: the backend's potential plays no part
-        return _kernel(backend, backend.sample_symbol(fn), np.zeros(3 * n + 1))
+        return _kernel(backend, _lag_transform(backend, backend.sample_symbol(fn)),
+                       np.zeros(3 * n + 1))
 
     p_op = op0(lambda Q, P: P + 0j)
     r1 = op_norm(p_op - standard_momentum_matrix(n, L)) / max(1.0, op_norm(p_op))

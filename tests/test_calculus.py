@@ -213,6 +213,28 @@ def test_quantize_measure(weyl3_q, rng):
                   - oc.quantize(weyl3_q, g)).max() < 1e-12
 
 
+def test_sup_norm_computed_once_per_family(weyl3_q, monkeypatch):
+    calls = []
+    norm = np.linalg.norm
+
+    def counting_norm(x, *args, **kwargs):
+        if kwargs.get("axis") == (1, 2):      # the batched per-point norms
+            calls.append(x.shape)
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    fam = weyl3_q.fam
+    T = oc.quantize_measure(weyl3_q, [(4, 1.0)])
+    oc.quantize_measure(weyl3_q, [(4, 1.0), (2, -0.5j)])
+    assert calls == [(9, 3, 3)]
+    assert np.abs(T - fam.op(4).conj().T).max() < 1e-13
+    assert fam.sup_norm == pytest.approx(
+        max(oc.op_norm(fam.op(s)) for s in range(9)), abs=1e-14)
+    fam.__dict__["sup_norm"] = 0.5          # the bound reads the memoized norm
+    with pytest.raises(ArithmeticError, match="norm bound"):
+        oc.quantize_measure(weyl3_q, [(4, 1.0)])
+
+
 def test_symbol_norms(weyl3_q, rng):
     u = oc.random_unit_vector(rng, 3)
     f = oc.coefficient(weyl3_q.fam, u, u)

@@ -307,6 +307,20 @@ def test_bad_task_input_is_validation_failure(tmp_path, capsys, config, message)
     assert not out.exists()
 
 
+def test_tol_override_is_validated_before_any_task(tmp_path, capsys):
+    cfg = write(tmp_path, "cfg.json", {"backend": WEYL3, "tasks": [{"kind": "verify_sq"}]})
+    out = tmp_path / "report.json"
+    for bad in ("-1", "nan", "inf", "0"):
+        assert cli.main(["run", cfg, "--out", str(out), f"--tol={bad}"]) \
+            == cli.EXIT_VALIDATION_FAILURE
+        err = capsys.readouterr().err
+        assert "--tol must be a positive number" in err
+        assert "[opcalc] task" not in err   # rejected before any task ran
+        assert not out.exists()
+    assert cli.main(["run", cfg, "--out", str(out), "--tol=1e-8"]) == cli.EXIT_OK
+    assert json.loads(out.read_text())["tol"] == 1e-8
+
+
 def test_describe_incomplete_spec_is_validation_failure(tmp_path, capsys):
     spec = write(tmp_path, "backend.json", {"kind": "discrete_weyl"})
     assert cli.main(["describe", spec]) == cli.EXIT_VALIDATION_FAILURE

@@ -25,6 +25,36 @@ def test_measure_space_validation():
     assert s.tol == 1e-6
 
 
+def test_grid_labels_stand_for_their_tuple_space():
+    rows, cols = range(-2, 3), np.arange(-3, 3)
+    labels = core.GridLabels(rows, cols)
+    strings = tuple(f"({r},{k})" for r in rows for k in cols)
+    w = np.full(len(strings), 0.5)
+    grid = oc.MeasureSpace(labels, w, kind="quadrature", tol=1e-6)
+    flat = oc.MeasureSpace(strings, w, kind="quadrature", tol=1e-6)
+    assert grid.points is labels                 # the strings stay unmade
+    assert grid.npoints == flat.npoints == len(strings)
+    assert core.space_to_json(grid) == core.space_to_json(flat)
+    assert grid.space_id() == flat.space_id()
+    assert grid == flat and flat == grid
+    assert grid == oc.MeasureSpace(core.GridLabels(rows, cols), w,
+                                   kind="quadrature", tol=1e-6)
+    assert grid != oc.MeasureSpace(core.GridLabels(range(5), cols), w,
+                                   kind="quadrature", tol=1e-6)
+    assert grid != oc.MeasureSpace(strings[::-1], w, kind="quadrature", tol=1e-6)
+    other = space([1.0, 2.0])
+    for over_grid, over_flat in ((oc.product_space(grid, other), oc.product_space(flat, other)),
+                                 (oc.product_space(other, grid), oc.product_space(other, flat))):
+        assert over_grid == over_flat and over_grid.space_id() == over_flat.space_id()
+
+
+def test_grid_labels_reject_repeats():
+    with pytest.raises(ValueError, match="distinct"):
+        core.GridLabels([0, 1, 0], [0, 1])
+    with pytest.raises(ValueError, match="distinct"):
+        core.GridLabels([0, 1], [2, 2])
+
+
 def test_integrate_constant_on_mass_four():
     s = space([1.0, 0.5, 1.5, 1.0])
     assert s.mass == pytest.approx(4.0)

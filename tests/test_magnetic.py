@@ -164,6 +164,80 @@ def test_op_matches_per_lag_loop_bitwise(n, amplitude):
     assert np.array_equal(mg.op_a(bk, a), op_a_per_lag(bk, a))
 
 
+def coefficient_values_inline(bk, u, v):
+    """coefficient_values with its gather index and phases rebuilt per call."""
+    shifted = u[(np.arange(bk.n) + bk.k[:, None]) % bk.n]
+    G = np.exp(-1j * bk._circulations(bk.k)) * shifted * np.conj(v)
+    D = np.exp(-1j * np.outer(bk.x, bk.xi))
+    half = np.exp(-0.5j * np.outer(bk.k * bk.dx, bk.xi))
+    return (G @ D) * half
+
+
+def refine_in_xi_inline(bk, vals):
+    """_refine_in_xi with both DFT matrices rebuilt per call."""
+    n = bk.n
+    msym = np.arange(-n // 2, n // 2)
+    qsym = np.arange(-n, n)
+    inv = np.exp(-2j * np.pi * np.outer(bk.k, msym) / n) / n
+    refine = np.exp(1j * np.pi * np.outer(msym, qsym) / n)
+    return vals @ inv @ refine
+
+
+def kernel_inline(bk, a, table):
+    """The kernel quantizer with E and every index array rebuilt per call."""
+    n = bk.n
+    vals = a.values.reshape(2 * n, n)
+    lags = np.arange(-n // 2, n // 2 + 1)
+    E = np.exp(1j * bk.dx * np.outer(bk.xi, lags))
+    lagT = (vals @ E) / n
+    i = np.arange(n)[:, None]
+    src = (i - lags) % n
+    mid = (2 * src + lags) % (2 * n)
+    circ = table[src + lags + n] - table[src + n]
+    weight = np.where(np.abs(lags) == n // 2, 0.5, 1.0)
+    terms = weight * np.exp(1j * circ) * lagT[mid, np.arange(n + 1)]
+    M = np.zeros((n, n), dtype=complex)
+    M[i, src[:, :n]] += terms[:, :n]
+    M[i, src[:, n:]] += terms[:, n:]
+    return M
+
+
+def gauge_check_inline(bk, rho, drho, a):
+    """The gauge residual with one lag transform per kernel."""
+    conj_phase = np.exp(1j * rho)
+    conjugated = (conj_phase[:, None] * kernel_inline(bk, a, bk._circ_cum)
+                  * np.conj(conj_phase)[None, :])
+    shifted = kernel_inline(bk, a, mg._circulation_table(bk.A + drho, bk.dx))
+    return oc.op_norm(shifted - conjugated)
+
+
+@pytest.mark.parametrize("n", [8, 64, 192])
+def test_grid_tables_match_inline_formulas_bitwise(n, rng):
+    bk = mg.magnetic_weyl_grid(n, L, A=mg.sine_potential(n, L, 0.8))
+    a = mg.gaussian_symbol(bk, sigma=(1.0, 3.0), center=(0.4, 0.6),
+                           modulation=(0.3, -0.2))
+    vals = a.values.reshape(2 * n, n)
+    rho = 0.3 * np.sin(2 * np.pi * bk.x / L)
+    for _ in range(2):              # first call builds the tables, second reads them
+        u, v = oc.random_unit_vector(rng, n), oc.random_unit_vector(rng, n)
+        assert np.array_equal(bk.coefficient_values(u, v),
+                              coefficient_values_inline(bk, u, v))
+        assert np.array_equal(mg._refine_in_xi(bk, vals), refine_in_xi_inline(bk, vals))
+        assert np.array_equal(mg.op_a(bk, a), kernel_inline(bk, a, bk._circ_cum))
+        assert mg.gauge_transform_check(bk, rho, symbol=a) == gauge_check_inline(
+            bk, rho, mg.discrete_gradient(bk, rho), a)
+    for tables in (bk._coefficient_tables, bk._kernel_tables, bk._refine_tables):
+        assert not any(t.flags.writeable for t in tables)
+
+
+def test_grid_spaces_keep_their_labels():
+    bk = mg.magnetic_weyl_grid(10, L)
+    for space, rows in ((bk.phase_space(), bk.k), (bk.midpoint_space(), range(20))):
+        strings = tuple(f"({r},{k})" for r in rows for k in bk.k)
+        flat = oc.MeasureSpace(strings, space.weights, kind="quadrature", tol=bk.tol)
+        assert space == flat and space.space_id() == flat.space_id()
+
+
 def test_op_requires_midpoint_space():
     bk = mg.magnetic_weyl_grid(16, L)
     wrong = oc.Symbol(bk.phase_space(), np.ones(16 * 16))
@@ -341,6 +415,13 @@ def test_magnetic_study_shape():
         assert r["sq_residual"] < 1e-10
         assert r["reduction_residual"] < 1e-10
         assert r["gauge_linear_residual"] < 1e-10
+
+
+def test_magnetic_study_refines_on_larger_grids():
+    rows = mg.magnetic_study([128, 256])
+    assert mg.composition_refines(rows)
+    assert all(r["gauge_linear_residual"] <= 1e-10 for r in rows)
+    assert all(r["reduction_residual"] <= 1e-8 for r in rows)
 
 
 def test_magnetic_study_builds_one_backend_per_grid(monkeypatch):
