@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import (MeasureSpace, Symbol, _readonly, _require, as_operator,
                    as_vector, op_norm, product_space, trace, vec_norm)
-from .family import OperatorFamily, verify_sq
+from .family import OperatorFamily, _flat_matmul, verify_sq
 from .calculus import Quantizer, _adjoint_sum, quantize
 
 
@@ -151,7 +151,7 @@ def _frame_pairing(fr: Frame) -> np.ndarray:
     """pair[s, t] = <pi(s) w(t), w(t)>; against f over t, Tr[berezin_op(f) pi(s)]."""
     W = fr.wfield
     R = (W.conj()[:, :, None] * W[:, None, :]).reshape(len(W), -1)  # conj w(t) (x) w(t)
-    return fr.fam.flat @ R.T
+    return _flat_matmul(fr.fam, R.T)
 
 
 def berezin_as_quantization(fr: Frame, q: Quantizer, f: Symbol,

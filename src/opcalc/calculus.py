@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import (RANK_DROP_TOL, MeasureSpace, Symbol, _readonly, _require,
                    as_operator, hs_norm, op_norm, trace_norm)
-from .family import OperatorFamily, verify_sq
+from .family import OperatorFamily, _flat_matmul, _flat_rmatmul, verify_sq
 
 #: Guard for materializing the three-point kernel of the explicit star product.
 _KERNEL_ENTRY_CAP = 20_000_000
@@ -72,9 +72,9 @@ def build_quantizer(fam: OperatorFamily, tol: float | None = None) -> Quantizer:
 
 
 def _adjoint_sum(fam: OperatorFamily, c: np.ndarray) -> np.ndarray:
-    """Sum of c[s] pi(s)*, one product with the coefficient matrix."""
+    """Sum of c[s] pi(s)*, one product with the coefficient blocks."""
     d = fam.hdim
-    return (np.conj(c) @ fam.flat).conj().reshape(d, d).T
+    return _flat_rmatmul(fam, np.conj(c)).conj().reshape(d, d).T
 
 
 def quantize(q: Quantizer, f: Symbol) -> np.ndarray:
@@ -86,7 +86,7 @@ def quantize(q: Quantizer, f: Symbol) -> np.ndarray:
 def dequantize(q: Quantizer, T) -> Symbol:
     """Symbol of an operator: s -> Tr[T pi(s)]."""
     T = as_operator(T, q.fam.hdim)
-    return Symbol(q.space, q.fam.flat @ T.T.ravel())
+    return Symbol(q.space, _flat_matmul(q.fam, T.T.ravel()))
 
 
 def project_b2(q: Quantizer, f: Symbol) -> Symbol:
@@ -138,18 +138,18 @@ def involution_explicit(q: Quantizer, f: Symbol) -> Symbol:
     """Explicit involution: r -> integral of Tr[pi(r) pi(s)] conj(f(s))."""
     _require(f.space == q.space, "symbol lives on a different space")
     m = q.fam.npoints
-    two_point = q.fam.flat @ q.fam.stack.swapaxes(1, 2).reshape(m, -1).T
+    two_point = _flat_matmul(q.fam, q.fam.stack.swapaxes(1, 2).reshape(m, -1).T)
     return Symbol(q.space, two_point @ (q.space.weights * np.conj(f.values)))
 
 
 def e_symbol(q: Quantizer, s: int) -> Symbol:
     """Point symbol: the symbol quantizing to pi(s)*."""
-    return Symbol(q.space, q.fam.flat @ q.fam.flat[s].conj())
+    return Symbol(q.space, _flat_matmul(q.fam, q.fam.stack[s].conj().ravel()))
 
 
 def pairing_with_e(q: Quantizer, f: Symbol, s: int) -> complex:
     """Trace pairing Tr[quantize(f) pi(s)]; reproduces f(s) on range symbols."""
-    return complex(q.fam.flat[s] @ quantize(q, f).T.ravel())
+    return complex(_flat_matmul(q.fam, quantize(q, f).T.ravel())[s])
 
 
 def quantize_measure(q: Quantizer, atoms, tol: float | None = None) -> np.ndarray:
@@ -200,7 +200,7 @@ def mixed_trace(q: Quantizer, f: Symbol, S, tol: float | None = None) -> complex
     tol = q.fam.working_tol() if tol is None else tol
     S = as_operator(S, q.fam.hdim)
     left = complex(np.trace(quantize(q, f) @ S))
-    traces = q.fam.flat @ S.ravel().conj()                # conj Tr[pi(s)* S]
+    traces = _flat_matmul(q.fam, S.ravel().conj())        # conj Tr[pi(s)* S]
     right = complex(np.vdot(traces, q.space.weights * f.values))
     scale = max(1.0, abs(left))
     if abs(left - right) > max(tol, 1e-9 * scale):

@@ -122,28 +122,24 @@ def _build_backend(spec: dict):
 # ---------------------------------------------------------------------------
 
 def _describe_backend(spec: dict) -> dict:
+    """Summary of a backend.  A family that passes the square-integrability
+    gate dequantizes isometrically from the Hilbert-Schmidt operators, so its
+    symbol range has dimension hdim^2 and needs no SVD."""
     built = _build_backend(spec)
     if isinstance(built, magnetic.MagneticBackend):
-        return {
-            "kind": spec["kind"],
-            "hdim": built.n,
-            "points": built.n * built.n,
-            "mass": float(built.n),
-            "exact": False,
-            "tol": built.tol,
-            "b2_rank": ca.build_quantizer(built.family()).b2_rank
-            if built.n <= 32 else None,
-        }
-    fam = built
-    return {
-        "kind": spec["kind"],
-        "hdim": fam.hdim,
-        "points": fam.npoints,
-        "mass": fam.space.mass,
-        "exact": fam.exact,
-        "tol": fam.tol,
-        "b2_rank": ca.build_quantizer(fam).b2_rank,
-    }
+        fam = built.family() if built.n <= 32 else None
+        summary = {"kind": spec["kind"], "hdim": built.n,
+                   "points": built.n * built.n, "mass": float(built.n),
+                   "exact": False, "tol": built.tol}
+    else:
+        fam = built
+        summary = {"kind": spec["kind"], "hdim": fam.hdim, "points": fam.npoints,
+                   "mass": fam.space.mass, "exact": fam.exact, "tol": fam.tol}
+    if fam is not None:
+        ca.build_quantizer(fam)                 # raises for a failing family
+    summary["b2_rank"] = None if fam is None else fam.hdim ** 2
+    summary["coefficient_blocks"] = None if fam is None else len(fam.blocks[0])
+    return summary
 
 
 def _render_table(summary: dict) -> str:

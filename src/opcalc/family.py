@@ -28,11 +28,12 @@ class OperatorFamily:
 
     Operators are stored as one dense stack of shape (npoints, hdim, hdim);
     ``flat`` is its (npoints, hdim^2) coefficient-matrix view, with
-    ``flat[s, j*hdim + i] = <pi(s)e_i, e_j>``, which every map reads.
-    ``tol`` is None for exact families; quadrature-built families carry the
-    declared tolerance of their construction.  The stack and weights are
-    read-only, so the square-integrability witness and the sup norm derived
-    from them are each computed once, on first use.
+    ``flat[s, j*hdim + i] = <pi(s)e_i, e_j>``, and ``blocks`` the same matrix
+    as nonzero blocks, which every per-call map reads.  ``tol`` is None for
+    exact families; quadrature-built families carry the declared tolerance of
+    their construction.  The stack and weights are read-only, so the blocks,
+    the square-integrability witness and the sup norm derived from them are
+    each computed once, on first use.
     """
 
     def __init__(self, space: MeasureSpace, operators, tol: float | None = None):
@@ -65,6 +66,26 @@ class OperatorFamily:
         return DEFAULT_TOL if self.tol is None else self.tol
 
     @cached_property
+    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``flat`` as (rows (k, r), cols (k, c), V (k, r, c)), zero elsewhere.
+
+        ``V[b] = flat[rows[b]][:, cols[b]]``.  Rows are classed by their first
+        nonzero column.  The classes are kept when they are equal in size,
+        every row has its class representative's nonzero pattern, and the
+        representatives' column sets are disjoint and equal in size, as for
+        monomial families (one nonzero per column of every pi(s)), where
+        k = hdim.  Otherwise the family is the one block of all rows and all
+        columns, a view of ``flat``.  The zero test is exact.
+        """
+        classes = _row_classes(self.flat != 0)
+        if classes is None:
+            m, n = self.flat.shape
+            return (_readonly(np.arange(m)[None]), _readonly(np.arange(n)[None]),
+                    self.flat[None])
+        rows, cols = classes
+        return rows, cols, _readonly(self.flat[rows[:, :, None], cols[:, None, :]])
+
+    @cached_property
     def _sq_witness(self) -> tuple[float, tuple[int, int, int, int]]:
         """Largest deviation of the basis Gram from the identity, and where."""
         d = self.hdim
@@ -83,6 +104,26 @@ class OperatorFamily:
     def __repr__(self):
         return (f"OperatorFamily(hdim={self.hdim}, npoints={self.npoints}, "
                 f"{'exact' if self.exact else f'tol={self.tol:g}'})")
+
+
+def _row_classes(mask: np.ndarray):
+    """(rows, cols) of the row classes of a nonzero mask, or None.
+
+    Rows are keyed by their first nonzero; see ``OperatorFamily.blocks`` for
+    when the classes are kept.  A class whose rows are all zero has an empty
+    column set and so fails the equal-size test.
+    """
+    first = mask.argmax(1)
+    keys, counts = np.unique(first, return_counts=True)
+    if len(keys) < 2 or np.any(counts != counts[0]):
+        return None
+    rows = np.argsort(first, kind="stable").reshape(len(keys), -1)
+    rep = mask[rows[:, 0]]
+    sizes = rep.sum(1)
+    if (np.any(sizes != sizes[0]) or rep.sum(0).max() > 1
+            or np.any(mask[rows] != rep[:, None])):
+        return None
+    return _readonly(rows), _readonly(rep.nonzero()[1].reshape(len(keys), -1))
 
 
 def family_to_json(fam: OperatorFamily) -> dict:
@@ -111,17 +152,38 @@ def coefficient(fam: OperatorFamily, u, v) -> Symbol:
     return Symbol(fam.space, values)
 
 
+def _flat_matmul(fam: OperatorFamily, x: np.ndarray) -> np.ndarray:
+    """``fam.flat @ x`` for x of shape (hdim^2,) or (hdim^2, p), block by block."""
+    rows, cols, V = fam.blocks
+    x2 = x.reshape(len(x), -1)
+    out = np.zeros((fam.npoints, x2.shape[1]), dtype=complex)
+    out[rows] = V @ x2[cols]
+    return out.reshape((fam.npoints,) + x.shape[1:])
+
+
+def _flat_rmatmul(fam: OperatorFamily, c: np.ndarray) -> np.ndarray:
+    """``c @ fam.flat`` for c of shape (npoints,), block by block."""
+    rows, cols, V = fam.blocks
+    out = np.zeros(fam.hdim ** 2, dtype=complex)
+    out[cols] = (c[rows][:, None, :] @ V)[:, 0]
+    return out
+
+
 def _basis_gram(fam: OperatorFamily) -> np.ndarray:
     """Weighted Gram matrix of all basis coefficient symbols.
 
     Entry ((j1,i1),(j2,i2)) is the complex conjugate of the orthogonality
     integral for the basis quadruple (i1, j1, i2, j2); square integrability
     means the matrix is the identity.  It is the Choi matrix of the twirl
-    X -> integral of pi(s) X pi(s)* dmu(s).
+    X -> integral of pi(s) X pi(s)* dmu(s).  Columns of different blocks
+    share no row, so only the k diagonal blocks V*WV are nonzero.
     """
-    A = fam.flat.T.conj()
-    A *= fam.space.weights
-    return A @ fam.flat
+    rows, cols, V = fam.blocks
+    A = V.conj().swapaxes(1, 2)
+    A *= fam.space.weights[rows][:, None, :]
+    G = np.zeros((fam.hdim ** 2,) * 2, dtype=complex)
+    G[cols[:, :, None], cols[:, None, :]] = A @ V
+    return G
 
 
 @dataclass(frozen=True)

@@ -52,10 +52,11 @@ class MagneticBackend:
         self.xi = 2 * np.pi * self.k / self.L
         self.tol = float(tol)
 
-        A = np.zeros(self.n) if A is None else np.asarray(A, dtype=float)
+        # a copy: the circulation table below is built from A once
+        A = np.zeros(self.n) if A is None else np.array(A, dtype=float)
         _require(A.shape == (self.n,), "need one vector-potential sample per node")
         _require(bool(np.all(np.isfinite(A))), "vector potential samples must be finite")
-        self.A = A
+        self.A = _readonly(A)
         B = np.zeros(self.n) if B is None else np.asarray(B, dtype=float)
         _require(B.shape == (self.n,), "need one field sample per node")
         if np.abs(B).max() > 0:

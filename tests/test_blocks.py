@@ -1,0 +1,167 @@
+"""Every map that reads the coefficient blocks against the dense formula.
+
+``OperatorFamily.blocks`` stores the (npoints, hdim^2) coefficient matrix
+``flat`` as row classes with disjoint column sets; a dense family is the one
+block of all rows and all columns.  The references below are the plain
+products with ``flat`` that the block products replaced, so a lost block, a
+misplaced scatter or a wrong fallback shows up here.
+"""
+
+import numpy as np
+import pytest
+
+import opcalc as oc
+from opcalc import berezin as bz
+from opcalc import calculus as ca
+from opcalc import family as fm
+
+from conftest import random_family
+
+REL = 1e-13
+
+
+def close(new, ref):
+    new, ref = np.asarray(new), np.asarray(ref)
+    assert new.shape == ref.shape
+    assert np.abs(new - ref).max() <= REL * max(1.0, np.abs(ref).max())
+
+
+def family_of(ops):
+    ops = np.asarray(ops, dtype=complex)
+    return oc.OperatorFamily(oc.MeasureSpace(tuple(range(len(ops))), np.ones(len(ops))), ops)
+
+
+def compressed_weyl3():
+    rng = np.random.default_rng(7)
+    iota, _ = np.linalg.qr(oc.random_vector(rng, 9).reshape(3, 3))
+    fam = oc.discrete_weyl(3)
+    return oc.compress(fam, np.arange(fam.npoints), fam.space, iota)
+
+
+def unequal_classes():
+    # rows of flat keyed 0, 0, 1: two classes of sizes 2 and 1
+    return family_of([np.eye(2), 2 * np.eye(2), [[0, 1], [1, 0]]])
+
+
+def zero_inside_a_class():
+    stack = np.array(oc.discrete_weyl(3).stack)
+    stack[1, 2, 2] = 0.0       # row 1 keeps its key (column 0) but loses a nonzero
+    return family_of(stack)
+
+
+def overlapping_columns():
+    # equal classes of one row each, whose column sets {0, 1} and {1, 2} overlap
+    return family_of([[[1, 1], [0, 0]], [[0, 1], [1, 0]]])
+
+
+#: name -> (builder, expected number of blocks)
+FAMILIES = {
+    "random": (lambda: random_family(np.random.default_rng(3)), 1),
+    "compress": (compressed_weyl3, 1),
+    "s3": (lambda: oc.finite_group_backend(oc.s3_table()[0], oc.s3_standard_irrep()), 1),
+    **{f"weyl{N}": (lambda N=N: oc.discrete_weyl(N), N) for N in (2, 3, 4, 5)},
+    "metaplectic27_k1": (lambda: oc.abelian_metaplectic((27,), k=1), 27),
+    "metaplectic27_k2": (lambda: oc.abelian_metaplectic((27,), k=2), 27),
+    "magnetic8": (lambda: oc.magnetic_weyl_grid(8, 12.0).family(), 8),
+    "tensor_w2_w3": (lambda: oc.tensor(oc.discrete_weyl(2), oc.discrete_weyl(3)), 6),
+    "adjoint_weyl4": (lambda: oc.adjoint_family(oc.discrete_weyl(4)), 4),
+    "direct_sum_w3_w3": (lambda: oc.direct_sum([oc.discrete_weyl(3)] * 2), 3),
+    "unequal_classes": (unequal_classes, 1),
+    "zero_inside_a_class": (zero_inside_a_class, 1),
+    "overlapping_columns": (overlapping_columns, 1),
+}
+
+
+@pytest.fixture(params=list(FAMILIES))
+def case(request):
+    build, k = FAMILIES[request.param]
+    return build(), k
+
+
+def test_block_count(case):
+    fam, k = case
+    rows, cols, V = fam.blocks
+    assert rows.shape[0] == cols.shape[0] == V.shape[0] == k
+    if k == 1:                 # the one-block route: every row, every column
+        assert np.array_equal(rows[0], np.arange(fam.npoints))
+        assert np.array_equal(cols[0], np.arange(fam.hdim ** 2))
+        assert np.shares_memory(V, fam.flat)
+
+
+def test_blocks_are_flat_with_zeros_elsewhere(case):
+    fam, _ = case
+    rows, cols, V = fam.blocks
+    assert V.shape == (len(rows), rows.shape[1], cols.shape[1])
+    assert np.array_equal(np.sort(rows.ravel()), np.arange(fam.npoints))
+    assert len(np.unique(cols)) == cols.size              # disjoint column sets
+    dense = np.zeros_like(fam.flat)
+    dense[rows[:, :, None], cols[:, None, :]] = V
+    assert np.array_equal(dense, fam.flat)
+
+
+def test_blocks_are_computed_once_and_read_only(case):
+    fam, _ = case
+    first = fam.blocks
+    assert fam.blocks is first
+    for part in first:
+        assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            part.flat[0] = part.flat[0]
+
+
+def test_readers_match_dense_flat(case, rng):
+    fam, _ = case
+    q, flat, d, m = ca.Quantizer(fam), fam.flat, fam.hdim, fam.npoints
+    w = fam.space.weights
+    f = oc.random_symbol(rng, fam.space)
+    T = oc.random_vector(rng, d * d).reshape(d, d)
+    close(fm._basis_gram(fam), (flat.T.conj() * w) @ flat)
+    ref_q = (np.conj(w * f.values) @ flat).conj().reshape(d, d).T
+    close(oc.quantize(q, f), ref_q)
+    close(oc.dequantize(q, T).values, flat @ T.T.ravel())
+    for s in (0, m - 1):
+        close(oc.e_symbol(q, s).values, flat @ flat[s].conj())
+        close(oc.pairing_with_e(q, f, s), flat[s] @ ref_q.T.ravel())
+    close(oc.mixed_trace(q, f, T, tol=1e-9),
+          np.vdot(flat @ T.ravel().conj(), w * f.values))
+    atoms = [(0, 1.5), (m - 1, -0.5j), (0, 0.25 + 1j)]
+    c = np.zeros(m, dtype=complex)
+    for i, a in atoms:
+        c[i] += a
+    close(oc.quantize_measure(q, atoms, tol=1e-9),
+          (np.conj(c) @ flat).conj().reshape(d, d).T)
+    two_point = flat @ fam.stack.swapaxes(1, 2).reshape(m, -1).T
+    close(oc.involution_explicit(q, f).values, two_point @ (w * np.conj(f.values)))
+
+
+def test_frame_readers_match_dense_flat(case, rng):
+    fam, _ = case
+    flat, d = fam.flat, fam.hdim
+    v = oc.random_unit_vector(rng, d)
+    wfield = (v.conj() @ fam.stack).conj()
+    fr = bz.Frame(fam, v, wfield, wfield.conj() @ wfield.T)   # no SQ gate needed
+    R = (wfield.conj()[:, :, None] * wfield[:, None, :]).reshape(len(wfield), -1)
+    close(bz._frame_pairing(fr), flat @ R.T)
+    g = oc.random_symbol(rng, fam.space)
+    Q = (np.conj(fam.space.weights * g.values) @ flat).conj().reshape(d, d).T
+    close(oc.upsilon_transform(fr, g).values, (wfield @ Q.T @ wfield.conj().T).ravel())
+
+
+BITWISE = {
+    **{f"weyl{N}": (lambda N=N: oc.discrete_weyl(N)) for N in (4, 8, 16, 24)},
+    "magnetic8": lambda: oc.magnetic_weyl_grid(8, 12.0).family(),
+    "magnetic32": lambda: oc.magnetic_weyl_grid(32, 12.0).family(),
+}
+
+
+@pytest.mark.parametrize("name", list(BITWISE))
+def test_quantize_and_dequantize_are_bitwise_dense(name, rng):
+    # each block product sums the same nonzero terms as the dense product, in
+    # the same groups, when the class sizes are multiples of four
+    fam = BITWISE[name]()
+    q, flat, d = ca.Quantizer(fam), fam.flat, fam.hdim
+    f = oc.random_symbol(rng, fam.space)
+    T = oc.random_vector(rng, d * d).reshape(d, d)
+    c = fam.space.weights * f.values
+    assert np.array_equal(oc.quantize(q, f), (np.conj(c) @ flat).conj().reshape(d, d).T)
+    assert np.array_equal(oc.dequantize(q, T).values, flat @ T.T.ravel())

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import opcalc
+from opcalc import backends as bk
 from opcalc import calculus as ca
 from opcalc import cli, inftensor
 from opcalc import family as fm
@@ -106,7 +107,8 @@ def test_describe_weyl3(tmp_path, capsys):
     assert cli.main(["describe", spec]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary == {"kind": "discrete_weyl", "hdim": 3, "points": 9,
-                       "mass": 3.0, "exact": True, "tol": None, "b2_rank": 9}
+                       "mass": 3.0, "exact": True, "tol": None, "b2_rank": 9,
+                       "coefficient_blocks": 3}
 
 
 def test_describe_trivial_and_s3(tmp_path, capsys):
@@ -121,6 +123,31 @@ def test_describe_trivial_and_s3(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert (summary["hdim"], summary["points"], summary["b2_rank"]) == (2, 6, 4)
     assert summary["mass"] == pytest.approx(2.0)
+    assert summary["coefficient_blocks"] == 1        # dense: the one-block route
+
+
+DESCRIBED = [
+    {"kind": "trivial"},
+    {"kind": "discrete_weyl", "N": 3},
+    {"kind": "discrete_weyl", "N": 6},
+    {"kind": "finite_group", "preset": "s3_standard"},
+    {"kind": "finite_group", "preset": "s3_sign"},
+    {"kind": "finite_group", "preset": "cyclic_character", "order": 5, "k": 2},
+    {"kind": "abelian_metaplectic", "orders": [5], "k": 2},
+    {"kind": "abelian_metaplectic", "orders": [3, 3], "k": 1},
+    {"kind": "magnetic_weyl", "n": 8, "L": 12.0},
+    {"kind": "magnetic_weyl", "n": 32, "L": 12.0},
+]
+
+
+@pytest.mark.parametrize("backend", DESCRIBED, ids=lambda b: "-".join(map(str, b.values())))
+def test_describe_rank_is_the_svd_rank(tmp_path, capsys, backend):
+    # describe reads hdim^2 off the passing gate instead of running the SVD
+    assert cli.main(["describe", write(tmp_path, "b.json", backend)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    built = bk.backend_from_spec(backend)
+    fam = built.family() if backend["kind"] == "magnetic_weyl" else built
+    assert summary["b2_rank"] == ca.build_quantizer(fam).b2_rank
 
 
 def test_describe_table_rendering(tmp_path, capsys):

@@ -363,6 +363,15 @@ def test_gauge_zero():
     assert mg.gauge_transform_check(bk, np.zeros(16)) < 1e-14
 
 
+def test_backend_keeps_its_own_potential():
+    A = mg.sine_potential(16, L, 0.7)
+    bk = mg.magnetic_weyl_grid(16, L, A=A)
+    assert mg.gauge_transform_check(bk, np.zeros(16)) == 0.0
+    A += 1.0                 # the caller's array; the backend tabulated the old one
+    assert mg.gauge_transform_check(bk, np.zeros(16)) == 0.0
+    assert not bk.A.flags.writeable
+
+
 def test_gauge_check_matches_rebuilt_backend_route():
     bk = mg.magnetic_weyl_grid(16, L, A=mg.sine_potential(16, L, 0.7))
     rho = 0.3 * np.sin(2 * np.pi * bk.x / L)

@@ -63,6 +63,11 @@ def test_closed_families_satisfy_the_calculus(base, recipe, seed):
     assert oc.commutant_dim(fam) == 1
     q = oc.build_quantizer(fam)
     f, g, h = (oc.project_b2(q, oc.random_symbol(rng, fam.space)) for _ in range(3))
+    # the block products against the dense coefficient matrix
+    d, c = fam.hdim, fam.space.weights * f.values
+    assert gap(oc.quantize(q, f), (np.conj(c) @ fam.flat).conj().reshape(d, d).T) < 1e-13
+    T = oc.random_vector(rng, d * d).reshape(d, d)
+    assert gap(oc.dequantize(q, T).values, fam.flat @ T.T.ravel()) < 1e-13
     # quantization is an isometry on the range
     assert gap(oc.hs_inner(oc.quantize(q, f), oc.quantize(q, g)), oc.l2_inner(f, g)) < 1e-10
     fg = oc.star(q, f, g)
