@@ -26,11 +26,13 @@ _KERNEL_ENTRY_CAP = 20_000_000
 class Quantizer:
     """An operator family together with an orthonormal basis of its symbol range.
 
-    ``b2_basis`` rows are symbol value vectors, orthonormal in the weighted
-    inner product; their span is the image of the coefficient map inside
-    L2 of the space (all of it for discrete Weyl systems, a proper subspace
-    for compact-group backends).  The basis costs an SVD and ``three_point``
-    holds m^3 numbers, so each is computed on first use and then kept.
+    ``b2_basis[b]`` holds, per coefficient block b of ``fam.blocks``, symbol
+    value vectors on the block's rows ``rows[b]``, orthonormal in the weighted
+    inner product; the nonzero ones together span the image of the
+    coefficient map inside L2 of the space (all of it for discrete Weyl
+    systems, a proper subspace for compact-group backends).  The basis costs
+    one batched SVD over the blocks and ``three_point`` holds m^3 numbers, so
+    each is computed on first use and then kept.
     """
 
     fam: OperatorFamily
@@ -41,15 +43,24 @@ class Quantizer:
 
     @cached_property
     def b2_basis(self) -> np.ndarray:
-        """Coefficient symbols orthonormalized; rank by relative singular-value drop."""
-        sqrt_w = np.sqrt(self.space.weights)   # flat.T: one coefficient symbol per row
-        _, svals, Vh = np.linalg.svd(self.fam.flat.T * sqrt_w, full_matrices=False)
-        rank = int(np.sum(svals > RANK_DROP_TOL * svals[0]))
-        return _readonly(Vh[:rank] / sqrt_w)      # orthonormal in the weighted metric
+        """Coefficient symbols orthonormalized block by block, (k, min(c, r), r).
+
+        Blocks share no row and no column, so the singular values of ``flat``
+        are those of its blocks together; one counts when it exceeds
+        ``RANK_DROP_TOL`` times the largest over all blocks, and the vectors
+        of the others are stored as zero rows.
+        """
+        rows, _, V = self.fam.blocks
+        sqrt_w = np.sqrt(self.space.weights)[rows][:, None, :]
+        # V^T: one coefficient symbol per row, restricted to the block's rows
+        _, svals, Vh = np.linalg.svd(V.swapaxes(1, 2) * sqrt_w, full_matrices=False)
+        Vh /= sqrt_w                              # orthonormal in the weighted metric
+        Vh[svals <= RANK_DROP_TOL * svals.max()] = 0.0
+        return _readonly(Vh)
 
     @property
     def b2_rank(self) -> int:
-        return self.b2_basis.shape[0]
+        return int(np.count_nonzero(self.b2_basis.any(axis=2)))
 
     @cached_property
     def three_point(self) -> np.ndarray:
@@ -92,8 +103,11 @@ def dequantize(q: Quantizer, T) -> Symbol:
 def project_b2(q: Quantizer, f: Symbol) -> Symbol:
     """Orthogonal projection onto the span of the coefficient symbols."""
     _require(f.space == q.space, "symbol lives on a different space")
-    coeffs = (q.b2_basis @ np.conj(q.space.weights * f.values)).conj()
-    return Symbol(q.space, coeffs @ q.b2_basis)
+    rows, B = q.fam.blocks[0], q.b2_basis
+    coeffs = (B @ np.conj(q.space.weights * f.values)[rows][:, :, None]).conj()
+    out = np.zeros(q.fam.npoints, dtype=complex)
+    out[rows] = (coeffs.swapaxes(1, 2) @ B)[:, 0]
+    return Symbol(q.space, out)
 
 
 def star(q: Quantizer, f: Symbol, g: Symbol) -> Symbol:
@@ -116,8 +130,9 @@ def _three_point_kernel(q: Quantizer) -> np.ndarray:
     _require(m * m * m <= _KERNEL_ENTRY_CAP,
              "space too large to materialize the three-point kernel")
     pistar = q.fam.stack.conj().swapaxes(1, 2)
-    ts = pistar[:, None] @ pistar[None]                # pi(s)* pi(t)*
-    return ts.swapaxes(2, 3).reshape(m * m, d * d) @ q.fam.flat.T
+    # pi(s)* pi(t)*, transposed; the product is freed once it is copied
+    ts = (pistar[:, None] @ pistar[None]).swapaxes(2, 3).reshape(m * m, d * d)
+    return ts @ q.fam.flat.T
 
 
 def star_explicit(q: Quantizer, f: Symbol, g: Symbol) -> Symbol:

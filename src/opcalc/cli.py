@@ -175,13 +175,14 @@ def _verify_sq(task, fam, tol, rng):
 def _quantize(task, fam, tol, rng):
     q = ca.build_quantizer(fam)
     symbols = _symbols(task, fam.space, rng)
-    residual = max(
-        abs(ca.trace_pairing(q, f, g) - core.l2_inner(
-            ca.project_b2(q, f), ca.project_b2(q, g)))
-        for f in symbols for g in symbols)
+    ops = [ca.quantize(q, f) for f in symbols]
+    projected = [ca.project_b2(q, f) for f in symbols]
+    residual = max(                  # Tr[Q(f) Q(g)*] against <P f, P g>
+        abs(complex(np.vdot(Tg, Tf)) - core.l2_inner(pf, pg))
+        for Tf, pf in zip(ops, projected) for Tg, pg in zip(ops, projected))
     return residual <= tol, {
         "isometry_residual": residual,
-        "operators": [core.operator_to_json(ca.quantize(q, f)) for f in symbols]}
+        "operators": [core.operator_to_json(T) for T in ops]}
 
 
 def _dequantize(task, fam, tol, rng):
@@ -244,15 +245,15 @@ def _inftensor(task, fam, tol, rng):
     ent /= np.linalg.norm(ent)
     rows = []
     for N in range(1, rp.J + 1):
-        space = rp.level_space(N)
-        ones = core.Symbol(space, np.ones(space.npoints))
+        weights = rp.level_space(N).weights
+        X = rp.level_vectors(N, product_vec)          # one sweep, read twice
         gap = core.op_norm(
-            inftensor.berezin_truncated(rp, N, product_vec, ones)
-            - np.eye(rp.full_dim))
+            inftensor._berezin_truncated(X, weights) - np.eye(rp.full_dim))
+        defect = inftensor._sq_defect(weights, X, product_vec, product_vec)
+        del X                                 # freed before the next sweep
         rows.append({
             "N": N,
-            "defect_product_vector": inftensor.sq_defect(
-                rp, N, product_vec, product_vec),
+            "defect_product_vector": defect,
             "defect_entangled_witness": inftensor.sq_defect(rp, N, ent, ent),
             "omega_identity_gap": gap,
         })

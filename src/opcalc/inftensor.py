@@ -69,18 +69,22 @@ class RestrictedProduct:
     def level_vectors(self, N: int, u) -> np.ndarray:
         """pi(s) u at every level-N point, as an (m_N, D) array.
 
-        Factor k's stack acts on tensor mode k of u, one broadcast matmul per
-        factor; the tail modes are untouched, which is the exact identity.
-        Memory is m_N * D, never the m_N * D^2 of the level stack.
+        Factor k's stack acts on tensor mode k of u as one GEMM,
+        ``stack.reshape(m_k d_k, d_k)`` times the mode-k unfolding of the
+        vectors so far; the tail modes are untouched, which is the exact
+        identity.  Memory is m_N * D, never the m_N * D^2 of the level stack;
+        each factor copies its input once, to unfold it, and one transpose at
+        the end puts the points first.
         """
         _require(1 <= N <= self.J, "truncation level out of range")
-        X = as_vector(u, self.full_dim)
-        lead = 1
-        for f, d in zip(self.factors[:N], self.dims):
-            X = np.matmul(f.fam.stack[:, None],
-                          X.reshape(-1, 1, lead, d, self.full_dim // (lead * d)))
-            lead *= d
-        return X.reshape(-1, self.full_dim)
+        # X has axes (s_k, i_k, earlier points, earlier modes, later modes)
+        X, m, d, M, lead = as_vector(u, self.full_dim), 1, 1, 1, 1
+        for f, dk in zip(self.factors[:N], self.dims):
+            X = (X.reshape(m, d, M, lead, dk, -1).transpose(4, 2, 0, 3, 1, 5)
+                 .reshape(dk, -1))
+            M, lead, m, d = M * m, lead * d, f.fam.npoints, dk
+            X = f.fam.stack.reshape(m * d, d) @ X
+        return X.reshape(m, d, M, lead, -1).transpose(2, 0, 3, 1, 4).reshape(M * m, -1)
 
     def level_stack(self, N: int) -> np.ndarray:
         """Dense level-N operators, tail factors 1: the m_N * D^2 test reference."""
@@ -129,8 +133,14 @@ def sq_defect(rp: RestrictedProduct, N: int, u, v) -> float:
     """
     u = as_vector(u, rp.full_dim)
     v = as_vector(v, rp.full_dim)
-    phi = rp.level_vectors(N, u) @ np.conj(v)
-    integral = float(np.dot(rp.level_space(N).weights, np.abs(phi) ** 2))
+    return _sq_defect(rp.level_space(N).weights, rp.level_vectors(N, u), u, v)
+
+
+def _sq_defect(weights: np.ndarray, X: np.ndarray, u: np.ndarray,
+               v: np.ndarray) -> float:
+    """``sq_defect`` from the level vectors X = pi(.)u."""
+    phi = X @ np.conj(v)
+    integral = float(np.dot(weights, np.abs(phi) ** 2))
     return abs(integral - vec_norm(u) ** 2 * vec_norm(v) ** 2)
 
 
@@ -164,9 +174,18 @@ def berezin_truncated(rp: RestrictedProduct, N: int, u,
     """
     _require(f.space == rp.level_space(N),
              "symbol must live on the level-N product space")
-    X = rp.level_vectors(N, u)                        # pi(s) u per point
-    wf = rp.level_space(N).weights * f.values
-    return (X.T * wf) @ X.conj()
+    return _berezin_truncated(rp.level_vectors(N, u),
+                              rp.level_space(N).weights * f.values)
+
+
+def _berezin_truncated(X: np.ndarray, wf: np.ndarray) -> np.ndarray:
+    """``berezin_truncated`` from the level vectors X = pi(.)u and w * f.
+
+    Computed as conj(conj(X^T wf) X), so one m_N x D temporary is made, not two.
+    """
+    A = X.T * wf
+    np.conj(A, out=A)
+    return (A @ X).conj()
 
 
 def frame_kernel_inf(rp: RestrictedProduct, wfactors=None):

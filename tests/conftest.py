@@ -47,3 +47,17 @@ def random_family(rng):
 
 def brute_inner(u, v):
     return complex(np.sum(np.asarray(u) * np.conj(v)))
+
+
+def dense_b2_basis(q):
+    """A quantizer's block range basis as one (b2_rank, npoints) array.
+
+    Block b's vectors live on the rows ``fam.blocks[0][b]``; the vectors
+    stored as zero rows (dropped singular values) are left out.
+    """
+    rows, B = q.fam.blocks[0], q.b2_basis
+    dense = np.zeros(B.shape[:2] + (q.fam.npoints,), dtype=complex)
+    for b, r in enumerate(rows):
+        dense[b][:, r] = B[b]
+    dense = dense.reshape(-1, q.fam.npoints)
+    return dense[dense.any(axis=1)]

@@ -14,8 +14,9 @@ import opcalc as oc
 from opcalc import berezin as bz
 from opcalc import calculus as ca
 from opcalc import family as fm
+from opcalc.core import RANK_DROP_TOL
 
-from conftest import random_family
+from conftest import dense_b2_basis, random_family
 
 REL = 1e-13
 
@@ -145,6 +146,27 @@ def test_frame_readers_match_dense_flat(case, rng):
     g = oc.random_symbol(rng, fam.space)
     Q = (np.conj(fam.space.weights * g.values) @ flat).conj().reshape(d, d).T
     close(oc.upsilon_transform(fr, g).values, (wfield @ Q.T @ wfield.conj().T).ravel())
+
+
+def test_range_basis_matches_dense_svd(case, rng):
+    # the reference is the one SVD of flat^T that the per-block SVDs replaced
+    fam, k = case
+    q, w = ca.Quantizer(fam), fam.space.weights
+    sqrt_w = np.sqrt(w)
+    _, svals, Vh = np.linalg.svd(fam.flat.T * sqrt_w, full_matrices=False)
+    rank = int(np.sum(svals > RANK_DROP_TOL * svals[0]))
+    B = Vh[:rank] / sqrt_w
+    rows, cols, _ = fam.blocks
+    r, c = rows.shape[1], cols.shape[1]
+    assert q.b2_basis.shape == (k, min(c, r), r)       # m*d numbers on monomial families
+    assert q.b2_rank == rank
+    if k == 1:                 # the one-block route feeds the dense SVD the same matrix
+        assert np.array_equal(q.b2_basis[0][:rank], B)
+    Q = dense_b2_basis(q)
+    close((Q * w) @ Q.conj().T, np.eye(rank))
+    close(Q.T @ (Q.conj() * w), B.T @ (B.conj() * w))
+    f = oc.random_symbol(rng, fam.space)
+    close(oc.project_b2(q, f).values, (B.conj() @ (w * f.values)) @ B)
 
 
 BITWISE = {

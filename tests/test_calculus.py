@@ -5,7 +5,7 @@ import opcalc as oc
 from opcalc import berezin as bz
 from opcalc import calculus as ca
 
-from conftest import brute_inner
+from conftest import brute_inner, dense_b2_basis
 
 
 @pytest.fixture
@@ -102,6 +102,20 @@ def test_dequantize_quantize_is_projection(s3_q, rng):
         via_traces = oc.dequantize(s3_q, oc.quantize(s3_q, f))
         via_basis = oc.project_b2(s3_q, f)
         assert np.abs(via_traces.values - via_basis.values).max() < 1e-11
+
+
+def test_project_b2_stays_independent_of_the_transported_maps(rng, monkeypatch):
+    # the basis route is what the round trips above are checked against
+    q = oc.build_quantizer(oc.discrete_weyl(4))
+    f = oc.random_symbol(rng, q.space)
+    expected = oc.project_b2(q, f).values
+
+    def refuse(*args):
+        raise AssertionError("project_b2 must not quantize or dequantize")
+
+    for name in ("quantize", "dequantize", "_adjoint_sum", "_flat_matmul", "_flat_rmatmul"):
+        monkeypatch.setattr(ca, name, refuse)
+    assert np.array_equal(oc.project_b2(q, f).values, expected)
 
 
 def test_project_b2_fixes_span_and_kills_complement(s3_q, rng):
@@ -306,7 +320,7 @@ def test_b2_basis_projector_invariants(s3_q):
     # the projector assembled from the basis is idempotent and self-adjoint
     # with respect to the weighted inner product
     w = s3_q.space.weights
-    B = s3_q.b2_basis
+    B = dense_b2_basis(s3_q)
     P = B.T @ (B.conj() * w)              # acts on plain value vectors
     assert np.abs(P @ P - P).max() < 1e-11
     W = np.diag(w)

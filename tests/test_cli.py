@@ -236,6 +236,52 @@ def test_inftensor_six_copies_builds_no_level_stack(tmp_path, monkeypatch):
     assert [row["N"] for row in task["rows"]] == [1, 2, 3, 4, 5, 6]
 
 
+def test_inftensor_sweeps_each_vector_once_per_level(tmp_path, monkeypatch):
+    # the product vector's level vectors feed both the Berezin gap and its
+    # defect; the report equals the public functions, which sweep separately
+    calls = []
+    real = inftensor.RestrictedProduct.level_vectors
+    monkeypatch.setattr(inftensor.RestrictedProduct, "level_vectors",
+                        lambda rp, N, u: calls.append((N, tuple(u))) or real(rp, N, u))
+    cfg = write(tmp_path, "cfg.json", {"backend": {"kind": "discrete_weyl", "N": 3},
+                                       "tasks": [{"kind": "inftensor", "copies": 3}]})
+    out = tmp_path / "report.json"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["tasks"][0]["rows"]
+    assert len(calls) == 2 * len(rows) == len(set(calls))
+    fam = opcalc.discrete_weyl(3)
+    rp = inftensor.build_restricted([(fam, 0, np.eye(3)[0])] * 3)
+    pv = rp.embed(np.ones(1, dtype=complex), 0)
+    for row in rows:
+        N, space = row["N"], rp.level_space(row["N"])
+        ones = opcalc.Symbol(space, np.ones(space.npoints))
+        gap = opcalc.op_norm(inftensor.berezin_truncated(rp, N, pv, ones) - np.eye(27))
+        assert row["omega_identity_gap"] == gap
+        assert row["defect_product_vector"] == inftensor.sq_defect(rp, N, pv, pv)
+
+
+def test_quantize_task_maps_each_symbol_once(tmp_path, monkeypatch):
+    calls = {"quantize": 0, "project_b2": 0}
+    for name in calls:
+        real = getattr(ca, name)
+        monkeypatch.setattr(ca, name, lambda q, f, real=real, name=name:
+                            calls.__setitem__(name, calls[name] + 1) or real(q, f))
+    cfg = write(tmp_path, "cfg.json", {"backend": {"kind": "discrete_weyl", "N": 3},
+                                       "seed": 4,
+                                       "tasks": [{"kind": "quantize", "n_random": 3}]})
+    out = tmp_path / "report.json"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 0
+    assert calls == {"quantize": 3, "project_b2": 3}
+    monkeypatch.undo()
+    # the residual is bitwise the per-pair formula it replaced
+    q = ca.build_quantizer(opcalc.discrete_weyl(3))
+    rng = np.random.default_rng(4)
+    symbols = [opcalc.random_symbol(rng, q.space) for _ in range(3)]
+    residual = max(abs(ca.trace_pairing(q, f, g) - opcalc.l2_inner(
+        ca.project_b2(q, f), ca.project_b2(q, g))) for f in symbols for g in symbols)
+    assert json.loads(out.read_text())["tasks"][0]["isometry_residual"] == residual
+
+
 def test_verify_sq_report_names_worst_witness(tmp_path):
     # hdim 16: the exact certificate covers all 16^4 basis quadruples, and the
     # report names the worst one instead of listing them
