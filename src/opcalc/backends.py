@@ -240,13 +240,6 @@ def abelian_metaplectic(orders, k: int, tol: float = DEFAULT_TOL) -> OperatorFam
     return OperatorFamily(space, ops)
 
 
-def metaplectic_calibration(orders, tol: float = DEFAULT_TOL) -> float:
-    """The calibration constant of the k=2 system relative to counting/|G|."""
-    fam = abelian_metaplectic(orders, k=2, tol=tol)
-    size = int(np.prod(tuple(int(n) for n in orders)))
-    return float(fam.space.weights[0] * size)
-
-
 # ---------------------------------------------------------------------------
 # declarative backend specs (the CLI's input format)
 # ---------------------------------------------------------------------------

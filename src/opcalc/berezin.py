@@ -16,7 +16,8 @@ import numpy as np
 
 from .core import (MeasureSpace, Symbol, _readonly, _require, as_operator,
                    as_vector, op_norm, product_space, trace, vec_norm)
-from .family import OperatorFamily, _flat_matmul, verify_sq
+from .family import (OperatorFamily, _block_diag, _diag_blocks, _flat_matmul,
+                     _matrix_blocks, verify_sq)
 from .calculus import Quantizer, _adjoint_sum, quantize
 
 
@@ -26,7 +27,9 @@ class Frame:
 
     ``wfield[s]`` holds pi(s)* w; ``kernel[s, t]`` is <w(t), w(s)>, which is
     conjugate-symmetric and reproduces the range of the analysis map.
-    ``overlap[s, t]`` is |<w(s), w(t)>|^2, computed on first use.
+    ``blocks`` is ``wfield`` as nonzero blocks, which the readers go through,
+    and ``overlap`` the blocks' |<w(s), w(t)>|^2; both are computed on first
+    use.
     """
 
     fam: OperatorFamily
@@ -39,8 +42,22 @@ class Frame:
         return self.fam.space
 
     @cached_property
+    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``wfield`` as (rows (k, r), cols (k, c), W (k, r, c)), zero elsewhere.
+
+        Grouped by the row-class rule of ``OperatorFamily.blocks``: for a basis
+        vector on a monomial family every w(s) has one nonzero, so k = hdim and
+        c = 1.  A dense fiducial is the one block, a view of ``wfield``.  Points
+        of different blocks have disjoint supports, so the kernel is exactly 0
+        between them.
+        """
+        return _matrix_blocks(self.wfield)
+
+    @cached_property
     def overlap(self) -> np.ndarray:
-        return _readonly((np.abs(self.kernel.T) ** 2).astype(complex))
+        """(k, r, r) blocks |kernel^T|^2 on each row class; 0 between classes."""
+        K = _diag_blocks(self.kernel, self.blocks[0])
+        return _readonly((np.abs(K.swapaxes(1, 2)) ** 2).astype(complex))
 
 
 def make_frame(fam: OperatorFamily, w, tol: float | None = None) -> Frame:
@@ -72,10 +89,18 @@ def resolution_residual(fr: Frame) -> float:
     return op_norm(resolution - np.eye(fr.fam.hdim))
 
 
+def _on_points(fr: Frame, x: np.ndarray) -> Symbol:
+    """The symbol with value ``x[b, i]`` at point ``rows[b, i]`` of the frame blocks."""
+    values = np.zeros(fr.space.npoints, dtype=complex)
+    values[fr.blocks[0]] = x
+    return Symbol(fr.space, values)
+
+
 def analysis(fr: Frame, u) -> Symbol:
     """Analysis map: u -> <u, w(.)>, an isometry into symbol space."""
     u = as_vector(u, fr.fam.hdim)
-    return Symbol(fr.space, fr.wfield.conj() @ u)
+    _, cols, W = fr.blocks
+    return _on_points(fr, np.sum(W.conj() * u[cols][:, None, :], axis=2))
 
 
 def synthesis(fr: Frame, f: Symbol) -> np.ndarray:
@@ -85,7 +110,10 @@ def synthesis(fr: Frame, f: Symbol) -> np.ndarray:
     analysis gives back the identity on the Hilbert space.
     """
     _require(f.space == fr.space, "symbol lives on a different space")
-    return (fr.space.weights * f.values) @ fr.wfield
+    rows, cols, W = fr.blocks
+    out = np.zeros(fr.fam.hdim, dtype=complex)
+    out[cols] = ((fr.space.weights * f.values)[rows][:, None, :] @ W)[:, 0]
+    return out
 
 
 def kernel_projector(fr: Frame) -> np.ndarray:
@@ -105,36 +133,44 @@ def berezin_op(fr: Frame, f: Symbol) -> np.ndarray:
     equal to the integral of f against ||w(.)||^2.
     """
     _require(f.space == fr.space, "symbol lives on a different space")
-    wf = fr.space.weights * f.values
-    return (fr.wfield.T * wf) @ fr.wfield.conj()
+    rows, cols, W = fr.blocks
+    wf = (fr.space.weights * f.values)[rows]
+    return _block_diag((W.swapaxes(1, 2) * wf[:, None, :]) @ W.conj(), cols, fr.fam.hdim)
 
 
 def toeplitz_op(fr: Frame, f: Symbol) -> np.ndarray:
-    """Toeplitz compression on symbol space: project, multiply, project."""
+    """Toeplitz compression on symbol space: project, multiply, project.
+
+    The kernel projector vanishes between row classes, so each class is
+    compressed on its own.
+    """
     _require(f.space == fr.space, "symbol lives on a different space")
-    P = kernel_projector(fr)
-    return P @ (f.values[:, None] * P)
+    rows = fr.blocks[0]
+    P = _diag_blocks(fr.kernel, rows) * fr.space.weights[rows][:, None, :]
+    return _block_diag(P @ (f.values[rows][:, :, None] * P), rows, fr.space.npoints)
 
 
 def covariant_symbol_sigma(fr: Frame, A) -> Symbol:
     """Covariant symbol of an operator on symbol space.
 
     Pairs A against the analysis images of the frame vectors themselves,
-    i.e. against the kernel columns.
+    i.e. against the kernel columns.  A kernel column is zero outside its
+    row class, so only the diagonal blocks of A are read.
     """
     A = np.asarray(A, dtype=complex)
     m = fr.space.npoints
     _require(A.shape == (m, m), "operator must act on symbol value vectors")
-    AK = A @ fr.kernel
-    values = np.sum(fr.space.weights[:, None] * AK * fr.kernel.conj(), axis=0)
-    return Symbol(fr.space, values)
+    rows = fr.blocks[0]
+    K = _diag_blocks(fr.kernel, rows)
+    AK = fr.space.weights[rows][:, :, None] * (_diag_blocks(A, rows) @ K)
+    return _on_points(fr, np.sum(AK * K.conj(), axis=1))
 
 
 def covariant_symbol_tau(fr: Frame, S) -> Symbol:
     """Covariant symbol of a Hilbert-space operator: s -> <S w(s), w(s)>."""
-    W = fr.wfield
-    values = np.sum((W @ as_operator(S, fr.fam.hdim).T) * W.conj(), axis=1)
-    return Symbol(fr.space, values)
+    _, cols, W = fr.blocks
+    S = _diag_blocks(as_operator(S, fr.fam.hdim), cols)
+    return _on_points(fr, np.sum((W @ S.swapaxes(1, 2)) * W.conj(), axis=2))
 
 
 def covariant_berezin_symbol(fr: Frame, g: Symbol) -> Symbol:
@@ -144,7 +180,8 @@ def covariant_berezin_symbol(fr: Frame, g: Symbol) -> Symbol:
     sigma(toeplitz_op(g)) and tau(berezin_op(g)).
     """
     _require(g.space == fr.space, "symbol lives on a different space")
-    return Symbol(fr.space, fr.overlap @ (fr.space.weights * g.values))
+    wg = (fr.space.weights * g.values)[fr.blocks[0]]
+    return _on_points(fr, (fr.overlap @ wg[:, :, None])[:, :, 0])
 
 
 def _frame_pairing(fr: Frame) -> np.ndarray:

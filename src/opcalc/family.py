@@ -19,8 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (DEFAULT_TOL, MeasureSpace, Symbol, _readonly, _require,
-                   as_vector, operator_to_json, product_space, space_to_json,
-                   vec_norm)
+                   as_vector, product_space, vec_norm)
 
 
 class OperatorFamily:
@@ -77,13 +76,7 @@ class OperatorFamily:
         k = hdim.  Otherwise the family is the one block of all rows and all
         columns, a view of ``flat``.  The zero test is exact.
         """
-        classes = _row_classes(self.flat != 0)
-        if classes is None:
-            m, n = self.flat.shape
-            return (_readonly(np.arange(m)[None]), _readonly(np.arange(n)[None]),
-                    self.flat[None])
-        rows, cols = classes
-        return rows, cols, _readonly(self.flat[rows[:, :, None], cols[:, None, :]])
+        return _matrix_blocks(self.flat)
 
     @cached_property
     def _sq_witness(self) -> tuple[float, tuple[int, int, int, int]]:
@@ -106,6 +99,33 @@ class OperatorFamily:
                 f"{'exact' if self.exact else f'tol={self.tol:g}'})")
 
 
+def _matrix_blocks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A matrix as read-only (rows (k, r), cols (k, c), V (k, r, c)), zero elsewhere.
+
+    The blocks are the row classes of ``M != 0``; without them, M is the one
+    block of all rows and all columns, a view of M.
+    """
+    classes = _row_classes(M != 0)
+    if classes is None:
+        m, n = M.shape
+        return (_readonly(np.arange(m)[None]), _readonly(np.arange(n)[None]),
+                _readonly(M[None]))
+    rows, cols = classes
+    return rows, cols, _readonly(M[rows[:, :, None], cols[:, None, :]])
+
+
+def _diag_blocks(A: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The (k, n, n) diagonal blocks ``A[idx[b]][:, idx[b]]`` of a square array."""
+    return A[idx[:, :, None], idx[:, None, :]]
+
+
+def _block_diag(X: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
+    """The (size, size) array with X[b] at idx[b] x idx[b], zeros elsewhere."""
+    out = np.zeros((size, size), dtype=complex)
+    out[idx[:, :, None], idx[:, None, :]] = X
+    return out
+
+
 def _row_classes(mask: np.ndarray):
     """(rows, cols) of the row classes of a nonzero mask, or None.
 
@@ -124,24 +144,6 @@ def _row_classes(mask: np.ndarray):
             or np.any(mask[rows] != rep[:, None])):
         return None
     return _readonly(rows), _readonly(rep.nonzero()[1].reshape(len(keys), -1))
-
-
-def family_to_json(fam: OperatorFamily) -> dict:
-    d = {"space": space_to_json(fam.space),
-         "hdim": fam.hdim,
-         "operators": [operator_to_json(T) for T in fam.stack]}
-    if fam.tol is not None:
-        d["tol"] = float(fam.tol)
-    return d
-
-
-def family_from_json(d: dict) -> OperatorFamily:
-    from .core import operator_from_json, space_from_json
-    space = space_from_json(d["space"])
-    ops = np.array([operator_from_json(block) for block in d["operators"]])
-    fam = OperatorFamily(space, ops, tol=d.get("tol"))
-    _require(fam.hdim == int(d["hdim"]), "declared dimension does not match")
-    return fam
 
 
 def coefficient(fam: OperatorFamily, u, v) -> Symbol:
@@ -181,9 +183,7 @@ def _basis_gram(fam: OperatorFamily) -> np.ndarray:
     rows, cols, V = fam.blocks
     A = V.conj().swapaxes(1, 2)
     A *= fam.space.weights[rows][:, None, :]
-    G = np.zeros((fam.hdim ** 2,) * 2, dtype=complex)
-    G[cols[:, :, None], cols[:, None, :]] = A @ V
-    return G
+    return _block_diag(A @ V, cols, fam.hdim ** 2)
 
 
 @dataclass(frozen=True)

@@ -45,12 +45,6 @@ class RestrictedProduct:
         return functools.reduce(np.kron, [f.w for f in self.factors[M:]],
                                 np.ones(1, dtype=complex))
 
-    def level_embedding(self, M: int) -> np.ndarray:
-        """Isometry from the level-M tensor space into the full space."""
-        _require(0 <= M <= self.J, "level out of range")
-        dM = int(np.prod(self.dims[:M])) if M else 1
-        return np.kron(np.eye(dM, dtype=complex), self.tail_vector(M)[:, None])
-
     def embed(self, x, M: int) -> np.ndarray:
         """Embed a level-M vector: append the distinguished tail."""
         x = as_vector(x, int(np.prod(self.dims[:M])) if M else 1)

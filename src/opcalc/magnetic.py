@@ -93,22 +93,6 @@ class MagneticBackend:
         return MeasureSpace(points, np.full(len(points), self.n / len(points)),
                             kind="quadrature", tol=self.tol)
 
-    def weyl_op(self, x_shift: float, xi: float) -> np.ndarray:
-        """The twisted phase-space translation at (x, xi).
-
-        x must be an on-grid shift (integer multiple of the spacing) and xi a
-        dual-grid frequency; anything else is rejected.
-        """
-        r_float = x_shift / self.dx
-        r = int(round(r_float))
-        if abs(r_float - r) > 1e-9 or not (-self.n // 2 <= r < self.n // 2):
-            raise ValueError(f"x-shift {x_shift} is off-grid")
-        k_float = xi * self.L / (2 * np.pi)
-        k = int(round(k_float))
-        if abs(k_float - k) > 1e-9 or not (-self.n // 2 <= k < self.n // 2):
-            raise ValueError(f"frequency {xi} is off the dual grid")
-        return self._op_stack([r], [xi])[0]
-
     def _circulations(self, shifts) -> np.ndarray:
         """Circulation from every node m to m + r, shape (len(shifts), n)."""
         m = np.arange(self.n)

@@ -2,10 +2,18 @@ import numpy as np
 import pytest
 
 import opcalc as oc
-from opcalc.backends import backend_from_spec, metaplectic_calibration
+from opcalc.backends import abelian_metaplectic, backend_from_spec
+from opcalc.core import DEFAULT_TOL
 from opcalc.family import verify_sq
 
 from conftest import weyl_matrices_oracle
+
+
+def metaplectic_calibration(orders, tol: float = DEFAULT_TOL) -> float:
+    """The calibration constant of the k=2 system relative to counting/|G|."""
+    fam = abelian_metaplectic(orders, k=2, tol=tol)
+    size = int(np.prod(tuple(int(n) for n in orders)))
+    return float(fam.space.weights[0] * size)
 
 
 def test_trivial_backend():

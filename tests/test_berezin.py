@@ -180,7 +180,12 @@ def test_overlap_is_memoized_on_first_use(weyl3_frame, rng):
     memo = vars(fr)["overlap"]
     assert oc.covariant_berezin_symbol(fr, g).values.tolist() == first.values.tolist()
     assert vars(fr)["overlap"] is memo and not memo.flags.writeable
-    assert np.array_equal(memo, np.abs(fr.kernel.T) ** 2)
+    rows = fr.blocks[0]
+    dense = np.abs(fr.kernel.T) ** 2
+    assert np.array_equal(memo, dense[rows[:, :, None], rows[:, None, :]])
+    same_block = np.zeros(dense.shape, dtype=bool)
+    same_block[rows[:, :, None], rows[:, None, :]] = True
+    assert np.all(fr.kernel[~same_block] == 0)       # exactly 0 off the blocks
 
 
 def test_berezin_as_quantization(weyl2_frame, rng):

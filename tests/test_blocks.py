@@ -4,7 +4,9 @@
 ``flat`` as row classes with disjoint column sets; a dense family is the one
 block of all rows and all columns.  The references below are the plain
 products with ``flat`` that the block products replaced, so a lost block, a
-misplaced scatter or a wrong fallback shows up here.
+misplaced scatter or a wrong fallback shows up here.  ``Frame.blocks`` does
+the same for a frame's (npoints, hdim) vector field ``wfield``, and its
+readers are checked against their formulas on ``wfield`` and ``kernel``.
 """
 
 import numpy as np
@@ -187,3 +189,92 @@ def test_quantize_and_dequantize_are_bitwise_dense(name, rng):
     c = fam.space.weights * f.values
     assert np.array_equal(oc.quantize(q, f), (np.conj(c) @ flat).conj().reshape(d, d).T)
     assert np.array_equal(oc.dequantize(q, T).values, flat @ T.T.ravel())
+
+
+def unit(d, i):
+    w = np.zeros(d, dtype=complex)
+    w[i] = 1.0
+    return w
+
+
+def basis_frame(build, last):
+    fam = build()
+    return oc.make_frame(fam, unit(fam.hdim, fam.hdim - 1 if last else 0))
+
+
+def weyl4_two_term():
+    # the classes of pi(s)* w share columns: {0, 1}, {3, 0}, ...
+    return oc.make_frame(oc.discrete_weyl(4), (unit(4, 0) + unit(4, 1)) / np.sqrt(2))
+
+
+MONOMIAL = {
+    "weyl3": lambda: oc.discrete_weyl(3),
+    "weyl4": lambda: oc.discrete_weyl(4),
+    "metaplectic5_k2": lambda: oc.abelian_metaplectic((5,), k=2),
+    "magnetic8": lambda: oc.magnetic_weyl_grid(8, 12.0).family(),
+    "tensor_w2_w3": lambda: oc.tensor(oc.discrete_weyl(2), oc.discrete_weyl(3)),
+}
+
+#: name -> (frame factory, whether it splits into hdim blocks)
+FRAMES = {
+    **{f"{name}_e{'last' if last else '0'}": (lambda b=b, last=last: basis_frame(b, last), True)
+       for name, b in MONOMIAL.items() for last in (False, True)},
+    "random_w": (lambda: oc.make_frame(
+        oc.discrete_weyl(3), oc.random_unit_vector(np.random.default_rng(5), 3)), False),
+    "s3": (lambda: basis_frame(
+        lambda: oc.finite_group_backend(oc.s3_table()[0], oc.s3_standard_irrep()), False),
+        False),
+    "weyl4_two_term": (weyl4_two_term, False),
+}
+
+
+@pytest.fixture(params=list(FRAMES))
+def frame_case(request):
+    build, blocked = FRAMES[request.param]
+    fr = build()
+    return fr, fr.fam.hdim if blocked else 1
+
+
+def test_frame_block_count(frame_case):
+    fr, k = frame_case
+    rows, cols, W = fr.blocks
+    assert rows.shape[0] == cols.shape[0] == W.shape[0] == k
+    if k == 1:                 # the one-block route: a view of the dense field
+        assert np.array_equal(rows[0], np.arange(fr.space.npoints))
+        assert np.array_equal(cols[0], np.arange(fr.fam.hdim))
+        assert np.shares_memory(W, fr.wfield)
+    else:                      # one nonzero per frame vector
+        assert cols.shape[1] == 1
+
+
+def test_frame_blocks_are_wfield_and_computed_once(frame_case):
+    fr, _ = frame_case
+    rows, cols, W = fr.blocks
+    assert fr.blocks is fr.blocks
+    assert np.array_equal(np.sort(rows.ravel()), np.arange(fr.space.npoints))
+    assert len(np.unique(cols)) == cols.size              # disjoint column sets
+    dense = np.zeros_like(fr.wfield)
+    dense[rows[:, :, None], cols[:, None, :]] = W
+    assert np.array_equal(dense, fr.wfield)
+    for part in fr.blocks:
+        assert not part.flags.writeable
+
+
+def test_frame_readers_match_dense_wfield(frame_case, rng):
+    fr, _ = frame_case
+    W, K, w = fr.wfield, fr.kernel, fr.space.weights
+    d, m = fr.fam.hdim, fr.space.npoints
+    f = oc.random_symbol(rng, fr.space)
+    u = oc.random_vector(rng, d)
+    S = oc.random_vector(rng, d * d).reshape(d, d)
+    A = oc.random_vector(rng, m * m).reshape(m, m)      # off-block entries too
+    close(oc.analysis(fr, u).values, W.conj() @ u)
+    close(oc.synthesis(fr, f), (w * f.values) @ W)
+    close(oc.berezin_op(fr, f), (W.T * (w * f.values)) @ W.conj())
+    close(oc.covariant_symbol_tau(fr, S).values, np.sum((W @ S.T) * W.conj(), axis=1))
+    close(oc.covariant_berezin_symbol(fr, f).values,
+          (np.abs(K.T) ** 2) @ (w * f.values))
+    P = K * w[None, :]
+    close(oc.toeplitz_op(fr, f), P @ (f.values[:, None] * P))
+    close(oc.covariant_symbol_sigma(fr, A).values,
+          np.sum(w[:, None] * (A @ K) * K.conj(), axis=0))

