@@ -159,10 +159,6 @@ def finite_group_backend(table, irrep, measure_scale: float = 1.0,
 # finite abelian metaplectic systems
 # ---------------------------------------------------------------------------
 
-def _abelian_elements(orders: tuple[int, ...]) -> list[tuple[int, ...]]:
-    return list(itertools.product(*(range(n) for n in orders)))
-
-
 def abelian_metaplectic(orders, k: int, tol: float = DEFAULT_TOL) -> OperatorFamily:
     """Phase-space translation system of a finite abelian group.
 
@@ -184,14 +180,14 @@ def abelian_metaplectic(orders, k: int, tol: float = DEFAULT_TOL) -> OperatorFam
             "k=2 requires the map x -> 2x to be an automorphism of G; "
             f"group order {size} is even so doubling is not invertible")
 
-    elements = _abelian_elements(orders)
-    index = {x: i for i, x in enumerate(elements)}
+    elements = list(itertools.product(*(range(n) for n in orders)))
+    coords = np.array(elements).reshape(size, len(orders))   # element -> coordinates
+    radix = np.array(orders)
 
     # character <xi, x> = exp(2 pi i sum_l xi_l x_l / n_l)
-    phase = np.zeros((size, size))
-    for a, xi in enumerate(elements):
-        for b, x in enumerate(elements):
-            phase[a, b] = sum(xi[l] * x[l] / orders[l] for l in range(len(orders)))
+    phase = 0
+    for l, n in enumerate(orders):
+        phase = phase + np.outer(coords[:, l], coords[:, l]) / n
     characters = np.exp(2j * np.pi * phase)   # characters[xi, x]
 
     # Fourier transform L2(G, counting) -> L2(dual, counting/|G|) must be unitary
@@ -200,38 +196,34 @@ def abelian_metaplectic(orders, k: int, tol: float = DEFAULT_TOL) -> OperatorFam
     _require(bool(np.abs(gram - np.eye(size)).max() <= max(tol, 1e-12 * size)),
              "dual measure normalization does not make the Fourier transform unitary")
 
-    shifted = np.zeros((size, size), dtype=int)   # index of z + x
-    for b, x in enumerate(elements):
-        for c, z in enumerate(elements):
-            shifted[b, c] = index[tuple((z[l] + x[l]) % orders[l]
-                                        for l in range(len(orders)))]
+    def index(c):   # coordinates (..., len(orders)) mod orders -> element index
+        return np.ravel_multi_index(tuple(np.moveaxis(c % radix, -1, 0)), orders)
 
-    points, ops = [], []
-    rows = np.arange(size)
-    for x_i, x in enumerate(elements):
-        for xi_i, xi in enumerate(elements):
-            M = np.zeros((size, size), dtype=complex)
-            for z_i in range(size):
-                # (pi_k(x, xi) u)(z) = <xi, k z + (k-1) x> u(z + x)
-                arg = tuple((k * elements[z_i][l] + (k - 1) * x[l]) % orders[l]
-                            for l in range(len(orders)))
-                M[z_i, shifted[x_i, z_i]] = characters[xi_i, index[arg]]
-            points.append(f"({','.join(map(str, x))};{','.join(map(str, xi))})")
-            ops.append(M)
-    ops = np.array(ops)
+    x, z = coords[:, None], coords[None, :]
+    shifted = index(z + x)                    # [x, z]: index of z + x
+    arg = index(k * z + (k - 1) * x)          # [x, z]: index of k z + (k-1) x
+
+    # (pi_k(x, xi) u)(z) = <xi, k z + (k-1) x> u(z + x)
+    ops = np.zeros((size, size, size, size), dtype=complex)
+    x_i = np.arange(size)[:, None, None]
+    xi_i = np.arange(size)[None, :, None]
+    z_i = np.arange(size)[None, None, :]
+    ops[x_i, xi_i, z_i, shifted[:, None, :]] = characters[xi_i, arg[:, None, :]]
+    ops = ops.reshape(size * size, size, size)
+    labels = [",".join(map(str, e)) for e in elements]
+    points = [f"({a};{b})" for a in labels for b in labels]
 
     base_weight = 1.0 / size          # counting x counting/|G|
     if k == 1:
         weights = np.full(size * size, base_weight)
     else:
-        # calibrate: c = ||u||^2 ||v||^2 / uncalibrated integral, per basis pair
-        c_values = np.empty((size, size))
-        for i in range(size):
-            for j in range(size):
-                phi = ops[:, j, i]            # <pi(s) e_i, e_j> over all points
-                uncal = base_weight * float(np.sum(np.abs(phi) ** 2))
-                _require(uncal > 0, "degenerate calibration integral")
-                c_values[i, j] = 1.0 / uncal
+        # calibrate: c = ||u||^2 ||v||^2 / uncalibrated integral, per basis pair;
+        # row j * size + i of the transpose holds |<pi(s) e_i, e_j>|^2 over all
+        # points, contiguous so that each row sums like the per-pair loop did
+        sq = np.ascontiguousarray((np.abs(ops.reshape(size * size, -1)) ** 2).T)
+        uncal = base_weight * np.sum(sq, axis=1)
+        _require(bool(np.all(uncal > 0)), "degenerate calibration integral")
+        c_values = np.ascontiguousarray((1.0 / uncal).reshape(size, size).T)
         spread = float(c_values.max() - c_values.min())
         _require(spread <= tol * c_values.max(),
                  "calibration constant is not basis-independent")

@@ -275,17 +275,6 @@ def space_to_json(space: MeasureSpace) -> dict:
     return d
 
 
-def space_from_json(d: dict) -> MeasureSpace:
-    factors = d.get("factors")
-    return MeasureSpace(
-        tuple(d["points"]),
-        np.asarray(d["weights"], dtype=float),
-        kind=d.get("kind", "exact"),
-        tol=d.get("tol"),
-        factors=tuple(space_from_json(f) for f in factors) if factors else None,
-    )
-
-
 def operator_to_json(T) -> dict:
     T = as_operator(T)
     return {"dim": int(T.shape[0]),

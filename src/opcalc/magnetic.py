@@ -11,6 +11,9 @@ Conventions: dual frequencies are 2*pi*k/L for k in the symmetric window,
 phase-space weights are dx * dxi / (2*pi) = 1/n per family point, and symbols
 for the kernel quantizer live on the doubled midpoint grid (2n spatial nodes,
 same dual window, weight 1/(2n) per point).
+
+Because dx * xi_k = 2*pi*(k - n/2)/n, every sum over the dual grid or over
+the nodes is a DFT up to signs (-1)^j; they run as FFTs, n^2 log n per call.
 """
 
 from __future__ import annotations
@@ -25,6 +28,11 @@ from .family import OperatorFamily
 
 #: Materializing the full operator family costs n^2 matrices of size n^2.
 _FAMILY_MAX_N = 64
+
+
+def _alternating(idx) -> np.ndarray:
+    """(-1)^i for every integer i of idx."""
+    return 1.0 - 2.0 * (np.asarray(idx) % 2)
 
 
 def _circulation_table(A: np.ndarray, dx: float) -> np.ndarray:
@@ -42,7 +50,7 @@ class MagneticBackend:
 
     def __init__(self, n: int, L: float, A=None, B=None, tol: float = 1e-6):
         _require(n >= 4 and n % 2 == 0, "grid size must be an even integer >= 4")
-        _require(L > 0, "box length must be positive")
+        _require(bool(np.isfinite(L)) and L > 0, "box length must be finite and positive")
         _require(tol > 0, "declared quadrature tolerance must be positive")
         self.n = int(n)
         self.L = float(L)
@@ -59,6 +67,7 @@ class MagneticBackend:
         self.A = _readonly(A)
         B = np.zeros(self.n) if B is None else np.asarray(B, dtype=float)
         _require(B.shape == (self.n,), "need one field sample per node")
+        _require(bool(np.all(np.isfinite(B))), "field samples must be finite")
         if np.abs(B).max() > 0:
             raise ValueError("in one spatial dimension the field 2-form vanishes; "
                              "B samples must be identically zero")
@@ -126,23 +135,24 @@ class MagneticBackend:
 
     @cached_property
     def _coefficient_tables(self) -> tuple:
-        """Shift gather index, gauge phases, node x freq phases D, half-shift phases."""
+        """Shift gather index, gauge phases times (-1)^node, and half-shift
+        phases times (-1)^(k - n/2); the signs centre the FFT on the grids."""
         shift_idx = (np.arange(self.n) + self.k[:, None]) % self.n   # (shifts, nodes)
-        gauge = np.exp(-1j * self._circulations(self.k))
-        D = np.exp(-1j * np.outer(self.x, self.xi))
-        half = np.exp(-0.5j * np.outer(self.k * self.dx, self.xi))
-        return tuple(map(_readonly, (shift_idx, gauge, D, half)))
+        gauge = np.exp(-1j * self._circulations(self.k)) * _alternating(np.arange(self.n))
+        half = np.exp(-0.5j * np.outer(self.k * self.dx, self.xi)) * _alternating(self.k)
+        return tuple(map(_readonly, (shift_idx, gauge, half)))
 
     def coefficient_values(self, u, v) -> np.ndarray:
-        """<pi(x,xi)u, v> over the whole phase grid, shape (n shifts, n freqs)."""
+        """<pi(x,xi)u, v> over the whole phase grid, shape (n shifts, n freqs).
+
+        The node sum is a DFT: x_j xi_k = 2 pi (j - n/2)(k - n/2) / n, so
+        sum_j G[r, j] e^{-i x_j xi_k} = (-1)^(k - n/2) fft(G (-1)^j)[r, k],
+        n^2 log n per call.
+        """
         u = as_vector(u, self.n)
         v = as_vector(v, self.n)
-        shift_idx, gauge, D, half = self._coefficient_tables
-        # named, so numpy cannot reuse the temporary u[shift_idx] in place as
-        # u[shift_idx] * gauge: complex products are not bitwise commutative
-        shifted = u[shift_idx]
-        G = gauge * shifted * np.conj(v)
-        return (G @ D) * half
+        shift_idx, gauge, half = self._coefficient_tables
+        return np.fft.fft(gauge * u[shift_idx] * np.conj(v), axis=1) * half
 
     def sq_residual(self, u, v) -> float:
         """|integral of |<pi(.)u,v>|^2 - ||u||^2 ||v||^2| via the fast path."""
@@ -163,25 +173,22 @@ class MagneticBackend:
 
     @cached_property
     def _kernel_tables(self) -> tuple:
-        """Lags -n/2..n/2, the lag transform matrix E, and per (row, lag) the
-        column, the arc midpoint and the weight (the Nyquist lag split in two)."""
+        """Lags -n/2..n/2 with their FFT column and sign, and per (row, lag) the
+        source column, the arc midpoint and the output gather column."""
         n = self.n
         lags = np.arange(-n // 2, n // 2 + 1)
-        E = np.exp(1j * self.dx * np.outer(self.xi, lags))
-        src = (np.arange(n)[:, None] - lags) % n
+        i = np.arange(n)[:, None]
+        src = (i - lags) % n
         mid = (2 * src + lags) % (2 * n)
-        weight = np.where(np.abs(lags) == n // 2, 0.5, 1.0)
-        return tuple(map(_readonly, (lags, E, src, mid, weight)))
+        # M[i, j] holds the lag i - j, folded into -n/2..n/2-1, i.e. column
+        # (i - j + n/2) mod n of the per-(row, lag) terms
+        gather = (i - np.arange(n) + n // 2) % n
+        return tuple(map(_readonly, (lags, lags % n, _alternating(lags), src, mid, gather)))
 
     @cached_property
-    def _refine_tables(self) -> tuple:
-        """DFT from the dual grid to its lattice, and synthesis on half steps."""
-        n = self.n
-        msym = np.arange(-n // 2, n // 2)
-        qsym = np.arange(-n, n)
-        inv = np.exp(-2j * np.pi * np.outer(self.k, msym) / n) / n   # k -> m
-        refine = np.exp(1j * np.pi * np.outer(msym, qsym) / n)       # m -> q
-        return _readonly(inv), _readonly(refine)
+    def _kernel_phases(self) -> np.ndarray:
+        """Weighted arc phases of the backend's own potential, see ``_arc_phases``."""
+        return _readonly(_arc_phases(self, self._circ_cum))
 
     def sample_symbol(self, fn) -> Symbol:
         """Sample a callable a(q, p) on the midpoint grid."""
@@ -234,31 +241,48 @@ def op_a(backend: MagneticBackend, a: Symbol) -> np.ndarray:
     Nyquist lag is split evenly between its two representatives.  For A = 0
     this is the standard Weyl quantizer on the grid.
     """
-    return _kernel(backend, _lag_transform(backend, a), backend._circ_cum)
+    return _kernel(backend, _lag_transform(backend, a))
 
 
 def _lag_transform(backend: MagneticBackend, a: Symbol) -> np.ndarray:
-    """(1/n) sum_k exp(i lag dx xi_k) a(mid, xi_k) per midpoint, shape (2n, n + 1)."""
+    """(1/n) sum_k exp(i lag dx xi_k) a(mid, xi_k) per midpoint, shape (2n, n + 1).
+
+    With dx xi_k lag = 2 pi (k - n/2) lag / n this is (-1)^lag times column
+    lag mod n of the inverse FFT over the dual axis: n^2 log n per symbol.
+    """
     _require(a.space == backend.midpoint_space(),
              "symbol must be sampled on the backend's midpoint grid")
-    E = backend._kernel_tables[1]
-    return (a.values.reshape(-1, backend.n) @ E) / backend.n
+    _, cols, sign, _, _, _ = backend._kernel_tables
+    return np.fft.ifft(a.values.reshape(-1, backend.n), axis=1)[:, cols] * sign
 
 
-def _kernel(backend: MagneticBackend, lagT: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``op_a`` from a lag transform, with the potential as its circulation table."""
+def _arc_phases(backend: MagneticBackend, table: np.ndarray) -> np.ndarray:
+    """Lag weight times exp(i circulation) on every (row, lag) arc of ``op_a``,
+    for the potential whose circulation table is ``table``."""
     n = backend.n
-    lags, _, src, mid, weight = backend._kernel_tables
-    i = np.arange(n)[:, None]
+    lags, _, _, src, _, _ = backend._kernel_tables
     # gauge phase exp(-i circulation from row node to column node) along
     # the arc; the reverse orientation negates the trapezoid sum exactly
     circ = table[src + lags + n] - table[src + n]
-    terms = weight * np.exp(1j * circ) * lagT[mid, np.arange(n + 1)]
-    # the first n lags reach every column once; the Nyquist lag n/2 lands
-    # on the columns of lag -n/2 and adds the other half of its weight
-    M = np.zeros((n, n), dtype=complex)
-    M[i, src[:, :n]] += terms[:, :n]
-    M[i, src[:, n:]] += terms[:, n:]
+    weight = np.where(np.abs(lags) == n // 2, 0.5, 1.0)   # the Nyquist lag split in two
+    return weight * np.exp(1j * circ)
+
+
+def _kernel(backend: MagneticBackend, lagT: np.ndarray,
+            phases: np.ndarray | None = None) -> np.ndarray:
+    """``op_a`` from a lag transform and the ``_arc_phases`` of a potential
+    (by default the backend's own, cached)."""
+    n = backend.n
+    _, _, _, src, mid, gather = backend._kernel_tables
+    phases = backend._kernel_phases if phases is None else phases
+    # named, so numpy cannot reuse the temporary in place as gathered * phases
+    gathered = lagT[mid, np.arange(n + 1)]
+    terms = phases * gathered
+    # the first n lags reach every entry once, gathered in output layout; the
+    # Nyquist lag n/2 lands on the entries of lag -n/2 with its other half
+    i = np.arange(n)
+    M = terms[i[:, None], gather]
+    M[i, src[:, n]] += terms[:, n]
     return M
 
 
@@ -268,9 +292,18 @@ def _refine_in_xi(backend: MagneticBackend, vals: np.ndarray) -> np.ndarray:
     Treats each row as samples of a band-limited function of xi (conjugate
     lattice = the spatial grid, symmetric window) and evaluates it on the
     2n-point half-step window.  Even half-steps reproduce the samples.
+
+    The coefficient of frequency m in -n/2..n/2-1 is (-1)^m fft(vals)[m] / n
+    and synthesis at half step q - n carries (-1)^m again, so the signs
+    cancel: the result is 2 ifft of fft(vals) zero-padded to length 2n at
+    m mod 2n, n^2 log n per row set.
     """
-    inv, refine = backend._refine_tables
-    return vals @ inv @ refine
+    n = backend.n
+    coef = np.fft.fft(vals, axis=1)
+    padded = np.zeros((vals.shape[0], 2 * n), dtype=complex)
+    padded[:, :n // 2] = coef[:, :n // 2]
+    padded[:, -(n // 2):] = coef[:, n // 2:]
+    return 2.0 * np.fft.ifft(padded, axis=1)
 
 
 def magnetic_moyal(backend: MagneticBackend, a: Symbol, b: Symbol,
@@ -302,17 +335,18 @@ def magnetic_moyal(backend: MagneticBackend, a: Symbol, b: Symbol,
     a_hat = np.fft.fft(_refine_in_xi(backend, a.values.reshape(two_n, n)), axis=0)
     b_hat = np.fft.fft(_refine_in_xi(backend, b.values.reshape(two_n, n)), axis=0)
 
-    # skewed copies turn every row of P into a Hadamard product of two
-    # contiguous blocks: SA[t, q] = A[-t - q, q] (rows doubled) and
-    # SB[c, i] = B[i, i + c] (tiled twice along both axes)
+    # skewed copies turn every row of P into 2n dot products of contiguous
+    # rows of two blocks: SA[t, q] = A[-t - q, q] (rows doubled) and
+    # SB[c, i] = B[i, i + c] (tiled twice along both axes); one batched
+    # 1 x 2n times 2n x 1 matmul per row runs them as BLAS dots
     idx = np.arange(two_n)
-    SA = np.tile(a_hat[(-idx[:, None] - idx) % two_n, idx], (2, 1))
-    SB = np.tile(b_hat[idx, (idx + idx[:, None]) % two_n], (2, 2))
+    SA = np.tile(a_hat[(-idx[:, None] - idx) % two_n, idx], (2, 1))[:, None, :]
+    SB = np.tile(b_hat[idx, (idx + idx[:, None]) % two_n], (2, 2))[:, :, None]
     P = np.empty((n, two_n), dtype=complex)
     for k in range(n):
         s = 2 * k                      # doubled output frequency, index form
         t = -s % two_n
-        P[k] = np.einsum("rq,rq->r", SA[t:t + two_n], SB[s:s + two_n, t:t + two_n])
+        P[k] = np.matmul(SA[t:t + two_n], SB[s:s + two_n, t:t + two_n])[:, 0, 0]
     out = np.fft.fft(P, axis=1).T / two_n ** 2
     composed = Symbol(backend.midpoint_space(), out.reshape(-1))
 
@@ -367,10 +401,17 @@ def gauge_transform_check(backend: MagneticBackend, rho, drho=None,
     _require(drho.shape == (backend.n,) and bool(np.isfinite(drho).all()),
              "drho needs one finite gradient sample per node")
     lagT = _lag_transform(backend, gaussian_symbol(backend) if symbol is None else symbol)
+    return _gauge_residual(backend, lagT, _kernel(backend, lagT), rho, drho)
+
+
+def _gauge_residual(backend: MagneticBackend, lagT: np.ndarray, kernel: np.ndarray,
+                    rho: np.ndarray, drho: np.ndarray) -> float:
+    """``gauge_transform_check`` for a symbol given by its lag transform and
+    its kernel on the backend's own potential, so checks can share both."""
     conj_phase = np.exp(1j * rho)
-    conjugated = (conj_phase[:, None] * _kernel(backend, lagT, backend._circ_cum)
-                  * np.conj(conj_phase)[None, :])
-    shifted = _kernel(backend, lagT, _circulation_table(backend.A + drho, backend.dx))
+    conjugated = conj_phase[:, None] * kernel * np.conj(conj_phase)[None, :]
+    shifted = _kernel(backend, lagT, _arc_phases(
+        backend, _circulation_table(backend.A + drho, backend.dx)))
     return op_norm(shifted - conjugated)
 
 
@@ -400,10 +441,11 @@ def reduction_residual(backend: MagneticBackend) -> float:
     symbol against the identity; returns the largest operator-norm gap.
     """
     n, L = backend.n, backend.L
+    # zero circulation table: the backend's potential plays no part
+    phases = _arc_phases(backend, np.zeros(3 * n + 1))
 
-    def op0(fn):   # zero circulation table: the backend's potential plays no part
-        return _kernel(backend, _lag_transform(backend, backend.sample_symbol(fn)),
-                       np.zeros(3 * n + 1))
+    def op0(fn):
+        return _kernel(backend, _lag_transform(backend, backend.sample_symbol(fn)), phases)
 
     p_op = op0(lambda Q, P: P + 0j)
     r1 = op_norm(p_op - standard_momentum_matrix(n, L)) / max(1.0, op_norm(p_op))
@@ -441,12 +483,13 @@ def magnetic_study(grids, L: float = 12.0, amplitude: float = 0.8,
         b = gaussian_symbol(bk, sigma=sigma, center=(-0.5, 0.2),
                             modulation=(-0.4, 0.5))
         comp = composition_residual(bk, a, b)
-        gauss = gaussian_symbol(bk)
+        # both gauge checks quantize one Gaussian: one lag transform, one kernel
+        lagT = _lag_transform(bk, gaussian_symbol(bk))
+        kernel = _kernel(bk, lagT)
         alpha = 2 * (2 * np.pi / L)   # torus-compatible linear gauge slope
-        gauge_linear = gauge_transform_check(bk, alpha * bk.x,
-                                             drho=np.full(n, alpha), symbol=gauss)
-        gauge_smooth = gauge_transform_check(
-            bk, 0.3 * np.sin(2 * np.pi * bk.x / L), symbol=gauss)
+        gauge_linear = _gauge_residual(bk, lagT, kernel, alpha * bk.x, np.full(n, alpha))
+        rho = 0.3 * np.sin(2 * np.pi * bk.x / L)
+        gauge_smooth = _gauge_residual(bk, lagT, kernel, rho, discrete_gradient(bk, rho))
         rows.append({
             "n": n,
             "sq_residual": float(sq),

@@ -9,6 +9,18 @@ def rng():
     return np.random.default_rng(20250808)
 
 
+def space_from_json(d: dict) -> oc.MeasureSpace:
+    """The inverse of ``core.space_to_json``; the library never reads a space."""
+    factors = d.get("factors")
+    return oc.MeasureSpace(
+        tuple(d["points"]),
+        np.asarray(d["weights"], dtype=float),
+        kind=d.get("kind", "exact"),
+        tol=d.get("tol"),
+        factors=tuple(space_from_json(f) for f in factors) if factors else None,
+    )
+
+
 # ---------------------------------------------------------------------------
 # independent oracles: everything below is built from first principles with
 # plain loops and matrix powers, never through the library's constructors

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,55 @@ def metaplectic_calibration(orders, tol: float = DEFAULT_TOL) -> float:
     fam = abelian_metaplectic(orders, k=2, tol=tol)
     size = int(np.prod(tuple(int(n) for n in orders)))
     return float(fam.space.weights[0] * size)
+
+
+def abelian_metaplectic_loop(orders, k: int):
+    """The metaplectic points, stack and weights built entry by entry, with the
+    calibration integral summed per basis pair."""
+    orders = tuple(int(n) for n in orders)
+    size = int(np.prod(orders))
+    elements = list(itertools.product(*(range(n) for n in orders)))
+    index = {x: i for i, x in enumerate(elements)}
+    phase = np.zeros((size, size))
+    for a, xi in enumerate(elements):
+        for b, x in enumerate(elements):
+            phase[a, b] = sum(xi[l] * x[l] / orders[l] for l in range(len(orders)))
+    characters = np.exp(2j * np.pi * phase)
+    shifted = np.zeros((size, size), dtype=int)
+    for b, x in enumerate(elements):
+        for c, z in enumerate(elements):
+            shifted[b, c] = index[tuple((z[l] + x[l]) % orders[l]
+                                        for l in range(len(orders)))]
+    points, ops = [], []
+    for x_i, x in enumerate(elements):
+        for xi_i, xi in enumerate(elements):
+            M = np.zeros((size, size), dtype=complex)
+            for z_i in range(size):
+                arg = tuple((k * elements[z_i][l] + (k - 1) * x[l]) % orders[l]
+                            for l in range(len(orders)))
+                M[z_i, shifted[x_i, z_i]] = characters[xi_i, index[arg]]
+            points.append(f"({','.join(map(str, x))};{','.join(map(str, xi))})")
+            ops.append(M)
+    ops = np.array(ops)
+    base_weight = 1.0 / size
+    if k == 1:
+        return points, ops, np.full(size * size, base_weight)
+    c_values = np.empty((size, size))
+    for i in range(size):
+        for j in range(size):
+            c_values[i, j] = 1.0 / (base_weight * float(np.sum(np.abs(ops[:, j, i]) ** 2)))
+    return points, ops, np.full(size * size, base_weight * float(c_values.mean()))
+
+
+@pytest.mark.parametrize("orders", [[5], [15], [3, 3]])
+@pytest.mark.parametrize("k", [1, 2])
+def test_metaplectic_matches_entrywise_loop_bitwise(orders, k):
+    fam = abelian_metaplectic(orders, k)
+    points, ops, weights = abelian_metaplectic_loop(orders, k)
+    assert tuple(fam.space.points) == tuple(points)
+    assert np.array_equal(fam.stack, ops)
+    assert np.array_equal(np.signbit(fam.stack.view(float)), np.signbit(ops.view(float)))
+    assert np.array_equal(fam.space.weights, weights)
 
 
 def test_trivial_backend():

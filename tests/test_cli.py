@@ -369,6 +369,11 @@ WEYL3 = {"kind": "discrete_weyl", "N": 3}
     ({"backend": WEYL3, "tasks": [{"kind": "star_table", "n_random": 2,
                                    "check_explicit": "no"}]}, "check_explicit"),
     ({"backend": WEYL3, "tol": float("inf"), "tasks": [{"kind": "verify_sq"}]}, "tol"),
+    ({"backend": {"kind": "magnetic_weyl", "n": 8, "L": 12.0,
+                  "B": [float("nan")] + [0.0] * 7},
+      "tasks": [{"kind": "verify_sq"}]}, "field samples must be finite"),
+    ({"backend": {"kind": "magnetic_weyl", "n": 8, "L": float("inf")},
+      "tasks": [{"kind": "verify_sq"}]}, "box length must be finite and positive"),
 ])
 def test_bad_task_input_is_validation_failure(tmp_path, capsys, config, message):
     cfg = write(tmp_path, "cfg.json", config)

@@ -6,7 +6,7 @@ import pytest
 import opcalc as oc
 from opcalc import core
 
-from conftest import brute_inner, weyl_matrices_oracle
+from conftest import brute_inner, space_from_json, weyl_matrices_oracle
 
 
 def space(weights, kind="exact", tol=None):
@@ -202,7 +202,7 @@ def test_symbol_json_roundtrip(rng):
 
 def test_space_json_roundtrip():
     p = oc.product_space(space([0.5, 0.5]), space([1.0, 2.0], "quadrature", 1e-5))
-    q = core.space_from_json(core.space_to_json(p))
+    q = space_from_json(core.space_to_json(p))
     assert q == p
     assert q.kind == "quadrature" and q.tol == 1e-5
     assert q.factors is not None and q.factors[1].tol == 1e-5

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 import opcalc as oc
-from opcalc.core import (_require, operator_from_json, operator_to_json,
-                         space_from_json, space_to_json)
+from opcalc.core import _require, operator_from_json, operator_to_json, space_to_json
 from opcalc.family import OperatorFamily, verify_sq
 
 from conftest import (brute_pairing_integral, brute_inner, random_family,
-                      weyl_matrices_oracle)
+                      space_from_json, weyl_matrices_oracle)
 
 
 @pytest.fixture

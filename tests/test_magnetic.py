@@ -122,6 +122,16 @@ def test_nonzero_field_rejected():
         mg.magnetic_weyl_grid(16, L, B=np.ones(16))
 
 
+def test_nonfinite_field_and_box_rejected():
+    B = np.zeros(16)
+    B[3] = np.nan                  # |B|.max() > 0 is False for NaN
+    with pytest.raises(ValueError, match="field samples must be finite"):
+        mg.magnetic_weyl_grid(16, L, B=B)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="box length"):
+            mg.magnetic_weyl_grid(16, bad)
+
+
 def test_op_of_unit_symbol_is_identity():
     bk = mg.magnetic_weyl_grid(32, L, A=mg.sine_potential(32, L, 0.8))
     one = bk.sample_symbol(lambda Q, P: np.ones_like(Q, dtype=complex))
@@ -154,13 +164,38 @@ def test_op_real_symbol_self_adjoint(rng):
     assert np.abs(T - T.conj().T).max() < 1e-13
 
 
-def op_a_per_lag(bk, a):
+def lag_transform_dft(bk, a):
+    """The lag transform as a dense product with its (n, n + 1) DFT matrix E."""
+    n = bk.n
+    lags = np.arange(-n // 2, n // 2 + 1)
+    E = np.exp(1j * bk.dx * np.outer(bk.xi, lags))
+    return (a.values.reshape(2 * n, n) @ E) / n
+
+
+def coefficient_values_dft(bk, u, v):
+    """coefficient_values as a dense product with the node x frequency phases D."""
+    shifted = u[(np.arange(bk.n) + bk.k[:, None]) % bk.n]
+    G = np.exp(-1j * bk._circulations(bk.k)) * shifted * np.conj(v)
+    D = np.exp(-1j * np.outer(bk.x, bk.xi))
+    half = np.exp(-0.5j * np.outer(bk.k * bk.dx, bk.xi))
+    return (G @ D) * half
+
+
+def refine_in_xi_dft(bk, vals):
+    """_refine_in_xi as dense analysis (dual grid -> lattice) and synthesis
+    (lattice -> half steps) matrices."""
+    n = bk.n
+    msym = np.arange(-n // 2, n // 2)
+    qsym = np.arange(-n, n)
+    inv = np.exp(-2j * np.pi * np.outer(bk.k, msym) / n) / n
+    refine = np.exp(1j * np.pi * np.outer(msym, qsym) / n)
+    return vals @ inv @ refine
+
+
+def op_a_per_lag(bk, lagT):
     """The kernel quantizer summed one lag at a time, Nyquist lag split in two."""
     n = bk.n
-    vals = a.values.reshape(2 * n, n)
     lags = list(range(-n // 2, n // 2)) + [n // 2]
-    E = np.exp(1j * bk.dx * np.outer(bk.xi, lags))
-    lagT = (vals @ E) / n
     i = np.arange(n)
     M = np.zeros((n, n), dtype=complex)
     for col, lag in enumerate(lags):
@@ -178,35 +213,46 @@ def test_op_matches_per_lag_loop_bitwise(n, amplitude):
     bk = mg.magnetic_weyl_grid(n, L, A=mg.sine_potential(n, L, amplitude))
     a = mg.gaussian_symbol(bk, sigma=(1.0, 3.0), center=(0.4, 0.6),
                            modulation=(0.3, -0.2))
-    assert np.array_equal(mg.op_a(bk, a), op_a_per_lag(bk, a))
+    lagT = mg._lag_transform(bk, a)
+    assert np.array_equal(mg.op_a(bk, a), op_a_per_lag(bk, lagT))
+    # and through the dense lag transform, to rounding
+    want = op_a_per_lag(bk, lag_transform_dft(bk, a))
+    assert np.abs(mg.op_a(bk, a) - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def coefficient_values_inline(bk, u, v):
-    """coefficient_values with its gather index and phases rebuilt per call."""
-    shifted = u[(np.arange(bk.n) + bk.k[:, None]) % bk.n]
-    G = np.exp(-1j * bk._circulations(bk.k)) * shifted * np.conj(v)
-    D = np.exp(-1j * np.outer(bk.x, bk.xi))
-    half = np.exp(-0.5j * np.outer(bk.k * bk.dx, bk.xi))
-    return (G @ D) * half
+def rel_gap(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
 
 
-def refine_in_xi_inline(bk, vals):
-    """_refine_in_xi with both DFT matrices rebuilt per call."""
-    n = bk.n
-    msym = np.arange(-n // 2, n // 2)
-    qsym = np.arange(-n, n)
-    inv = np.exp(-2j * np.pi * np.outer(bk.k, msym) / n) / n
-    refine = np.exp(1j * np.pi * np.outer(msym, qsym) / n)
-    return vals @ inv @ refine
-
-
-def kernel_inline(bk, a, table):
-    """The kernel quantizer with E and every index array rebuilt per call."""
-    n = bk.n
+@pytest.mark.parametrize("n", [8, 16, 64, 192])
+def test_fft_routes_match_dft_matrices(n, rng):
+    bk = mg.magnetic_weyl_grid(n, L, A=mg.sine_potential(n, L, 0.8))
+    a = mg.gaussian_symbol(bk, sigma=(1.0, 3.0), center=(0.4, 0.6),
+                           modulation=(0.3, -0.2))
     vals = a.values.reshape(2 * n, n)
+    noise = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    u, v = oc.random_unit_vector(rng, n), oc.random_unit_vector(rng, n)
+    assert rel_gap(mg._lag_transform(bk, a), lag_transform_dft(bk, a)) <= 1e-13
+    assert rel_gap(bk.coefficient_values(u, v), coefficient_values_dft(bk, u, v)) <= 1e-13
+    for rows in (vals, noise):
+        assert rel_gap(mg._refine_in_xi(bk, rows), refine_in_xi_dft(bk, rows)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [8, 64, 192])
+def test_refinement_keeps_the_samples_on_even_half_steps(n, rng):
+    bk = mg.magnetic_weyl_grid(n, L)
+    V = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    a = mg.gaussian_symbol(bk, sigma=(1.0, 3.0), modulation=(0.3, -0.2))
+    for rows in (V, a.values.reshape(2 * n, n)):
+        even = mg._refine_in_xi(bk, rows)[:, ::2]
+        assert np.abs(even - rows).max() <= 1e-14 * np.abs(rows).max()
+
+
+def kernel_inline(bk, lagT, table):
+    """The kernel quantizer with every index array and phase rebuilt per call,
+    scattered lag by lag into a zero matrix."""
+    n = bk.n
     lags = np.arange(-n // 2, n // 2 + 1)
-    E = np.exp(1j * bk.dx * np.outer(bk.xi, lags))
-    lagT = (vals @ E) / n
     i = np.arange(n)[:, None]
     src = (i - lags) % n
     mid = (2 * src + lags) % (2 * n)
@@ -219,32 +265,31 @@ def kernel_inline(bk, a, table):
     return M
 
 
-def gauge_check_inline(bk, rho, drho, a):
-    """The gauge residual with one lag transform per kernel."""
+def gauge_check_inline(bk, rho, drho, lagT):
+    """The gauge residual with both kernels rebuilt inline from one lag transform."""
     conj_phase = np.exp(1j * rho)
-    conjugated = (conj_phase[:, None] * kernel_inline(bk, a, bk._circ_cum)
+    conjugated = (conj_phase[:, None] * kernel_inline(bk, lagT, bk._circ_cum)
                   * np.conj(conj_phase)[None, :])
-    shifted = kernel_inline(bk, a, mg._circulation_table(bk.A + drho, bk.dx))
+    shifted = kernel_inline(bk, lagT, mg._circulation_table(bk.A + drho, bk.dx))
     return oc.op_norm(shifted - conjugated)
 
 
 @pytest.mark.parametrize("n", [8, 64, 192])
-def test_grid_tables_match_inline_formulas_bitwise(n, rng):
+def test_grid_tables_match_inline_formulas_bitwise(n):
     bk = mg.magnetic_weyl_grid(n, L, A=mg.sine_potential(n, L, 0.8))
     a = mg.gaussian_symbol(bk, sigma=(1.0, 3.0), center=(0.4, 0.6),
                            modulation=(0.3, -0.2))
-    vals = a.values.reshape(2 * n, n)
+    lagT = mg._lag_transform(bk, a)
     rho = 0.3 * np.sin(2 * np.pi * bk.x / L)
     for _ in range(2):              # first call builds the tables, second reads them
-        u, v = oc.random_unit_vector(rng, n), oc.random_unit_vector(rng, n)
-        assert np.array_equal(bk.coefficient_values(u, v),
-                              coefficient_values_inline(bk, u, v))
-        assert np.array_equal(mg._refine_in_xi(bk, vals), refine_in_xi_inline(bk, vals))
-        assert np.array_equal(mg.op_a(bk, a), kernel_inline(bk, a, bk._circ_cum))
+        assert np.array_equal(mg.op_a(bk, a), kernel_inline(bk, lagT, bk._circ_cum))
+        zero = np.zeros(3 * n + 1)
+        assert np.array_equal(mg._kernel(bk, lagT, mg._arc_phases(bk, zero)),
+                              kernel_inline(bk, lagT, zero))
         assert mg.gauge_transform_check(bk, rho, symbol=a) == gauge_check_inline(
-            bk, rho, mg.discrete_gradient(bk, rho), a)
-    for tables in (bk._coefficient_tables, bk._kernel_tables, bk._refine_tables):
-        assert not any(t.flags.writeable for t in tables)
+            bk, rho, mg.discrete_gradient(bk, rho), lagT)
+    for table in (*bk._coefficient_tables, *bk._kernel_tables, bk._kernel_phases):
+        assert not table.flags.writeable
 
 
 def test_grid_spaces_keep_their_labels():
@@ -298,12 +343,13 @@ def test_moyal_q_only_is_pointwise_product():
 def moyal_per_midpoint(bk, a, b):
     """The composition quadrature summed directly, one output midpoint at a time.
 
-    Lag transforms of both refined symbols at all 4n - 1 midpoint differences,
+    The symbols are refined by the dense DFT matrices, so the oracle shares no
+    transform with the code it checks.  Lag transforms of both refined symbols at all 4n - 1 midpoint differences,
     then one (2n)^2 x n matrix product per output midpoint: 8n^4 work.
     """
     n = bk.n
-    a_ref = mg._refine_in_xi(bk, a.values.reshape(2 * n, n))
-    b_ref = mg._refine_in_xi(bk, b.values.reshape(2 * n, n))
+    a_ref = refine_in_xi_dft(bk, a.values.reshape(2 * n, n))
+    b_ref = refine_in_xi_dft(bk, b.values.reshape(2 * n, n))
     qsym = np.arange(-n, n)
     csym = np.arange(-(2 * n - 1), 2 * n)
     F = np.exp(-1j * np.pi * np.outer(qsym, csym) / n)
@@ -467,6 +513,30 @@ def test_magnetic_study_builds_one_backend_per_grid(monkeypatch):
     mg.magnetic_study([16, 32], sq_trials=2)
     assert backends == [16, 32]
     assert spaces == [2 * 16 * 16, 2 * 32 * 32]   # one midpoint space per grid
+
+
+def test_magnetic_study_shares_one_gauge_lag_transform(monkeypatch):
+    gauss_transforms = []
+    lag_transform = mg._lag_transform
+
+    def counting(backend, a):
+        if np.array_equal(a.values, mg.gaussian_symbol(backend).values):
+            gauss_transforms.append(backend.n)
+        return lag_transform(backend, a)
+
+    monkeypatch.setattr(mg, "_lag_transform", counting)
+    rows = mg.magnetic_study([16, 32], sq_trials=2)
+    assert gauss_transforms == [16, 32]
+    monkeypatch.undo()
+    # the shared route reports the public check's values bit for bit
+    for row in rows:
+        n = row["n"]
+        bk = mg.magnetic_weyl_grid(n, L, A=mg.sine_potential(n, L, 0.8))
+        alpha = 2 * (2 * np.pi / L)
+        assert row["gauge_linear_residual"] == mg.gauge_transform_check(
+            bk, alpha * bk.x, drho=np.full(n, alpha))
+        assert row["gauge_smooth_residual"] == mg.gauge_transform_check(
+            bk, 0.3 * np.sin(2 * np.pi * bk.x / L))
 
 
 def test_family_materialization_guard():
