@@ -242,6 +242,14 @@ _GROUP_PRESETS = {
 }
 
 
+def _spec_int(value, name: str) -> int:
+    """A spec size, taken only as an integer (not a bool): ``int()`` would
+    quietly truncate 2.7 to 2 and run a smaller backend."""
+    _require(isinstance(value, (int, np.integer)) and not isinstance(value, bool),
+             f"{name} must be an integer")
+    return int(value)
+
+
 def backend_from_spec(spec: dict):
     """Build a backend from its JSON description.
 
@@ -256,13 +264,14 @@ def backend_from_spec(spec: dict):
     if kind == "trivial":
         return trivial_backend()
     if kind == "discrete_weyl":
-        return discrete_weyl(int(spec["N"]))
+        return discrete_weyl(_spec_int(spec["N"], "N"))
     if kind == "finite_group":
         if "preset" in spec:
             preset = spec["preset"]
             if preset == "cyclic_character":
-                n = int(spec["order"])
-                table, irrep = cyclic_table(n), cyclic_character(n, int(spec.get("k", 1)))
+                n = _spec_int(spec["order"], "order")
+                table = cyclic_table(n)
+                irrep = cyclic_character(n, _spec_int(spec.get("k", 1), "k"))
             else:
                 _require(preset in _GROUP_PRESETS, f"unknown group preset {preset!r}")
                 table, irrep = _GROUP_PRESETS[preset]()
@@ -274,14 +283,18 @@ def backend_from_spec(spec: dict):
         return finite_group_backend(table, irrep,
                                     measure_scale=float(spec.get("measure_scale", 1.0)))
     if kind == "abelian_metaplectic":
-        return abelian_metaplectic(spec["orders"], int(spec["k"]))
+        return abelian_metaplectic([_spec_int(n, "each of orders") for n in spec["orders"]],
+                                   _spec_int(spec["k"], "k"))
     if kind == "magnetic_weyl":
-        n = int(spec["n"])
+        n = _spec_int(spec["n"], "n")
+        tol = spec.get("tol", 1e-6)
+        _require(isinstance(tol, (int, float)) and not isinstance(tol, bool),
+                 "tol must be a number")
         A = spec.get("A")
         B = spec.get("B")
         return magnetic.magnetic_weyl_grid(
             n, float(spec["L"]),
             A=None if A is None else np.asarray(A, dtype=float),
             B=None if B is None else np.asarray(B, dtype=float),
-            tol=float(spec.get("tol", 1e-6)))
+            tol=float(tol))
     raise ValueError(f"unknown backend kind {kind!r}")

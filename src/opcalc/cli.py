@@ -57,9 +57,11 @@ _PARAM_CHECKS = {
                and hdim ** x <= inftensor.DEFAULT_DIM_CAP,
                f"an integer in [1, {inftensor.DEFAULT_FACTOR_CAP}] "
                f"with {{hdim}}**copies <= {inftensor.DEFAULT_DIM_CAP}"),
+    # composition_refines reads consecutive rows as coarse -> fine
     "grids": (lambda x, hdim: isinstance(x, list) and bool(x) and all(
-                  _is_int(n, 4) and n % 2 == 0 for n in x),
-              "a nonempty list of even integers >= 4"),
+                  _is_int(n, 4) and n % 2 == 0 for n in x)
+              and all(a < b for a, b in zip(x, x[1:])),
+              "a nonempty, strictly increasing list of even integers >= 4"),
     "sq_trials": (lambda x, hdim: _is_int(x, 1), "a positive integer"),
     "L": (lambda x, hdim: _is_num(x), "a positive number"),
     "amplitude": (lambda x, hdim: _is_num(x, positive=False), "a finite real number"),

@@ -80,14 +80,31 @@ class OperatorFamily:
 
     @cached_property
     def _sq_witness(self) -> tuple[float, tuple[int, int, int, int]]:
-        """Largest deviation of the basis Gram from the identity, and where."""
-        d = self.hdim
-        G = _basis_gram(self)
-        G[np.diag_indices_from(G)] -= 1.0
-        np.abs(G, out=G)
-        row, col = divmod(int(G.real.argmax()), d * d)
+        """Largest deviation of the basis Gram from the identity, and where.
+
+        Read from the k diagonal blocks of the Gram; the d^4 array is never
+        formed.  Off the blocks the Gram is 0, so a basis column that no block
+        covers deviates by exactly 1 on the diagonal and every other entry
+        by 0.  The witness is the row-major first maximum of the d^2 x d^2
+        deviation, index 0 when it is 0, as a dense argmax would give.
+        """
+        d, d2 = self.hdim, self.hdim ** 2
+        cols, G = _gram_blocks(self)
+        diag = np.arange(G.shape[1])
+        G[:, diag, diag] -= 1.0
+        dev = np.abs(G)
+        uncovered = np.setdiff1d(np.arange(d2), cols)
+        top = max(float(dev.max()), 1.0 if uncovered.size else 0.0)
+        flat = 0
+        if top > 0:
+            b, i, j = np.nonzero(dev == top)
+            at = cols[b, i] * d2 + cols[b, j]
+            if top == 1.0:
+                at = np.concatenate([at, uncovered * (d2 + 1)])
+            flat = int(at.min())
+        row, col = divmod(flat, d2)
         (j1, i1), (j2, i2) = divmod(row, d), divmod(col, d)
-        return float(G.real[row, col]), (i1, j1, i2, j2)
+        return top, (i1, j1, i2, j2)
 
     @cached_property
     def sup_norm(self) -> float:
@@ -171,6 +188,15 @@ def _flat_rmatmul(fam: OperatorFamily, c: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gram_blocks(fam: OperatorFamily) -> tuple[np.ndarray, np.ndarray]:
+    """(cols (k, c), G (k, c, c)): the nonzero diagonal blocks V*WV of the
+    basis Gram, ``G[b]`` at ``cols[b] x cols[b]``; a fresh, writable G."""
+    rows, cols, V = fam.blocks
+    A = V.conj().swapaxes(1, 2)
+    A *= fam.space.weights[rows][:, None, :]
+    return cols, A @ V
+
+
 def _basis_gram(fam: OperatorFamily) -> np.ndarray:
     """Weighted Gram matrix of all basis coefficient symbols.
 
@@ -178,12 +204,11 @@ def _basis_gram(fam: OperatorFamily) -> np.ndarray:
     integral for the basis quadruple (i1, j1, i2, j2); square integrability
     means the matrix is the identity.  It is the Choi matrix of the twirl
     X -> integral of pi(s) X pi(s)* dmu(s).  Columns of different blocks
-    share no row, so only the k diagonal blocks V*WV are nonzero.
+    share no row, so only the k diagonal blocks of ``_gram_blocks`` are
+    nonzero.
     """
-    rows, cols, V = fam.blocks
-    A = V.conj().swapaxes(1, 2)
-    A *= fam.space.weights[rows][:, None, :]
-    return _block_diag(A @ V, cols, fam.hdim ** 2)
+    cols, G = _gram_blocks(fam)
+    return _block_diag(G, cols, fam.hdim ** 2)
 
 
 @dataclass(frozen=True)

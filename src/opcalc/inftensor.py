@@ -51,13 +51,12 @@ class RestrictedProduct:
         return np.kron(x, self.tail_vector(M))
 
     def level_space(self, N: int) -> MeasureSpace:
-        """Product of the first N factor spaces (the support of mu^(N))."""
+        """Product of the first N factor spaces (the support of mu^(N)),
+        built by extending the cached level N - 1 by factor N."""
         _require(1 <= N <= self.J, "truncation level out of range")
         if N not in self._level_spaces:
-            space = self.factors[0].fam.space
-            for f in self.factors[1:N]:
-                space = product_space(space, f.fam.space)
-            self._level_spaces[N] = space
+            self._level_spaces[N] = self.factors[0].fam.space if N == 1 else \
+                product_space(self.level_space(N - 1), self.factors[N - 1].fam.space)
         return self._level_spaces[N]
 
     def level_vectors(self, N: int, u) -> np.ndarray:

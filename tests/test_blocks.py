@@ -16,6 +16,7 @@ import opcalc as oc
 from opcalc import berezin as bz
 from opcalc import calculus as ca
 from opcalc import family as fm
+from opcalc import magnetic as mg
 from opcalc.core import RANK_DROP_TOL
 
 from conftest import dense_b2_basis, random_family
@@ -278,3 +279,51 @@ def test_frame_readers_match_dense_wfield(frame_case, rng):
     close(oc.toeplitz_op(fr, f), P @ (f.values[:, None] * P))
     close(oc.covariant_symbol_sigma(fr, A).values,
           np.sum(w[:, None] * (A @ K) * K.conj(), axis=0))
+
+
+def dense_sq_witness(fam):
+    """The witness as the d^2 x d^2 argmax it replaced: the block Gram
+    scattered over a zero fill, minus the identity, abs, first maximum."""
+    d = fam.hdim
+    G = fm._basis_gram(fam)
+    G[np.diag_indices_from(G)] -= 1.0
+    np.abs(G, out=G)
+    row, col = divmod(int(G.real.argmax()), d * d)
+    (j1, i1), (j2, i2) = divmod(row, d), divmod(col, d)
+    return float(G.real[row, col]), (i1, j1, i2, j2)
+
+
+def weyl2_padded():
+    """Weyl 2 in the top-left corner of 3 x 3 zero operators."""
+    fam = oc.discrete_weyl(2)
+    stack = np.zeros((fam.npoints, 3, 3), dtype=complex)
+    stack[:, :2, :2] = fam.stack
+    return oc.OperatorFamily(fam.space, stack)
+
+
+def magnetic_family(n):
+    return oc.magnetic_weyl_grid(n, 12.0, A=mg.sine_potential(n, 12.0, 0.8)).family()
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda: oc.discrete_weyl(3), None),
+    (lambda: oc.discrete_weyl(16), None),
+    (lambda: oc.abelian_metaplectic((15,), k=2), None),
+    (lambda: magnetic_family(16), None),
+    (lambda: magnetic_family(32), None),
+    (lambda: oc.tensor(oc.discrete_weyl(2), oc.discrete_weyl(3)), None),
+    (lambda: oc.finite_group_backend(oc.s3_table()[0], oc.s3_standard_irrep()), None),
+    # 18 of the 36 basis columns lie off both summands and no block covers them
+    (lambda: oc.direct_sum([oc.discrete_weyl(3)] * 2), (1.0, (0, 0, 3, 3))),
+    (oc.trivial_backend, (0.0, (0, 0, 0, 0))),
+    # the blocks pass and only the uncovered columns deviate: 1.0 at column 2
+    (weyl2_padded, (1.0, (2, 0, 2, 0))),
+], ids=["weyl3", "weyl16", "metaplectic15", "magnetic16", "magnetic32",
+        "tensor_w2_w3", "s3", "direct_sum_w3_w3", "trivial", "weyl2_padded"])
+def test_sq_witness_matches_dense_argmax(build, expected):
+    fam = build()
+    want = dense_sq_witness(fam)
+    assert fam._sq_witness == want
+    assert type(fam._sq_witness[0]) is float
+    if expected is not None:
+        assert want == expected

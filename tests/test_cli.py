@@ -301,8 +301,8 @@ def test_verify_sq_report_names_worst_witness(tmp_path):
 
 def test_sq_certificate_computed_once_per_family(tmp_path, monkeypatch):
     calls = []
-    real_gram = fm._basis_gram
-    monkeypatch.setattr(fm, "_basis_gram",
+    real_gram = fm._gram_blocks
+    monkeypatch.setattr(fm, "_gram_blocks",
                         lambda fam: calls.append(fam.hdim) or real_gram(fam))
     cfg = write(tmp_path, "cfg.json", {
         "backend": {"kind": "discrete_weyl", "N": 16}, "seed": 3,
@@ -374,6 +374,31 @@ WEYL3 = {"kind": "discrete_weyl", "N": 3}
       "tasks": [{"kind": "verify_sq"}]}, "field samples must be finite"),
     ({"backend": {"kind": "magnetic_weyl", "n": 8, "L": float("inf")},
       "tasks": [{"kind": "verify_sq"}]}, "box length must be finite and positive"),
+    # sizes are never truncated to a smaller backend
+    ({"backend": {"kind": "discrete_weyl", "N": 2.7}, "tasks": [{"kind": "verify_sq"}]},
+     "N must be an integer"),
+    ({"backend": {"kind": "discrete_weyl", "N": True}, "tasks": [{"kind": "verify_sq"}]},
+     "N must be an integer"),
+    ({"backend": {"kind": "magnetic_weyl", "n": 8.9, "L": 12.0},
+      "tasks": [{"kind": "verify_sq"}]}, "n must be an integer"),
+    ({"backend": {"kind": "abelian_metaplectic", "orders": [5.5], "k": 1},
+      "tasks": [{"kind": "verify_sq"}]}, "each of orders must be an integer"),
+    ({"backend": {"kind": "abelian_metaplectic", "orders": [5], "k": 1.0},
+      "tasks": [{"kind": "verify_sq"}]}, "k must be an integer"),
+    ({"backend": {"kind": "finite_group", "preset": "cyclic_character", "order": 4.5},
+      "tasks": [{"kind": "verify_sq"}]}, "order must be an integer"),
+    ({"backend": {"kind": "finite_group", "preset": "cyclic_character", "order": 4,
+                  "k": 1.5}, "tasks": [{"kind": "verify_sq"}]}, "k must be an integer"),
+    # Python's json reads Infinity, which would make every magnetic check pass
+    ({"backend": {"kind": "magnetic_weyl", "n": 8, "L": 12.0, "tol": float("inf")},
+      "tasks": [{"kind": "verify_sq"}]}, "tolerance must be finite and positive"),
+    ({"backend": {"kind": "magnetic_weyl", "n": 8, "L": 12.0, "tol": "1e-6"},
+      "tasks": [{"kind": "verify_sq"}]}, "tol must be a number"),
+    # the refinement verdict reads consecutive grids as coarse -> fine
+    ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "grids": [64, 32]}]},
+     "grids must be a nonempty, strictly increasing list"),
+    ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "grids": [32, 32]}]},
+     "grids must be a nonempty, strictly increasing list"),
 ])
 def test_bad_task_input_is_validation_failure(tmp_path, capsys, config, message):
     cfg = write(tmp_path, "cfg.json", config)
@@ -403,3 +428,10 @@ def test_describe_incomplete_spec_is_validation_failure(tmp_path, capsys):
     spec = write(tmp_path, "backend.json", {"kind": "discrete_weyl"})
     assert cli.main(["describe", spec]) == cli.EXIT_VALIDATION_FAILURE
     assert "invalid backend spec" in capsys.readouterr().err
+
+
+def test_describe_fractional_size_is_validation_failure(tmp_path, capsys):
+    spec = write(tmp_path, "backend.json", {"kind": "discrete_weyl", "N": 2.7})
+    assert cli.main(["describe", spec]) == cli.EXIT_VALIDATION_FAILURE
+    captured = capsys.readouterr()
+    assert "N must be an integer" in captured.err and captured.out == ""

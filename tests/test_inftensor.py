@@ -241,3 +241,32 @@ def test_frame_kernel_validates_points(rp3):
         kernel({5: 0}, {})
     with pytest.raises(ValueError):
         kernel({0: 9}, {})
+
+
+def from_scratch_level_space(rp, N):
+    space = rp.factors[0].fam.space
+    for f in rp.factors[1:N]:
+        space = oc.product_space(space, f.fam.space)
+    return space
+
+
+@pytest.mark.parametrize("order", ["sweep", "deepest_first"])
+def test_level_spaces_extend_the_previous_level(mixed_rp, order):
+    rp = mixed_rp
+    levels = range(1, rp.J + 1) if order == "sweep" else range(rp.J, 0, -1)
+    for N in levels:
+        space, ref = rp.level_space(N), from_scratch_level_space(rp, N)
+        assert tuple(space.points) == tuple(ref.points)
+        assert np.array_equal(space.weights, ref.weights)
+
+
+def test_level_space_sweep_builds_each_product_once(monkeypatch):
+    calls = []
+    real_product = it.product_space
+    monkeypatch.setattr(it, "product_space",
+                        lambda a, b: calls.append(b.npoints) or real_product(a, b))
+    fam = oc.discrete_weyl(2)
+    rp = it.build_restricted([(fam, 0, unit(2))] * 6)
+    for N in range(1, rp.J + 1):
+        assert rp.level_space(N).npoints == 4 ** N
+    assert len(calls) == rp.J - 1

@@ -377,6 +377,57 @@ def test_moyal_matches_per_midpoint_sum(n):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def moyal_row_by_row(bk, a, b, check=False, tol=None):
+    """``magnetic_moyal`` with P filled one output row k at a time, each row
+    one batched dot over two fresh 2n x 2n windows of the skewed copies."""
+    assert not check
+    n = bk.n
+    two_n = 2 * n
+    a_hat = np.fft.fft(mg._refine_in_xi(bk, a.values.reshape(two_n, n)), axis=0)
+    b_hat = np.fft.fft(mg._refine_in_xi(bk, b.values.reshape(two_n, n)), axis=0)
+    idx = np.arange(two_n)
+    SA = np.tile(a_hat[(-idx[:, None] - idx) % two_n, idx], (2, 1))[:, None, :]
+    SB = np.tile(b_hat[idx, (idx + idx[:, None]) % two_n], (2, 2))[:, :, None]
+    P = np.empty((n, two_n), dtype=complex)
+    for k in range(n):
+        s = 2 * k
+        t = -s % two_n
+        P[k] = np.matmul(SA[t:t + two_n], SB[s:s + two_n, t:t + two_n])[:, 0, 0]
+    out = np.fft.fft(P, axis=1).T / two_n ** 2
+    return oc.Symbol(bk.midpoint_space(), out.reshape(-1))
+
+
+@pytest.mark.parametrize("n", [8, 64, 130])
+def test_moyal_matches_row_by_row_loop_bitwise(n):
+    # n = 8, 64: one row chunk; n = 130: chunks of 2**15 // 260 = 126 rows,
+    # which do not divide 2n = 260
+    bk = mg.magnetic_weyl_grid(n, L, A=mg.sine_potential(n, L, 0.8))
+    a = mg.gaussian_symbol(bk, sigma=(1.0, 3.0), center=(0.4, 0.6),
+                           modulation=(0.3, -0.2))
+    b = mg.gaussian_symbol(bk, sigma=(0.7, 2.0), center=(-0.5, 0.2),
+                           modulation=(-0.4, 0.5))
+    got = mg.magnetic_moyal(bk, a, b, check=False)
+    assert np.array_equal(got.values, moyal_row_by_row(bk, a, b).values)
+
+
+def test_study_report_matches_row_by_row_loop(tmp_path, monkeypatch):
+    from opcalc import cli
+    # n = 96 runs two row chunks (170 and 22 rows)
+    config = {"backend": {"kind": "magnetic_weyl", "n": 8, "L": L}, "seed": 5,
+              "tasks": [{"kind": "magnetic_study", "grids": [32, 96]}]}
+    cli.run_config(config, str(tmp_path / "chunked.json"))
+    grids = []
+
+    def oracle(bk, a, b, **kw):
+        grids.append(bk.n)
+        return moyal_row_by_row(bk, a, b, **kw)
+
+    monkeypatch.setattr(mg, "magnetic_moyal", oracle)
+    cli.run_config(config, str(tmp_path / "rows.json"))
+    assert grids == [32, 96]
+    assert (tmp_path / "chunked.json").read_bytes() == (tmp_path / "rows.json").read_bytes()
+
+
 def refinement_rows(*pairs):
     return [{"n": n, "composition_residual": r} for n, r in pairs]
 
