@@ -14,8 +14,16 @@ import itertools
 
 import numpy as np
 
-from .core import DEFAULT_TOL, MeasureSpace, _require, vec_norm
+from .core import DEFAULT_TOL, GridLabels, MeasureSpace, _require, vec_norm
 from .family import OperatorFamily
+
+
+def _spec_int(value, name: str) -> int:
+    """A size, taken only as an integer (not a bool): ``int()`` would
+    quietly truncate 2.7 to 2 and run a smaller backend."""
+    _require(isinstance(value, (int, np.integer)) and not isinstance(value, bool),
+             f"{name} must be an integer")
+    return int(value)
 
 
 def trivial_backend() -> OperatorFamily:
@@ -32,18 +40,15 @@ def discrete_weyl(N: int) -> OperatorFamily:
     Hilbert-Schmidt space with common norm sqrt(N), which is exactly the
     square-integrability normalization.
     """
+    N = _spec_int(N, "N")
     _require(N >= 2, "discrete Weyl system needs N >= 2")
     omega = np.exp(2j * np.pi / N)
-    points, ops = [], []
-    cols = np.arange(N)
-    for a in range(N):
-        for b in range(N):
-            M = np.zeros((N, N), dtype=complex)
-            M[(cols + a) % N, cols] = omega ** (b * cols)   # U^a V^b
-            points.append(f"({a},{b})")
-            ops.append(M)
-    space = MeasureSpace(tuple(points), np.full(N * N, 1.0 / N))
-    return OperatorFamily(space, np.array(ops))
+    i = np.arange(N)
+    a, b, cols = i[:, None, None], i[None, :, None], i[None, None, :]
+    ops = np.zeros((N, N, N, N), dtype=complex)
+    ops[a, b, (cols + a) % N, cols] = omega ** (b * cols)   # U^a V^b
+    space = MeasureSpace(GridLabels(i, i), np.full(N * N, 1.0 / N))
+    return OperatorFamily(space, ops.reshape(N * N, N, N))
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +175,10 @@ def abelian_metaplectic(orders, k: int, tol: float = DEFAULT_TOL) -> OperatorFam
     transform unitary, checked here); for k = 2 an additional calibration
     constant is computed numerically and validated on all basis pairs.
     """
-    orders = tuple(int(n) for n in orders)
+    orders = tuple(_spec_int(n, "each of orders") for n in orders)
     _require(len(orders) >= 1 and all(n >= 1 for n in orders),
              "orders must be positive integers")
-    _require(k in (1, 2), "variant k must be 1 or 2")
+    _require(_spec_int(k, "k") in (1, 2), "variant k must be 1 or 2")
     size = int(np.prod(orders))
     if k == 2 and size % 2 == 0:
         raise ValueError(
@@ -242,14 +247,6 @@ _GROUP_PRESETS = {
 }
 
 
-def _spec_int(value, name: str) -> int:
-    """A spec size, taken only as an integer (not a bool): ``int()`` would
-    quietly truncate 2.7 to 2 and run a smaller backend."""
-    _require(isinstance(value, (int, np.integer)) and not isinstance(value, bool),
-             f"{name} must be an integer")
-    return int(value)
-
-
 def backend_from_spec(spec: dict):
     """Build a backend from its JSON description.
 
@@ -264,7 +261,7 @@ def backend_from_spec(spec: dict):
     if kind == "trivial":
         return trivial_backend()
     if kind == "discrete_weyl":
-        return discrete_weyl(_spec_int(spec["N"], "N"))
+        return discrete_weyl(spec["N"])
     if kind == "finite_group":
         if "preset" in spec:
             preset = spec["preset"]
@@ -283,8 +280,7 @@ def backend_from_spec(spec: dict):
         return finite_group_backend(table, irrep,
                                     measure_scale=float(spec.get("measure_scale", 1.0)))
     if kind == "abelian_metaplectic":
-        return abelian_metaplectic([_spec_int(n, "each of orders") for n in spec["orders"]],
-                                   _spec_int(spec["k"], "k"))
+        return abelian_metaplectic(spec["orders"], spec["k"])
     if kind == "magnetic_weyl":
         n = _spec_int(spec["n"], "n")
         tol = spec.get("tol", 1e-6)

@@ -62,7 +62,6 @@ _PARAM_CHECKS = {
                   _is_int(n, 4) and n % 2 == 0 for n in x)
               and all(a < b for a, b in zip(x, x[1:])),
               "a nonempty, strictly increasing list of even integers >= 4"),
-    "sq_trials": (lambda x, hdim: _is_int(x, 1), "a positive integer"),
     "L": (lambda x, hdim: _is_num(x), "a positive number"),
     "amplitude": (lambda x, hdim: _is_num(x, positive=False), "a finite real number"),
     "sigma": (lambda x, hdim: _is_num(x) or (isinstance(x, list) and len(x) == 2
@@ -70,6 +69,9 @@ _PARAM_CHECKS = {
               "a positive number or a pair of positive numbers"),
     "check_explicit": (lambda x, hdim: isinstance(x, bool), "true or false"),
 }
+
+#: Every key a task may set; any other key is rejected, not ignored.
+_TASK_KEYS = {"kind", "symbols", "operators", *_PARAM_CHECKS}
 
 #: Task kinds that need their symbols given, as "symbols" or "n_random".
 _NEEDS_SYMBOLS = ("quantize", "star_table")
@@ -93,6 +95,10 @@ def _validate_config(config: dict) -> None:
         if not isinstance(task, dict) or task.get("kind") not in kinds:
             raise ConfigError(f"task {i} has an unknown kind "
                               f"(expected one of {', '.join(kinds)})")
+        unknown = sorted(set(task) - _TASK_KEYS)
+        if unknown:
+            raise ConfigError(f"task {i} has unknown keys {', '.join(unknown)} "
+                              f"(expected some of {', '.join(sorted(_TASK_KEYS))})")
     if not _is_int(config.get("seed", 0), 0):
         raise ConfigError("seed must be a non-negative integer")
     if config.get("tol") is not None and not _is_num(config["tol"]):
@@ -126,22 +132,23 @@ def _build_backend(spec: dict):
 def _describe_backend(spec: dict) -> dict:
     """Summary of a backend.  A family that passes the square-integrability
     gate dequantizes isometrically from the Hilbert-Schmidt operators, so its
-    symbol range has dimension hdim^2 and needs no SVD."""
+    symbol range has dimension hdim^2 and needs no SVD.  A magnetic grid is
+    gated by its certificate and never materialized: its n shift classes
+    are its coefficient blocks."""
     built = _build_backend(spec)
     if isinstance(built, magnetic.MagneticBackend):
-        fam = built.family() if built.n <= 32 else None
-        summary = {"kind": spec["kind"], "hdim": built.n,
-                   "points": built.n * built.n, "mass": float(built.n),
-                   "exact": False, "tol": built.tol}
-    else:
-        fam = built
-        summary = {"kind": spec["kind"], "hdim": fam.hdim, "points": fam.npoints,
-                   "mass": fam.space.mass, "exact": fam.exact, "tol": fam.tol}
-    if fam is not None:
-        ca.build_quantizer(fam)                 # raises for a failing family
-    summary["b2_rank"] = None if fam is None else fam.hdim ** 2
-    summary["coefficient_blocks"] = None if fam is None else len(fam.blocks[0])
-    return summary
+        n, deviation = built.n, built.sq_certificate()
+        if deviation > built.tol:
+            raise ValueError(
+                f"family fails square-integrability (deviation {deviation:.3e} "
+                f"> tol {built.tol:.1e}); cannot quantize")
+        return {"kind": spec["kind"], "hdim": n, "points": n * n, "mass": float(n),
+                "exact": False, "tol": built.tol, "b2_rank": n * n,
+                "coefficient_blocks": n}
+    ca.build_quantizer(built)                   # raises for a failing family
+    return {"kind": spec["kind"], "hdim": built.hdim, "points": built.npoints,
+            "mass": built.space.mass, "exact": built.exact, "tol": built.tol,
+            "b2_rank": built.hdim ** 2, "coefficient_blocks": len(built.blocks[0])}
 
 
 def _render_table(summary: dict) -> str:
@@ -279,10 +286,11 @@ def _on_family(run):
 def _magnetic_study(task, backend, tol, rng):
     """Builds its own grids, so it never materializes the backend's family."""
     rows = magnetic.magnetic_study(
-        task.get("grids", [32, 64]), seed=int(rng.integers(2 ** 31)),
-        **{k: task[k] for k in ("L", "amplitude", "sigma", "sq_trials") if k in task})
+        task.get("grids", [32, 64]),
+        **{k: task[k] for k in ("L", "amplitude", "sigma") if k in task})
     ok = magnetic.composition_refines(rows) \
         and rows[-1]["composition_residual"] < 1e-4 \
+        and all(r["sq_residual"] <= 1e-10 for r in rows) \
         and all(r["gauge_linear_residual"] <= 1e-10 for r in rows) \
         and all(r["reduction_residual"] <= 1e-8 for r in rows)
     return ok, {"rows": rows}

@@ -12,8 +12,10 @@ phase-space weights are dx * dxi / (2*pi) = 1/n per family point, and symbols
 for the kernel quantizer live on the doubled midpoint grid (2n spatial nodes,
 same dual window, weight 1/(2n) per point).
 
-Because dx * xi_k = 2*pi*(k - n/2)/n, every sum over the dual grid or over
-the nodes is a DFT up to signs (-1)^j; they run as FFTs, n^2 log n per call.
+Because dx * xi_k = 2*pi*(k - n/2)/n, the lag transform and the half-step
+refinement are DFTs up to signs (-1)^j; they run as FFTs, n^2 log n per
+call.  The SQ certificate does not assume that identity: it is what the
+certificate checks.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (GridLabels, MeasureSpace, Symbol, _readonly, _require, as_vector,
-                   op_norm, random_unit_vector)
+from .core import GridLabels, MeasureSpace, Symbol, _readonly, _require, op_norm
 from .family import OperatorFamily
 
 #: Materializing the full operator family costs n^2 matrices of size n^2.
@@ -131,40 +132,32 @@ class MagneticBackend:
         if self._family is None:
             _require(self.n <= _FAMILY_MAX_N,
                      f"materializing the family needs n <= {_FAMILY_MAX_N}; "
-                     "use coefficient_values/sq_residual for larger grids")
+                     "use sq_certificate for larger grids")
             ops = self._op_stack(self.k, self.xi)
             self._family = OperatorFamily(self.phase_space(), ops, tol=self.tol)
         return self._family
 
-    # -- structure-exploiting fast paths (no family materialization) --------
+    # -- square-integrability certificate (no family materialization) -------
 
-    @cached_property
-    def _coefficient_tables(self) -> tuple:
-        """Shift gather index, gauge phases times (-1)^node, and half-shift
-        phases times (-1)^(k - n/2); the signs centre the FFT on the grids."""
-        shift_idx = (np.arange(self.n) + self.k[:, None]) % self.n   # (shifts, nodes)
-        gauge = np.exp(-1j * self._circulations(self.k)) * _alternating(np.arange(self.n))
-        half = np.exp(-0.5j * np.outer(self.k * self.dx, self.xi)) * _alternating(self.k)
-        return tuple(map(_readonly, (shift_idx, gauge, half)))
+    def sq_certificate(self) -> float:
+        """Largest deviation of the family's basis Gram from the identity.
 
-    def coefficient_values(self, u, v) -> np.ndarray:
-        """<pi(x,xi)u, v> over the whole phase grid, shape (n shifts, n freqs).
-
-        The node sum is a DFT: x_j xi_k = 2 pi (j - n/2)(k - n/2) / n, so
-        sum_j G[r, j] e^{-i x_j xi_k} = (-1)^(k - n/2) fft(G (-1)^j)[r, k],
-        n^2 log n per call.
+        Class r of the family has V_r[xi, m] = h_r(xi) e^{-i x_m xi} g_r(m),
+        h_r the half-shift and g_r the gauge phases, so its Gram block is
+        conj(g_r) g_r^T times C_r, where C_r(d) = sum_xi w |h_r(xi)|^2
+        e^{i d dx xi} depends only on the signed lag d = m1 - m2: one
+        (n, n) x (n, 2n - 1) product, n^3.  The 2n - 1 lags are never folded
+        mod n, since that assumes xi L in 2 pi Z, which is what the Gram
+        checks.  Exact for unit gauge phases, an upper bound otherwise.
         """
-        u = as_vector(u, self.n)
-        v = as_vector(v, self.n)
-        shift_idx, gauge, half = self._coefficient_tables
-        return np.fft.fft(gauge * u[shift_idx] * np.conj(v), axis=1) * half
-
-    def sq_residual(self, u, v) -> float:
-        """|integral of |<pi(.)u,v>|^2 - ||u||^2 ||v||^2| via the fast path."""
-        phi = self.coefficient_values(u, v)
-        integral = float(np.sum(np.abs(phi) ** 2)) / self.n
-        expected = float(np.linalg.norm(u) ** 2 * np.linalg.norm(v) ** 2)
-        return abs(integral - expected)
+        n = self.n
+        half = np.exp(-0.5j * np.outer(self.k * self.dx, self.xi))
+        w = self.phase_space().weights.reshape(n, n) * np.abs(half) ** 2
+        C = w @ np.exp(1j * self.dx * np.outer(self.xi, np.arange(1 - n, n)))
+        g2 = np.abs(np.exp(-1j * self._circulations(self.k))) ** 2
+        diag = np.abs(g2 * C[:, n - 1, None] - 1.0).max()
+        off = g2.max(axis=1) * np.delete(np.abs(C), n - 1, axis=1).max(axis=1)
+        return float(max(diag, off.max()))
 
     # -- symbol sampling on the doubled midpoint grid ------------------------
 
@@ -482,23 +475,19 @@ def sine_potential(n: int, L: float, amplitude: float) -> np.ndarray:
 
 
 def magnetic_study(grids, L: float = 12.0, amplitude: float = 0.8,
-                   sigma=(1.0, 3.0), seed: int = 0,
-                   sq_trials: int = 20) -> list[dict]:
+                   sigma=(1.0, 3.0)) -> list[dict]:
     """Grid-refinement study of all identity-class residuals.
 
-    For each grid size reports the square-integrability residual over seeded
-    random vectors, the A = 0 reduction residual, the gauge-covariance
-    residuals (exact linear case and smooth case), and the composition
-    residual between the operator product and the composed symbol.
+    For each grid size reports the square-integrability certificate, the
+    A = 0 reduction residual, the gauge-covariance residuals (exact linear
+    case and smooth case), and the composition residual between the
+    operator product and the composed symbol.
     """
-    rng = np.random.default_rng(seed)
     rows = []
     for n in grids:
         n = int(n)
         A = sine_potential(n, L, amplitude)
         bk = MagneticBackend(n, L, A=A)
-        sq = max(bk.sq_residual(random_unit_vector(rng, n), random_unit_vector(rng, n))
-                 for _ in range(sq_trials))
         a = gaussian_symbol(bk, sigma=sigma, center=(0.4, 0.6),
                             modulation=(0.3, -0.2))
         b = gaussian_symbol(bk, sigma=sigma, center=(-0.5, 0.2),
@@ -513,7 +502,7 @@ def magnetic_study(grids, L: float = 12.0, amplitude: float = 0.8,
         gauge_smooth = _gauge_residual(bk, lagT, kernel, rho, discrete_gradient(bk, rho))
         rows.append({
             "n": n,
-            "sq_residual": float(sq),
+            "sq_residual": bk.sq_certificate(),
             "reduction_residual": float(reduction_residual(bk)),
             "gauge_linear_residual": float(gauge_linear),
             "gauge_smooth_residual": float(gauge_smooth),

@@ -80,6 +80,42 @@ def test_discrete_weyl_requires_two():
         oc.discrete_weyl(1)
 
 
+def discrete_weyl_loop(N):
+    """Labels and operators of the Weyl system, built point by point."""
+    omega = np.exp(2j * np.pi / N)
+    cols = np.arange(N)
+    points, ops = [], []
+    for a in range(N):
+        for b in range(N):
+            M = np.zeros((N, N), dtype=complex)
+            M[(cols + a) % N, cols] = omega ** (b * cols)   # U^a V^b
+            points.append(f"({a},{b})")
+            ops.append(M)
+    return tuple(points), np.array(ops)
+
+
+@pytest.mark.parametrize("N", [3, 8, 16, 24])
+def test_discrete_weyl_matches_point_loop_bitwise(N):
+    fam = oc.discrete_weyl(N)
+    points, ops = discrete_weyl_loop(N)
+    assert tuple(fam.space.points) == points
+    flat = oc.MeasureSpace(points, fam.space.weights)
+    assert fam.space == flat and fam.space.space_id() == flat.space_id()
+    assert np.array_equal(fam.stack, ops)
+    assert np.array_equal(np.signbit(fam.stack.view(float)), np.signbit(ops.view(float)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: oc.discrete_weyl(2.0), "N must be an integer"),
+    (lambda: oc.discrete_weyl(True), "N must be an integer"),
+    (lambda: oc.abelian_metaplectic([5.5], 1), "each of orders must be an integer"),
+    (lambda: oc.abelian_metaplectic([5], 1.0), "k must be an integer"),
+], ids=["weyl_float", "weyl_bool", "metaplectic_orders", "metaplectic_k"])
+def test_constructors_reject_non_integer_sizes(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_discrete_weyl_identity_at_origin():
     fam = oc.discrete_weyl(4)
     assert np.abs(fam.op(0) - np.eye(4)).max() == 0.0

@@ -9,7 +9,7 @@ import pytest
 import opcalc
 from opcalc import backends as bk
 from opcalc import calculus as ca
-from opcalc import cli, inftensor
+from opcalc import cli, inftensor, magnetic
 from opcalc import family as fm
 
 
@@ -137,6 +137,7 @@ DESCRIBED = [
     {"kind": "abelian_metaplectic", "orders": [3, 3], "k": 1},
     {"kind": "magnetic_weyl", "n": 8, "L": 12.0},
     {"kind": "magnetic_weyl", "n": 32, "L": 12.0},
+    {"kind": "magnetic_weyl", "n": 128, "L": 12.0},
 ]
 
 
@@ -146,8 +147,22 @@ def test_describe_rank_is_the_svd_rank(tmp_path, capsys, backend):
     assert cli.main(["describe", write(tmp_path, "b.json", backend)]) == 0
     summary = json.loads(capsys.readouterr().out)
     built = bk.backend_from_spec(backend)
+    if backend["kind"] == "magnetic_weyl" and built.n > 64:
+        # too large to materialize: n shift classes, a full range
+        assert (summary["b2_rank"], summary["coefficient_blocks"]) == (built.n ** 2, built.n)
+        return
     fam = built.family() if backend["kind"] == "magnetic_weyl" else built
     assert summary["b2_rank"] == ca.build_quantizer(fam).b2_rank
+    assert summary["coefficient_blocks"] == len(fam.blocks[0])
+
+
+def test_describe_rejects_a_magnetic_grid_that_fails_its_certificate(
+        tmp_path, capsys, monkeypatch):
+    spec = write(tmp_path, "b.json", {"kind": "magnetic_weyl", "n": 128, "L": 12.0})
+    monkeypatch.setattr(magnetic.MagneticBackend, "sq_certificate", lambda self: 2e-6)
+    assert cli.main(["describe", spec]) == cli.EXIT_VALIDATION_FAILURE
+    assert "fails square-integrability (deviation 2.000e-06 > tol 1.0e-06)" \
+        in capsys.readouterr().err
 
 
 def test_describe_table_rendering(tmp_path, capsys):
@@ -347,7 +362,8 @@ WEYL3 = {"kind": "discrete_weyl", "N": 3}
                                   {"kind": "star_table", "symbols": []}]},
      "star_table needs 'symbols' or 'n_random'"),
     ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "grids": [33]}]}, "grids"),
-    ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "sq_trials": 0}]},
+    # the sampled SQ mode and its key are gone: a leftover key is rejected
+    ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "sq_trials": 2}]},
      "sq_trials"),
     ({"backend": WEYL3, "tol": "abc", "tasks": [{"kind": "verify_sq"}]}, "tol"),
     ({"backend": WEYL3, "tasks": [{"kind": "inftensor", "copies": 0}]}, "copies"),
@@ -399,6 +415,10 @@ WEYL3 = {"kind": "discrete_weyl", "N": 3}
      "grids must be a nonempty, strictly increasing list"),
     ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "grids": [32, 32]}]},
      "grids must be a nonempty, strictly increasing list"),
+    # a key no task reads is rejected, not silently ignored
+    ({"backend": WEYL3, "tasks": [{"kind": "verify_sq"},
+                                  {"kind": "quantize", "n_randm": 2}]},
+     "task 1 has unknown keys n_randm"),
 ])
 def test_bad_task_input_is_validation_failure(tmp_path, capsys, config, message):
     cfg = write(tmp_path, "cfg.json", config)
@@ -408,6 +428,32 @@ def test_bad_task_input_is_validation_failure(tmp_path, capsys, config, message)
     assert message in err
     assert "[opcalc] task" not in err   # rejected before any task ran
     assert not out.exists()
+
+
+def magnetic_study_rows(tmp_path, seed):
+    cfg = write(tmp_path, "cfg.json", {
+        "backend": WEYL3, "tasks": [{"kind": "magnetic_study", "grids": [32, 64]}]})
+    out = tmp_path / "r.json"
+    code = cli.main(["run", cfg, "--out", str(out), f"--seed={seed}"])
+    return code, json.loads(out.read_text())["tasks"][0]
+
+
+def test_magnetic_study_rows_do_not_depend_on_the_seed(tmp_path):
+    code, task = magnetic_study_rows(tmp_path, 1)
+    assert code == 0 and task["verdict"] == "pass"
+    for seed in (7, 11):
+        assert magnetic_study_rows(tmp_path, seed) == (code, task)
+    for row in task["rows"]:      # the exact certificate of each grid
+        n = row["n"]
+        grid = magnetic.MagneticBackend(n, 12.0, A=magnetic.sine_potential(n, 12.0, 0.8))
+        assert row["sq_residual"] == grid.sq_certificate()
+
+
+def test_magnetic_study_verdict_gates_the_certificate(tmp_path, monkeypatch):
+    monkeypatch.setattr(magnetic.MagneticBackend, "sq_certificate", lambda self: 2e-10)
+    code, task = magnetic_study_rows(tmp_path, 1)
+    assert code == cli.EXIT_TASK_FAILURE and task["verdict"] == "fail"
+    assert [r["sq_residual"] for r in task["rows"]] == [2e-10, 2e-10]
 
 
 def test_tol_override_is_validated_before_any_task(tmp_path, capsys):

@@ -79,15 +79,45 @@ def test_verify_sq_exact_on_grid():
     assert report.passed and report.max_deviation < 1e-12
 
 
-def test_fast_sq_residual_matches_family_route(rng):
-    bk = mg.magnetic_weyl_grid(16, L, A=mg.sine_potential(16, L, 0.5))
-    u = oc.random_unit_vector(rng, 16)
-    v = oc.random_unit_vector(rng, 16)
-    fast = bk.sq_residual(u, v)
-    f = oc.coefficient(bk.family(), u, v)
-    slow = abs(np.dot(bk.phase_space().weights, np.abs(f.values) ** 2) - 1.0)
-    assert fast == pytest.approx(slow, abs=1e-13)
-    assert fast < 1e-12
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("amplitude", [0.0, 0.8])
+def test_sq_certificate_matches_verify_sq(n, amplitude):
+    bk = mg.magnetic_weyl_grid(n, L, A=mg.sine_potential(n, L, amplitude))
+    certificate = bk.sq_certificate()
+    assert certificate == pytest.approx(verify_sq(bk.family()).max_deviation, abs=1e-14)
+    assert certificate < 1e-14
+
+
+def scaled_xi_step(bk):
+    """A dual grid whose step does not match the box: xi L leaves 2 pi Z."""
+    bk.xi = bk.xi * 1.01
+
+
+def scaled_weights(bk):
+    space = bk.phase_space()
+    bk._phase_space = oc.MeasureSpace(space.points, 1.01 * space.weights,
+                                      kind="quadrature", tol=bk.tol)
+
+
+@pytest.mark.parametrize("mutate, want", [
+    (scaled_xi_step, {8: 0.076, 16: 0.171, 32: 0.382}),
+    (scaled_weights, {8: 0.0100, 16: 0.0100, 32: 0.0100}),
+], ids=["xi_step", "weights"])
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_sq_certificate_fails_a_broken_grid(n, mutate, want):
+    bk = mg.magnetic_weyl_grid(n, L, A=mg.sine_potential(n, L, 0.8))
+    mutate(bk)
+    certificate = bk.sq_certificate()
+    assert certificate > bk.tol
+    assert certificate == pytest.approx(want[n], abs=5e-4)
+    assert certificate == pytest.approx(verify_sq(bk.family()).max_deviation, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 32, 128])
+def test_sq_certificate_is_gauge_independent(n):
+    A = mg.sine_potential(n, L, 0.8)
+    shifted = mg.magnetic_weyl_grid(n, L, A=A + 0.37).sq_certificate()
+    assert abs(shifted - mg.magnetic_weyl_grid(n, L, A=A).sq_certificate()) <= 1e-15
 
 
 def weyl_op(bk: mg.MagneticBackend, x_shift: float, xi: float) -> np.ndarray:
@@ -172,15 +202,6 @@ def lag_transform_dft(bk, a):
     return (a.values.reshape(2 * n, n) @ E) / n
 
 
-def coefficient_values_dft(bk, u, v):
-    """coefficient_values as a dense product with the node x frequency phases D."""
-    shifted = u[(np.arange(bk.n) + bk.k[:, None]) % bk.n]
-    G = np.exp(-1j * bk._circulations(bk.k)) * shifted * np.conj(v)
-    D = np.exp(-1j * np.outer(bk.x, bk.xi))
-    half = np.exp(-0.5j * np.outer(bk.k * bk.dx, bk.xi))
-    return (G @ D) * half
-
-
 def refine_in_xi_dft(bk, vals):
     """_refine_in_xi as dense analysis (dual grid -> lattice) and synthesis
     (lattice -> half steps) matrices."""
@@ -231,9 +252,7 @@ def test_fft_routes_match_dft_matrices(n, rng):
                            modulation=(0.3, -0.2))
     vals = a.values.reshape(2 * n, n)
     noise = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-    u, v = oc.random_unit_vector(rng, n), oc.random_unit_vector(rng, n)
     assert rel_gap(mg._lag_transform(bk, a), lag_transform_dft(bk, a)) <= 1e-13
-    assert rel_gap(bk.coefficient_values(u, v), coefficient_values_dft(bk, u, v)) <= 1e-13
     for rows in (vals, noise):
         assert rel_gap(mg._refine_in_xi(bk, rows), refine_in_xi_dft(bk, rows)) <= 1e-13
 
@@ -288,7 +307,7 @@ def test_grid_tables_match_inline_formulas_bitwise(n):
                               kernel_inline(bk, lagT, zero))
         assert mg.gauge_transform_check(bk, rho, symbol=a) == gauge_check_inline(
             bk, rho, mg.discrete_gradient(bk, rho), lagT)
-    for table in (*bk._coefficient_tables, *bk._kernel_tables, bk._kernel_phases):
+    for table in (*bk._kernel_tables, bk._kernel_phases):
         assert not table.flags.writeable
 
 
@@ -532,7 +551,7 @@ def test_reduction_residual_small():
 
 
 def test_magnetic_study_shape():
-    rows = mg.magnetic_study([16, 32], sq_trials=5)
+    rows = mg.magnetic_study([16, 32])
     assert [r["n"] for r in rows] == [16, 32]
     for r in rows:
         assert r["sq_residual"] < 1e-10
@@ -561,9 +580,10 @@ def test_magnetic_study_builds_one_backend_per_grid(monkeypatch):
 
     monkeypatch.setattr(mg.MagneticBackend, "__init__", counting_init)
     monkeypatch.setattr(mg, "MeasureSpace", counting_space)
-    mg.magnetic_study([16, 32], sq_trials=2)
+    mg.magnetic_study([16, 32])
     assert backends == [16, 32]
-    assert spaces == [2 * 16 * 16, 2 * 32 * 32]   # one midpoint space per grid
+    # per grid: one midpoint space, and the phase space the certificate reads
+    assert spaces == [2 * 16 * 16, 16 * 16, 2 * 32 * 32, 32 * 32]
 
 
 def test_magnetic_study_shares_one_gauge_lag_transform(monkeypatch):
@@ -576,7 +596,7 @@ def test_magnetic_study_shares_one_gauge_lag_transform(monkeypatch):
         return lag_transform(backend, a)
 
     monkeypatch.setattr(mg, "_lag_transform", counting)
-    rows = mg.magnetic_study([16, 32], sq_trials=2)
+    rows = mg.magnetic_study([16, 32])
     assert gauss_transforms == [16, 32]
     monkeypatch.undo()
     # the shared route reports the public check's values bit for bit
@@ -594,10 +614,8 @@ def test_family_materialization_guard():
     bk = mg.magnetic_weyl_grid(128, L)
     with pytest.raises(ValueError, match="n <= 64"):
         bk.family()
-    # the fast paths still work at this size
-    u = np.exp(-bk.x ** 2 / 2).astype(complex)
-    u /= np.linalg.norm(u)
-    assert bk.sq_residual(u, u) < 1e-11
+    # the certificate still works at this size
+    assert bk.sq_certificate() < 1e-14
 
 
 def test_backend_spec_roundtrip():
