@@ -57,6 +57,7 @@ def discrete_weyl(N: int) -> OperatorFamily:
 
 def cyclic_table(n: int) -> np.ndarray:
     """Multiplication table of Z_n (index arithmetic mod n)."""
+    n = _spec_int(n, "n")
     _require(n >= 1, "group order must be positive")
     i = np.arange(n)
     return (i[:, None] + i[None, :]) % n
@@ -64,6 +65,7 @@ def cyclic_table(n: int) -> np.ndarray:
 
 def cyclic_character(n: int, k: int) -> np.ndarray:
     """One-dimensional irrep j -> exp(2 pi i k j / n) as 1x1 matrices."""
+    n, k = _spec_int(n, "n"), _spec_int(k, "k")
     chars = np.exp(2j * np.pi * k * np.arange(n) / n)
     return chars.reshape(n, 1, 1)
 

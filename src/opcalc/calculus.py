@@ -18,7 +18,7 @@ from .core import (RANK_DROP_TOL, MeasureSpace, Symbol, _readonly, _require,
                    as_operator, hs_norm, op_norm, trace_norm)
 from .family import OperatorFamily, _flat_matmul, _flat_rmatmul, verify_sq
 
-#: Guard for materializing the three-point kernel of the explicit star product.
+#: Guard on the stored entries of the three-point kernel, m^3/k on k classes.
 _KERNEL_ENTRY_CAP = 20_000_000
 
 
@@ -31,8 +31,8 @@ class Quantizer:
     inner product; the nonzero ones together span the image of the
     coefficient map inside L2 of the space (all of it for discrete Weyl
     systems, a proper subspace for compact-group backends).  The basis costs
-    one batched SVD over the blocks and ``three_point`` holds m^3 numbers, so
-    each is computed on first use and then kept.
+    one batched SVD over the blocks and ``three_point`` holds m^3/k numbers
+    on k coefficient classes, so each is computed on first use and then kept.
     """
 
     fam: OperatorFamily
@@ -63,8 +63,9 @@ class Quantizer:
         return int(np.count_nonzero(self.b2_basis.any(axis=2)))
 
     @cached_property
-    def three_point(self) -> np.ndarray:
-        """Kernel of the explicit composition law, built once per quantizer."""
+    def three_point(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Kernel of the explicit composition law as (rows, target, K) blocks,
+        built once per quantizer; see ``_three_point_kernel``."""
         return _three_point_kernel(self)
 
 
@@ -124,15 +125,62 @@ def involution(q: Quantizer, f: Symbol) -> Symbol:
     return dequantize(q, quantize(q, f).conj().T)
 
 
-def _three_point_kernel(q: Quantizer) -> np.ndarray:
-    """K[s*m + t, r] = Tr[pi(s)* pi(t)* pi(r)], one (m^2, d^2) x (d^2, m) product."""
-    m, d = q.fam.npoints, q.fam.hdim
-    _require(m * m * m <= _KERNEL_ENTRY_CAP,
+def _kernel_classes(fam: OperatorFamily):
+    """(rows (k, r), perm (k, d), target (k, k), val (k, r, d)) of a family
+    whose coefficient classes are maps i -> perm[a, i] closed under
+    composition (a group on a monomial family), else None.
+
+    Flat column j*d + i of class a means i -> j = perm[a, i], and
+    ``val[a, s, i] = <pi(s) e_i, e_perm[a, i]>`` for s = rows[a][s].  The
+    composite perm[b] o perm[a] is the class target[a, b].
+    """
+    rows, cols, V = fam.blocks
+    k, d = len(rows), fam.hdim
+    src = cols % d
+    if k == 1 or cols.shape[1] != d or np.any(np.sort(src, 1) != np.arange(d)):
+        return None
+    order = np.argsort(src, 1)
+    perm = np.take_along_axis(cols // d, order, 1)
+    comp = perm[:, perm].swapaxes(0, 1)            # comp[a, b] = perm[b] o perm[a]
+    owner = np.full(d * d, -1)
+    owner[cols] = np.arange(k)[:, None]
+    target = owner[comp[:, :, 0] * d]              # the class holding 0 -> comp(0)
+    if np.any(target < 0) or np.any(perm[target] != comp):
+        return None
+    return rows, perm, target, np.take_along_axis(V, order[:, None, :], 2)
+
+
+def _three_point_kernel(q: Quantizer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tr[pi(s)* pi(t)* pi(r)] as (rows (k, r), target (k, k), K (k, k, r^2, r)).
+
+    ``K[a, b, i*r + j, l]`` is the kernel at s = rows[a][i], t = rows[b][j],
+    r = rows[target[a, b]][l]; every other entry is exactly 0.  On a family
+    whose classes compose (``_kernel_classes``), pi(t) pi(s) has the pattern
+    of the one class target[a, b], whose columns no other class shares, so
+    each block contracts the d nonzero entries of pi(s)* pi(t)* with that
+    class: m^3 d/k work and m^3/k stored numbers.  Any other family is the
+    one block, one (m^2, d^2) x (d^2, m) product.
+    """
+    fam = q.fam
+    m, d = fam.npoints, fam.hdim
+    classes = _kernel_classes(fam)
+    k = 1 if classes is None else len(classes[0])
+    _require(m ** 3 // k <= _KERNEL_ENTRY_CAP,
              "space too large to materialize the three-point kernel")
-    pistar = q.fam.stack.conj().swapaxes(1, 2)
-    # pi(s)* pi(t)*, transposed; the product is freed once it is copied
-    ts = (pistar[:, None] @ pistar[None]).swapaxes(2, 3).reshape(m * m, d * d)
-    return ts @ q.fam.flat.T
+    if classes is None:
+        pistar = fam.stack.conj().swapaxes(1, 2)
+        # pi(s)* pi(t)*, transposed; the product is freed once it is copied
+        ts = (pistar[:, None] @ pistar[None]).swapaxes(2, 3).reshape(m * m, d * d)
+        K = (ts @ fam.flat.T)[None, None]
+        return np.arange(m)[None], np.zeros((1, 1), dtype=int), K
+    rows, perm, target, val = classes
+    r = m // k
+    K = np.empty((k, k, r * r, r), dtype=complex)
+    for a in range(k):          # one source class at a time: m^2 d/k gathered
+        # the diagonal of pi(s)* pi(t)* against class target[a, b], (k, r, r, d)
+        ts = np.conj(val[a][None, :, None, :] * val[:, None, :, perm[a]])
+        np.matmul(ts.reshape(k, r * r, d), val[target[a]].swapaxes(1, 2), out=K[a])
+    return rows, target, K
 
 
 def star_explicit(q: Quantizer, f: Symbol, g: Symbol) -> Symbol:
@@ -141,12 +189,19 @@ def star_explicit(q: Quantizer, f: Symbol, g: Symbol) -> Symbol:
     In finite dimensions the identity is a (right) approximate unit, so the
     limit in the abstract formula collapses to a single evaluation.  Agrees
     with the transported star on range symbols; this is the independent
-    route used to cross-check it.
+    route used to cross-check it.  Each kernel block meets the weighted
+    symbols on its two source classes and lands on its target class.
     """
     _require(f.space == q.space and g.space == q.space,
              "symbols live on a different space")
+    rows, target, K = q.three_point
+    k, r = rows.shape
     w = q.space.weights
-    return Symbol(q.space, np.kron(w * f.values, w * g.values) @ q.three_point)
+    wf, wg = (w * f.values)[rows], (w * g.values)[rows]
+    pairs = (wf[:, None, :, None] * wg[None, :, None, :]).reshape(k, k, 1, r * r)
+    out = np.zeros(q.fam.npoints, dtype=complex)
+    np.add.at(out, rows[target], (pairs @ K)[:, :, 0])
+    return Symbol(q.space, out)
 
 
 def involution_explicit(q: Quantizer, f: Symbol) -> Symbol:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +113,11 @@ class MeasureSpace:
 
     def space_id(self) -> str:
         """Deterministic content hash used in symbol serialization."""
+        return self._space_id
+
+    @cached_property
+    def _space_id(self) -> str:
+        # hashed once: the space is frozen and its weights are read-only
         payload = json.dumps(space_to_json(self), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 

@@ -110,7 +110,13 @@ def test_discrete_weyl_matches_point_loop_bitwise(N):
     (lambda: oc.discrete_weyl(True), "N must be an integer"),
     (lambda: oc.abelian_metaplectic([5.5], 1), "each of orders must be an integer"),
     (lambda: oc.abelian_metaplectic([5], 1.0), "k must be an integer"),
-], ids=["weyl_float", "weyl_bool", "metaplectic_orders", "metaplectic_k"])
+    (lambda: oc.cyclic_table(4.5), "n must be an integer"),
+    (lambda: oc.cyclic_table(True), "n must be an integer"),
+    (lambda: oc.cyclic_character(4.0, 1), "n must be an integer"),
+    (lambda: oc.cyclic_character(4, 1.0), "k must be an integer"),
+], ids=["weyl_float", "weyl_bool", "metaplectic_orders", "metaplectic_k",
+        "cyclic_table_float", "cyclic_table_bool", "cyclic_character_n",
+        "cyclic_character_k"])
 def test_constructors_reject_non_integer_sizes(build, message):
     with pytest.raises(ValueError, match=message):
         build()

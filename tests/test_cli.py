@@ -349,6 +349,29 @@ def test_three_point_kernel_built_once_per_star_table(tmp_path, monkeypatch):
     assert calls == [4]           # nine explicit products, one kernel
 
 
+def test_star_table_checks_the_explicit_law_on_weyl24(tmp_path):
+    cfg = write(tmp_path, "cfg.json", {
+        "backend": {"kind": "discrete_weyl", "N": 24}, "seed": 3,
+        "tasks": [{"kind": "star_table", "n_random": 2, "check_explicit": True}]})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "r.json")]) == 0
+    task = json.loads((tmp_path / "r.json").read_text())["tasks"][0]
+    assert task["verdict"] == "pass" and task["explicit_residual"] < 1e-10
+
+
+def test_star_table_hashes_each_space_once(tmp_path, monkeypatch):
+    from opcalc import core
+    hashed = []
+    real = core.space_to_json
+    monkeypatch.setattr(core, "space_to_json", lambda sp: hashed.append(sp) or real(sp))
+    cfg = write(tmp_path, "cfg.json", {
+        "backend": {"kind": "discrete_weyl", "N": 3}, "seed": 3,
+        "tasks": [{"kind": "star_table", "n_random": 3}]})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "r.json")]) == 0
+    table = json.loads((tmp_path / "r.json").read_text())["tasks"][0]["table"]
+    assert len({f["space"] for row in table for f in row}) == 1     # nine symbols
+    assert len(hashed) == 1
+
+
 WEYL3 = {"kind": "discrete_weyl", "N": 3}
 
 

@@ -43,9 +43,10 @@ def ref_dequantize(fam, T):
     return np.einsum("ij,sji->s", T, fam.stack)
 
 
-def ref_three_point(fam):
-    ts = np.einsum("sab,tbc->stac", pistar(fam), pistar(fam))
-    return np.einsum("stac,rca->str", ts, fam.stack)
+def ref_three_point(fam, points=slice(None)):
+    """Tr[pi(s)* pi(t)* pi(r)] at s in ``points`` and every (t, r)."""
+    ts = np.einsum("sab,tbc->stac", pistar(fam)[points], pistar(fam), optimize=True)
+    return np.einsum("stac,rca->str", ts, fam.stack, optimize=True)
 
 
 def ref_wfield(fam, w):
@@ -124,7 +125,7 @@ def test_explicit_routes_match_einsum(setup, rng):
     fam = q.fam
     m, w = fam.npoints, fam.space.weights
     K = ref_three_point(fam)
-    close(q.three_point.reshape(m, m, m), K)
+    close(kernel_at(q, np.arange(m)), K)
     f, g = oc.random_symbol(rng, fam.space), oc.random_symbol(rng, fam.space)
     close(oc.star_explicit(q, f, g).values,
           np.einsum("s,t,str->r", w * f.values, w * g.values, K))
@@ -176,3 +177,76 @@ def test_compress_matches_einsum(setup, rng):
     iota, _ = np.linalg.qr(oc.random_vector(rng, d * d).reshape(d, d))
     out = oc.compress(fam, np.arange(fam.npoints), fam.space, iota)
     close(out.stack, np.einsum("ia,sij,jb->sab", np.conj(iota), fam.stack, iota))
+
+
+# ---------------------------------------------------------------------------
+# the three-point kernel, block by block
+# ---------------------------------------------------------------------------
+
+def kernel_at(q, points):
+    """The kernel at s in ``points`` and every (t, r), scattered from its blocks."""
+    rows, target, K = q.three_point
+    k, r = rows.shape
+    m = q.fam.npoints
+    cls, loc = np.divmod(np.argsort(rows.ravel()), r)      # point -> (class, index)
+    out = np.zeros((len(points), m, m), dtype=complex)
+    for n, s in enumerate(points):
+        a, i = cls[s], loc[s]
+        out[n][rows[:, :, None], rows[target[a]][:, None, :]] = K[a, :, i * r:(i + 1) * r]
+    return out
+
+
+def latin5_family():
+    """pi(a, b) = P_a diag(omega^(b i)) on a Latin square of order 5 that is
+    not a group table: five monomial classes that do not compose."""
+    L = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                  [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+    d, i = 5, np.arange(5)
+    ops = np.zeros((d, d, d, d), dtype=complex)
+    for a in range(d):
+        for b in range(d):
+            ops[a, b, L[a], i] = np.exp(2j * np.pi * b * i / d)
+    space = oc.MeasureSpace(tuple(f"{a},{b}" for a in range(d) for b in range(d)),
+                            np.full(d * d, 1.0 / d))
+    return oc.OperatorFamily(space, ops.reshape(d * d, d, d))
+
+
+def compressed_weyl3():
+    fam = oc.discrete_weyl(3)
+    iota, _ = np.linalg.qr(oc.random_vector(np.random.default_rng(3), 9).reshape(3, 3))
+    return oc.compress(fam, np.arange(fam.npoints), fam.space, iota)
+
+
+KERNEL_FAMILIES = {          # name: (family, kernel blocks)
+    "weyl3": (lambda: oc.discrete_weyl(3), 3),
+    "weyl8": (lambda: oc.discrete_weyl(8), 8),
+    "weyl16": (lambda: oc.discrete_weyl(16), 16),
+    "metaplectic15": (lambda: oc.abelian_metaplectic((15,), k=2), 15),
+    "weyl2xweyl3": (lambda: oc.tensor(oc.discrete_weyl(2), oc.discrete_weyl(3)), 6),
+    "s3": (FAMILIES["s3"], 1),
+    "compress": (compressed_weyl3, 1),
+    "latin5": (latin5_family, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_FAMILIES))
+def test_block_kernel_matches_einsum(name, rng):
+    build, k = KERNEL_FAMILIES[name]
+    q = oc.build_quantizer(build())
+    fam, m = q.fam, q.fam.npoints
+    rows, target, K = q.three_point
+    r = m // k
+    assert rows.shape == (k, r) and target.shape == (k, k) and K.shape == (k, k, r * r, r)
+    # two whole source classes on the large families, every point otherwise
+    points = np.arange(m) if m <= 64 else np.r_[rows[0], rows[-1]]
+    close(kernel_at(q, points), ref_three_point(fam, points))
+    f, g = (oc.project_b2(q, oc.random_symbol(rng, fam.space)) for _ in range(2))
+    close(oc.star_explicit(q, f, g).values, oc.star(q, f, g).values)
+
+
+def test_latin_square_classes_take_the_one_block_route():
+    fam = latin5_family()
+    assert oc.verify_sq(fam).passed and oc.commutant_dim(fam) == 1
+    assert len(fam.blocks[0]) == 5                  # monomial classes ...
+    assert ca._kernel_classes(fam) is None          # ... that are not a group
+    assert ca._kernel_classes(oc.discrete_weyl(5)) is not None

@@ -3,6 +3,7 @@ import pytest
 
 import opcalc as oc
 from opcalc import magnetic as mg
+from opcalc.core import op_norm
 from opcalc.family import verify_sq
 
 L = 12.0
@@ -548,6 +549,34 @@ def test_gauge_smooth_refines():
 
 def test_reduction_residual_small():
     assert mg.reduction_residual(mg.magnetic_weyl_grid(32, L)) < 1e-12
+
+
+def reduction_residual_every_svd(backend):
+    """``reduction_residual`` with the spectral norm of all three gaps."""
+    n, box = backend.n, backend.L
+    phases = mg._arc_phases(backend, np.zeros(3 * n + 1))
+
+    def op0(fn):
+        return mg._kernel(backend, mg._lag_transform(backend, backend.sample_symbol(fn)),
+                          phases)
+
+    p_op = op0(lambda Q, P: P + 0j)
+    r1 = op_norm(p_op - mg.standard_momentum_matrix(n, box)) / max(1.0, op_norm(p_op))
+    g_op = op0(lambda Q, P: np.cos(2 * np.pi * Q / box) + 0j)
+    r2 = op_norm(g_op - np.diag(np.cos(2 * np.pi * backend.x / box).astype(complex)))
+    r3 = op_norm(op0(lambda Q, P: np.ones_like(Q, dtype=complex)) - np.eye(n))
+    return max(r1, r2, r3)
+
+
+def test_reduction_residual_prunes_svds_bitwise(monkeypatch):
+    grids = [32, 64, 128, 192]
+    calls = []
+    monkeypatch.setattr(mg, "op_norm", lambda T: calls.append(len(T)) or op_norm(T))
+    pruned = mg.magnetic_study(grids)
+    # 3 composition, 2 gauge and 2 reduction spectral norms per grid, not 4
+    assert len(calls) == 7 * len(grids)
+    monkeypatch.setattr(mg, "reduction_residual", reduction_residual_every_svd)
+    assert mg.magnetic_study(grids) == pruned
 
 
 def test_magnetic_study_shape():
