@@ -14,16 +14,8 @@ import itertools
 
 import numpy as np
 
-from .core import DEFAULT_TOL, GridLabels, MeasureSpace, _require, vec_norm
+from .core import DEFAULT_TOL, GridLabels, MeasureSpace, _require, _spec_int, vec_norm
 from .family import OperatorFamily
-
-
-def _spec_int(value, name: str) -> int:
-    """A size, taken only as an integer (not a bool): ``int()`` would
-    quietly truncate 2.7 to 2 and run a smaller backend."""
-    _require(isinstance(value, (int, np.integer)) and not isinstance(value, bool),
-             f"{name} must be an integer")
-    return int(value)
 
 
 def trivial_backend() -> OperatorFamily:

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (RANK_DROP_TOL, MeasureSpace, Symbol, _readonly, _require,
-                   as_operator, hs_norm, op_norm, trace_norm)
+                   _spec_int, as_operator, hs_norm, op_norm, trace_norm)
 from .family import OperatorFamily, _flat_matmul, _flat_rmatmul, verify_sq
 
 #: Guard on the stored entries of the three-point kernel, m^3/k on k classes.
@@ -214,11 +214,13 @@ def involution_explicit(q: Quantizer, f: Symbol) -> Symbol:
 
 def e_symbol(q: Quantizer, s: int) -> Symbol:
     """Point symbol: the symbol quantizing to pi(s)*."""
-    return Symbol(q.space, _flat_matmul(q.fam, q.fam.stack[s].conj().ravel()))
+    pistar = q.fam.stack[_spec_int(s, "point index", q.fam.npoints)].conj()
+    return Symbol(q.space, _flat_matmul(q.fam, pistar.ravel()))
 
 
 def pairing_with_e(q: Quantizer, f: Symbol, s: int) -> complex:
     """Trace pairing Tr[quantize(f) pi(s)]; reproduces f(s) on range symbols."""
+    s = _spec_int(s, "point index", q.fam.npoints)
     return complex(_flat_matmul(q.fam, quantize(q, f).T.ravel())[s])
 
 
@@ -233,7 +235,7 @@ def quantize_measure(q: Quantizer, atoms, tol: float | None = None) -> np.ndarra
     c = np.zeros(q.fam.npoints, dtype=complex)
     total_variation = 0.0
     for idx, mass in atoms:
-        c[int(idx)] += complex(mass)
+        c[_spec_int(idx, "point index", q.fam.npoints)] += complex(mass)
         total_variation += abs(complex(mass))
     T = _adjoint_sum(q.fam, c)
     if op_norm(T) > total_variation * q.fam.sup_norm + tol:

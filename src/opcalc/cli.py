@@ -252,20 +252,16 @@ def _inftensor(task, fam, tol, rng):
     ent[0] = 1 / np.sqrt(2)
     ent[-1] += 1 / np.sqrt(2)
     ent /= np.linalg.norm(ent)
-    rows = []
-    for N in range(1, rp.J + 1):
-        weights = rp.level_space(N).weights
-        X = rp.level_vectors(N, product_vec)          # one sweep, read twice
-        gap = core.op_norm(
-            inftensor._berezin_truncated(X, weights) - np.eye(rp.full_dim))
-        defect = inftensor._sq_defect(weights, X, product_vec, product_vec)
-        del X                                 # freed before the next sweep
-        rows.append({
-            "N": N,
-            "defect_product_vector": defect,
-            "defect_entangled_witness": inftensor.sq_defect(rp, N, ent, ent),
-            "omega_identity_gap": gap,
-        })
+    identity = np.eye(rp.full_dim)
+    # one sweep per vector; the product sweep ends before the witness sweep
+    # starts, so one level array is alive at a time
+    product = [(inftensor._sq_defect(weights, X, product_vec, product_vec),
+                core.op_norm(inftensor._berezin_truncated(X, weights) - identity))
+               for weights, X in rp.levels(product_vec)]
+    rows = [{"N": N, "defect_product_vector": defect, "omega_identity_gap": gap,
+             "defect_entangled_witness": inftensor._sq_defect(weights, X, ent, ent)}
+            for N, ((defect, gap), (weights, X))
+            in enumerate(zip(product, rp.levels(ent)), 1)]
     gaps = [r["omega_identity_gap"] for r in rows]
     ok = (rows[-1]["defect_product_vector"] <= tol
           and rows[-1]["defect_entangled_witness"] <= tol

@@ -32,6 +32,16 @@ def _require(cond: bool, msg: str, exc=ValueError) -> None:
         raise exc(msg)
 
 
+def _spec_int(value, name: str, stop: int | None = None) -> int:
+    """A size or index, taken only as an integer (not a bool), and in
+    [0, stop) if ``stop`` is given: ``int()`` would quietly truncate 2.7 to 2
+    and run a smaller backend."""
+    _require(isinstance(value, (int, np.integer)) and not isinstance(value, bool),
+             f"{name} must be an integer")
+    _require(stop is None or 0 <= value < stop, f"{name} {value} is not in [0, {stop})")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # measure spaces
 # ---------------------------------------------------------------------------

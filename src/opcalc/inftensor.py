@@ -12,11 +12,14 @@ what the defect curves report.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MeasureSpace, Symbol, _require, as_vector, product_space, vec_norm
+from .core import (MeasureSpace, Symbol, _require, _spec_int, as_vector, product_space,
+                   vec_norm)
 from .family import OperatorFamily, verify_sq
 
 DEFAULT_DIM_CAP = 4096
@@ -59,25 +62,33 @@ class RestrictedProduct:
                 product_space(self.level_space(N - 1), self.factors[N - 1].fam.space)
         return self._level_spaces[N]
 
-    def level_vectors(self, N: int, u) -> np.ndarray:
-        """pi(s) u at every level-N point, as an (m_N, D) array.
+    def levels(self, u):
+        """Yield (weights, X) for N = 1 ... J: the level-N product measure and
+        pi(s) u at every level-N point, as an (m_N, D) array.
 
-        Factor k's stack acts on tensor mode k of u as one GEMM,
-        ``stack.reshape(m_k d_k, d_k)`` times the mode-k unfolding of the
-        vectors so far; the tail modes are untouched, which is the exact
-        identity.  Memory is m_N * D, never the m_N * D^2 of the level stack;
-        each factor copies its input once, to unfold it, and one transpose at
-        the end puts the points first.
+        Factor k is one GEMM, ``stack.reshape(m_k d_k, d_k)`` times the mode-k
+        unfolding of level k - 1; the tail modes are untouched (the exact
+        identity).  Only the points-first array (points so far, modes so far,
+        later modes) is carried: m_N * D numbers, not the level stack's m_N * D^2.
         """
+        X, weights, P, L = as_vector(u, self.full_dim), np.ones(1), 1, 1
+        for f, dk in zip(self.factors, self.dims):
+            m = f.fam.npoints
+            X = (f.fam.stack.reshape(m * dk, dk)
+                 @ X.reshape(P, L, dk, -1).transpose(2, 0, 1, 3).reshape(dk, -1)
+                 ).reshape(m, dk, P, L, -1).transpose(2, 0, 3, 1, 4).reshape(P * m, -1)
+            P, L = P * m, L * dk
+            weights = np.multiply.outer(weights, f.fam.space.weights).reshape(-1)
+            yield weights, X
+
+    def level(self, N: int, u) -> tuple[np.ndarray, np.ndarray]:
+        """Level N of ``levels(u)``, from a sweep that stops there."""
         _require(1 <= N <= self.J, "truncation level out of range")
-        # X has axes (s_k, i_k, earlier points, earlier modes, later modes)
-        X, m, d, M, lead = as_vector(u, self.full_dim), 1, 1, 1, 1
-        for f, dk in zip(self.factors[:N], self.dims):
-            X = (X.reshape(m, d, M, lead, dk, -1).transpose(4, 2, 0, 3, 1, 5)
-                 .reshape(dk, -1))
-            M, lead, m, d = M * m, lead * d, f.fam.npoints, dk
-            X = f.fam.stack.reshape(m * d, d) @ X
-        return X.reshape(m, d, M, lead, -1).transpose(2, 0, 3, 1, 4).reshape(M * m, -1)
+        return next(itertools.islice(self.levels(u), N - 1, None))
+
+    def level_vectors(self, N: int, u) -> np.ndarray:
+        """pi(s) u at every level-N point, as an (m_N, D) array."""
+        return self.level(N, u)[1]
 
     def level_stack(self, N: int) -> np.ndarray:
         """Dense level-N operators, tail factors 1: the m_N * D^2 test reference."""
@@ -96,26 +107,24 @@ def build_restricted(factors, dim_cap: int = DEFAULT_DIM_CAP,
     Every family must pass the square-integrability test, act as the
     identity at its base point, and come with a unit distinguished vector.
     """
+    factors = list(factors)
+    _require(1 <= len(factors) <= factor_cap,
+             f"factor count must be between 1 and {factor_cap}")
+    full_dim = math.prod(fam.hdim for fam, _, _ in factors)      # exact, no wrap
+    _require(full_dim <= dim_cap,
+             f"total dimension {full_dim} exceeds the cap {dim_cap}")
     built = []
     for j, (fam, base_index, w) in enumerate(factors):
         t = (fam.working_tol() if tol is None else tol)
         w = as_vector(w, fam.hdim)
         _require(abs(vec_norm(w) - 1.0) <= t, f"factor {j}: vector must be unit")
-        base_index = int(base_index)
-        _require(0 <= base_index < fam.npoints, f"factor {j}: bad base point")
+        base_index = _spec_int(base_index, f"factor {j}: base point", fam.npoints)
         gap = np.abs(fam.op(base_index) - np.eye(fam.hdim)).max()
-        if gap > t:
-            raise ValueError(
-                f"factor {j} lacks an identity at its base point (gap {gap:.3e})")
-        if not verify_sq(fam, tol=t).passed:
-            raise ValueError(f"factor {j} fails square-integrability")
+        _require(gap <= t,
+                 f"factor {j} lacks an identity at its base point (gap {gap:.3e})")
+        _require(verify_sq(fam, tol=t).passed, f"factor {j} fails square-integrability")
         built.append(Factor(fam, base_index, w))
-    _require(1 <= len(built) <= factor_cap,
-             f"factor count must be between 1 and {factor_cap}")
-    rp = RestrictedProduct(built)
-    _require(rp.full_dim <= dim_cap,
-             f"total dimension {rp.full_dim} exceeds the cap {dim_cap}")
-    return rp
+    return RestrictedProduct(built)
 
 
 def sq_defect(rp: RestrictedProduct, N: int, u, v) -> float:
@@ -125,8 +134,7 @@ def sq_defect(rp: RestrictedProduct, N: int, u, v) -> float:
     non-increasing to zero in N for arbitrary vectors of the full space.
     """
     u = as_vector(u, rp.full_dim)
-    v = as_vector(v, rp.full_dim)
-    return _sq_defect(rp.level_space(N).weights, rp.level_vectors(N, u), u, v)
+    return _sq_defect(*rp.level(N, u), u, as_vector(v, rp.full_dim))
 
 
 def _sq_defect(weights: np.ndarray, X: np.ndarray, u: np.ndarray,
@@ -151,9 +159,10 @@ def projected_overlap(rp: RestrictedProduct, N: int, M: int,
                          @ tail.conj(), M) for v in (v1, v2))
     u1 = as_vector(u1, rp.full_dim)
     u2 = as_vector(u2, rp.full_dim)
-    f1 = rp.level_vectors(N, u1) @ np.conj(pv1)
+    weights, X = rp.level(N, u1)
+    f1 = X @ np.conj(pv1)
     f2 = rp.level_vectors(N, u2) @ np.conj(pv2)
-    integral = float(np.dot(rp.level_space(N).weights, np.abs(f1) * np.abs(f2)))
+    integral = float(np.dot(weights, np.abs(f1) * np.abs(f2)))
     bound = vec_norm(u1) * vec_norm(pv1) * vec_norm(u2) * vec_norm(pv2)
     return integral, bound
 
@@ -167,8 +176,7 @@ def berezin_truncated(rp: RestrictedProduct, N: int, u,
     """
     _require(f.space == rp.level_space(N),
              "symbol must live on the level-N product space")
-    return _berezin_truncated(rp.level_vectors(N, u),
-                              rp.level_space(N).weights * f.values)
+    return _berezin_truncated(rp.level_vectors(N, u), f.space.weights * f.values)
 
 
 def _berezin_truncated(X: np.ndarray, wf: np.ndarray) -> np.ndarray:
@@ -190,30 +198,21 @@ def frame_kernel_inf(rp: RestrictedProduct, wfactors=None):
     base-base factors contributing exactly 1.
     """
     factors = rp.factors
-    if wfactors is None:
-        wvecs = [f.w for f in factors]
-    else:
-        wvecs = [as_vector(w, f.fam.hdim) for w, f in zip(wfactors, factors)]
-        _require(len(wvecs) == len(factors), "one fiducial vector per factor")
+    wvecs = [f.w for f in factors] if wfactors is None else list(wfactors)
+    _require(len(wvecs) == rp.J, "one fiducial vector per factor")
+    wvecs = [as_vector(w, f.fam.hdim) for w, f in zip(wvecs, factors)]
 
     def normalize(point) -> dict:
-        if isinstance(point, dict):
-            items = point.items()
-        else:
-            items = enumerate(point)
         out = {}
-        for j, idx in items:
-            j, idx = int(j), int(idx)
-            _require(0 <= j < rp.J, f"no factor {j} in this product")
-            _require(0 <= idx < factors[j].fam.npoints,
-                     f"factor {j} has no point {idx}")
+        for j, idx in point.items() if isinstance(point, dict) else enumerate(point):
+            j = _spec_int(j, "factor", rp.J)
+            idx = _spec_int(idx, f"factor {j} point", factors[j].fam.npoints)
             if idx != factors[j].base_index:
                 out[j] = idx
         return out
 
     def kernel(s, t) -> complex:
-        s = normalize(s)
-        t = normalize(t)
+        s, t = normalize(s), normalize(t)
         value = 1.0 + 0.0j
         for j in sorted(set(s) | set(t)):
             fac = factors[j]

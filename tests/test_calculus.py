@@ -189,10 +189,19 @@ def test_explicit_routes_never_quantize(weyl3_q, rng, monkeypatch):
         oc.mixed_trace(weyl3_q, f, S)       # its left side is the quantized route
 
 
+#: Point indices outside [0, 9) or not integers, for the Weyl 3 quantizer.
+BAD_POINTS = [-1, -9, 9, 4.0, 2.7, True, "4"]
+
+
 def test_e_symbol_quantizes_to_adjoint(weyl3_q):
     for s in range(9):
         T = oc.quantize(weyl3_q, oc.e_symbol(weyl3_q, s))
         assert np.abs(T - weyl3_q.fam.op(s).conj().T).max() < 1e-12
+    assert np.array_equal(oc.e_symbol(weyl3_q, np.int64(4)).values,
+                          oc.e_symbol(weyl3_q, 4).values)
+    for s in BAD_POINTS:
+        with pytest.raises(ValueError, match="point"):
+            oc.e_symbol(weyl3_q, s)
 
 
 def test_pairing_with_e_reproduces_values(weyl3_q, rng):
@@ -200,6 +209,9 @@ def test_pairing_with_e_reproduces_values(weyl3_q, rng):
     for s in range(9):
         assert oc.pairing_with_e(weyl3_q, f, s) == pytest.approx(
             complex(f.values[s]), abs=1e-11)
+    for s in BAD_POINTS:
+        with pytest.raises(ValueError, match="point"):
+            oc.pairing_with_e(weyl3_q, f, s)
 
 
 def test_e_symbol_trivial_constant():
@@ -225,6 +237,9 @@ def test_quantize_measure(weyl3_q, rng):
     atoms = [(s, weyl3_q.space.weights[s] * g.values[s]) for s in range(9)]
     assert np.abs(oc.quantize_measure(weyl3_q, atoms)
                   - oc.quantize(weyl3_q, g)).max() < 1e-12
+    for s in BAD_POINTS:
+        with pytest.raises(ValueError, match="point"):
+            oc.quantize_measure(weyl3_q, [(4, 1.0), (s, 1.0)])
 
 
 def test_sup_norm_computed_once_per_family(weyl3_q, monkeypatch):

@@ -239,9 +239,11 @@ def test_thread_cap_holds_when_opcalc_is_imported_first():
 
 def test_inftensor_six_copies_builds_no_level_stack(tmp_path, monkeypatch):
     def refuse(self, N):
-        raise AssertionError("the dense level stack is a test reference only")
+        raise AssertionError("the task needs neither the dense level stack "
+                             "nor the labelled level spaces")
 
     monkeypatch.setattr(inftensor.RestrictedProduct, "level_stack", refuse)
+    monkeypatch.setattr(inftensor.RestrictedProduct, "level_space", refuse)
     cfg = write(tmp_path, "cfg.json", {"backend": {"kind": "discrete_weyl", "N": 2},
                                        "tasks": [{"kind": "inftensor", "copies": 6}]})
     out = tmp_path / "report.json"
@@ -252,18 +254,20 @@ def test_inftensor_six_copies_builds_no_level_stack(tmp_path, monkeypatch):
 
 
 def test_inftensor_sweeps_each_vector_once_per_level(tmp_path, monkeypatch):
-    # the product vector's level vectors feed both the Berezin gap and its
-    # defect; the report equals the public functions, which sweep separately
+    # one sweep of the product vector yields every level for both the Berezin
+    # gap and its defect, and one more the witness's; the report equals the
+    # public functions, which sweep separately
     calls = []
-    real = inftensor.RestrictedProduct.level_vectors
-    monkeypatch.setattr(inftensor.RestrictedProduct, "level_vectors",
-                        lambda rp, N, u: calls.append((N, tuple(u))) or real(rp, N, u))
+    real = inftensor.RestrictedProduct.levels
+    monkeypatch.setattr(inftensor.RestrictedProduct, "levels",
+                        lambda rp, u: calls.append(tuple(u)) or real(rp, u))
     cfg = write(tmp_path, "cfg.json", {"backend": {"kind": "discrete_weyl", "N": 3},
                                        "tasks": [{"kind": "inftensor", "copies": 3}]})
     out = tmp_path / "report.json"
     assert cli.main(["run", cfg, "--out", str(out)]) == 0
     rows = json.loads(out.read_text())["tasks"][0]["rows"]
-    assert len(calls) == 2 * len(rows) == len(set(calls))
+    assert len(calls) == 2 == len(set(calls))
+    assert len(rows) == 3
     fam = opcalc.discrete_weyl(3)
     rp = inftensor.build_restricted([(fam, 0, np.eye(3)[0])] * 3)
     pv = rp.embed(np.ones(1, dtype=complex), 0)

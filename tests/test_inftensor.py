@@ -57,6 +57,9 @@ def test_missing_identity_point_rejected():
     fam = oc.discrete_weyl(2)
     with pytest.raises(ValueError, match="identity"):
         it.build_restricted([(fam, 1, unit(2))])  # point (0,1) is not 1
+    for bad in (-1, 4, 0.0, True):
+        with pytest.raises(ValueError, match="base point"):
+            it.build_restricted([(fam, bad, unit(2))])
 
 
 def test_non_unit_vector_rejected():
@@ -65,12 +68,22 @@ def test_non_unit_vector_rejected():
         it.build_restricted([(fam, 0, np.array([1.0, 1.0]))])
 
 
-def test_caps_enforced():
+def test_caps_enforced(monkeypatch):
+    def refuse(fam, tol=None):
+        raise AssertionError("caps are checked before the SQ test")
+
+    monkeypatch.setattr(it, "verify_sq", refuse)
     fam = oc.discrete_weyl(2)
     with pytest.raises(ValueError, match="cap"):
         it.build_restricted([(fam, 0, unit(2))] * 3, dim_cap=4)
     with pytest.raises(ValueError, match="factor count"):
         it.build_restricted([(fam, 0, unit(2))] * 3, factor_cap=2)
+    with pytest.raises(ValueError, match="factor count"):
+        it.build_restricted(iter([(fam, 0, unit(2))] * 13))
+    with pytest.raises(ValueError, match="factor count"):
+        it.build_restricted([])
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        it.build_restricted([(oc.discrete_weyl(3), 0, unit(3))] * 8)   # 3^8 > 4096
 
 
 def test_embeddings_are_isometries(rp3):
@@ -136,11 +149,15 @@ def test_projected_overlap_exact_when_nested(rp3, rng):
 
 def test_level_vectors_match_level_stack(mixed_rp, rng):
     rp = mixed_rp
-    for N in range(1, rp.J + 1):
-        u = oc.random_vector(rng, rp.full_dim)
-        X = rp.level_vectors(N, u)
+    u = oc.random_vector(rng, rp.full_dim)
+    sweep = list(rp.levels(u))
+    assert len(sweep) == rp.J
+    for N, (weights, X) in enumerate(sweep, 1):
         assert X.shape == (rp.level_space(N).npoints, rp.full_dim)
         assert np.abs(X - rp.level_stack(N) @ u).max() <= 1e-13
+        assert np.array_equal(weights, rp.level_space(N).weights)
+        # a sweep stopped at N gives level N of the full sweep bit for bit
+        assert np.array_equal(rp.level_vectors(N, u), X)
 
 
 def test_projected_overlap_matches_dense_projector(mixed_rp, rng):
@@ -241,6 +258,13 @@ def test_frame_kernel_validates_points(rp3):
         kernel({5: 0}, {})
     with pytest.raises(ValueError):
         kernel({0: 9}, {})
+    for bad in ({0: -1}, {0: 1.5}, {0.0: 1}, {True: 1}, [0, 1, 2, 3]):
+        with pytest.raises(ValueError):
+            kernel(bad, {})
+    assert it.frame_kernel_inf(rp3, [unit(2)] * rp3.J)({}, {}) == pytest.approx(1.0)
+    for count in (rp3.J - 1, rp3.J + 1):
+        with pytest.raises(ValueError, match="one fiducial vector per factor"):
+            it.frame_kernel_inf(rp3, [unit(2)] * count)
 
 
 def from_scratch_level_space(rp, N):
