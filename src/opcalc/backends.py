@@ -4,8 +4,8 @@ irreducibles, and the finite abelian metaplectic systems.
 Measure normalization is decided here, never in core: discrete Weyl carries
 1/N per phase-space point, group backends carry (irrep dim)/|G| per element
 (the renormalized Haar measure that makes Schur orthogonality come out with
-constant one), and the metaplectic k=2 system carries a numerically
-calibrated constant on the dual factor.
+constant one), and both metaplectic variants carry counting/|G| on the dual
+factor, under which the orthogonality constant is exactly one.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import itertools
 
 import numpy as np
 
-from .core import DEFAULT_TOL, GridLabels, MeasureSpace, _require, _spec_int, vec_norm
+from .core import (DEFAULT_TOL, GridLabels, MeasureSpace, _require, _spec_array, _spec_int,
+                   _spec_num)
 from .family import OperatorFamily
 
 
@@ -122,8 +123,7 @@ def _check_group_table(table: np.ndarray) -> int:
     return identity
 
 
-def finite_group_backend(table, irrep, measure_scale: float = 1.0,
-                         tol: float = DEFAULT_TOL) -> OperatorFamily:
+def finite_group_backend(table, irrep, measure_scale: float = 1.0) -> OperatorFamily:
     """Family over a finite group from a unitary irreducible representation.
 
     Weights are measure_scale * d / |G| per element; the default scale 1 is
@@ -141,11 +141,11 @@ def finite_group_backend(table, irrep, measure_scale: float = 1.0,
     _require(mats.shape[2] == d, "representation matrices must be square")
     eye = np.eye(d)
     for g in range(n):
-        if np.abs(mats[g].conj().T @ mats[g] - eye).max() > tol:
+        if np.abs(mats[g].conj().T @ mats[g] - eye).max() > DEFAULT_TOL:
             raise ValueError(f"representation matrix {g} is not unitary")
     for g in range(n):
         for h in range(n):
-            if np.abs(mats[g] @ mats[h] - mats[table[g, h]]).max() > tol:
+            if np.abs(mats[g] @ mats[h] - mats[table[g, h]]).max() > DEFAULT_TOL:
                 raise ValueError(
                     f"matrices do not form a homomorphism at pair ({g}, {h})")
     _require(measure_scale > 0, "measure scale must be positive")
@@ -158,16 +158,18 @@ def finite_group_backend(table, irrep, measure_scale: float = 1.0,
 # finite abelian metaplectic systems
 # ---------------------------------------------------------------------------
 
-def abelian_metaplectic(orders, k: int, tol: float = DEFAULT_TOL) -> OperatorFamily:
+def abelian_metaplectic(orders, k: int) -> OperatorFamily:
     """Phase-space translation system of a finite abelian group.
 
     G is the direct sum of cyclic groups of the given orders; the Hilbert
     space is functions on G with the counting norm and the phase space is
     G x dual(G).  The variant k = 1 shifts then modulates; k = 2 is the
     symmetric variant and requires doubling to be an automorphism, i.e. odd
-    group order.  The dual measure is counting/|G| (which makes the Fourier
-    transform unitary, checked here); for k = 2 an additional calibration
-    constant is computed numerically and validated on all basis pairs.
+    group order.  For both, the dual measure is counting/|G| (which makes the
+    Fourier transform unitary, checked here) and the orthogonality constant
+    is exactly one: every entry of pi(x, xi) has modulus one and
+    <pi(x, xi) e_i, e_j> is nonzero only for x = i - j, so each basis pair
+    integrates |G| unit terms at weight 1/|G|.  ``verify_sq`` certifies it.
     """
     orders = tuple(_spec_int(n, "each of orders") for n in orders)
     _require(len(orders) >= 1 and all(n >= 1 for n in orders),
@@ -192,7 +194,7 @@ def abelian_metaplectic(orders, k: int, tol: float = DEFAULT_TOL) -> OperatorFam
     # Fourier transform L2(G, counting) -> L2(dual, counting/|G|) must be unitary
     F = characters.conj()
     gram = (F.conj().T @ F) / size
-    _require(bool(np.abs(gram - np.eye(size)).max() <= max(tol, 1e-12 * size)),
+    _require(bool(np.abs(gram - np.eye(size)).max() <= max(DEFAULT_TOL, 1e-12 * size)),
              "dual measure normalization does not make the Fourier transform unitary")
 
     def index(c):   # coordinates (..., len(orders)) mod orders -> element index
@@ -212,22 +214,7 @@ def abelian_metaplectic(orders, k: int, tol: float = DEFAULT_TOL) -> OperatorFam
     labels = [",".join(map(str, e)) for e in elements]
     points = [f"({a};{b})" for a in labels for b in labels]
 
-    base_weight = 1.0 / size          # counting x counting/|G|
-    if k == 1:
-        weights = np.full(size * size, base_weight)
-    else:
-        # calibrate: c = ||u||^2 ||v||^2 / uncalibrated integral, per basis pair;
-        # row j * size + i of the transpose holds |<pi(s) e_i, e_j>|^2 over all
-        # points, contiguous so that each row sums like the per-pair loop did
-        sq = np.ascontiguousarray((np.abs(ops.reshape(size * size, -1)) ** 2).T)
-        uncal = base_weight * np.sum(sq, axis=1)
-        _require(bool(np.all(uncal > 0)), "degenerate calibration integral")
-        c_values = np.ascontiguousarray((1.0 / uncal).reshape(size, size).T)
-        spread = float(c_values.max() - c_values.min())
-        _require(spread <= tol * c_values.max(),
-                 "calibration constant is not basis-independent")
-        weights = np.full(size * size, base_weight * float(c_values.mean()))
-    space = MeasureSpace(tuple(points), weights)
+    space = MeasureSpace(tuple(points), np.full(size * size, 1.0 / size))
     return OperatorFamily(space, ops)
 
 
@@ -267,24 +254,20 @@ def backend_from_spec(spec: dict):
                 _require(preset in _GROUP_PRESETS, f"unknown group preset {preset!r}")
                 table, irrep = _GROUP_PRESETS[preset]()
         else:
-            table = np.asarray(spec["table"], dtype=int)
+            table = _spec_array(spec["table"], "table", integer=True)
             raw = spec["irrep"]
-            irrep = np.asarray(raw["re"], dtype=float) + \
-                1j * np.asarray(raw.get("im", np.zeros_like(raw["re"])), dtype=float)
-        return finite_group_backend(table, irrep,
-                                    measure_scale=float(spec.get("measure_scale", 1.0)))
+            irrep = _spec_array(raw["re"], "irrep re") + \
+                1j * _spec_array(raw.get("im", 0.0), "irrep im")
+        return finite_group_backend(
+            table, irrep, _spec_num(spec.get("measure_scale", 1.0), "measure_scale"))
     if kind == "abelian_metaplectic":
         return abelian_metaplectic(spec["orders"], spec["k"])
     if kind == "magnetic_weyl":
-        n = _spec_int(spec["n"], "n")
-        tol = spec.get("tol", 1e-6)
-        _require(isinstance(tol, (int, float)) and not isinstance(tol, bool),
-                 "tol must be a number")
         A = spec.get("A")
         B = spec.get("B")
         return magnetic.magnetic_weyl_grid(
-            n, float(spec["L"]),
-            A=None if A is None else np.asarray(A, dtype=float),
-            B=None if B is None else np.asarray(B, dtype=float),
-            tol=float(tol))
+            _spec_int(spec["n"], "n"), _spec_num(spec["L"], "L"),
+            A=None if A is None else _spec_array(A, "A"),
+            B=None if B is None else _spec_array(B, "B"),
+            tol=_spec_num(spec.get("tol", 1e-6), "tol"))
     raise ValueError(f"unknown backend kind {kind!r}")

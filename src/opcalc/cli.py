@@ -24,6 +24,7 @@ from . import berezin as bz
 from . import calculus as ca
 from . import core, inftensor, magnetic
 from . import family as fm
+from .core import _is_int, _is_num
 
 EXIT_OK = 0
 EXIT_TASK_FAILURE = 1
@@ -35,28 +36,16 @@ class ConfigError(Exception):
     """Invalid configuration content (exit code 3)."""
 
 
-def _is_int(x, lo: int, hi: int | None = None) -> bool:
-    """True for an integer (not a bool) in [lo, hi)."""
-    return (isinstance(x, int) and not isinstance(x, bool) and lo <= x
-            and (hi is None or x < hi))
-
-
-def _is_num(x, positive: bool = True) -> bool:
-    """True for a finite real number (not a bool); positive unless positive=False."""
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and abs(x) <= sys.float_info.max and (x > 0 or not positive))
-
-
 #: Checks on task parameters: name -> (test of (value, hdim), what it must be).
 #: Every task that sets a parameter is checked before the first task runs.
 _PARAM_CHECKS = {
     "tol": (lambda x, hdim: _is_num(x), "a positive number"),
     "n_random": (lambda x, hdim: _is_int(x, 1), "a positive integer"),
     "w_index": (lambda x, hdim: _is_int(x, 0, hdim), "an integer in [0, {hdim})"),
-    "copies": (lambda x, hdim: _is_int(x, 1, inftensor.DEFAULT_FACTOR_CAP + 1)
-               and hdim ** x <= inftensor.DEFAULT_DIM_CAP,
-               f"an integer in [1, {inftensor.DEFAULT_FACTOR_CAP}] "
-               f"with {{hdim}}**copies <= {inftensor.DEFAULT_DIM_CAP}"),
+    "copies": (lambda x, hdim: _is_int(x, 1, inftensor.FACTOR_CAP + 1)
+               and hdim ** x <= inftensor.DIM_CAP,
+               f"an integer in [1, {inftensor.FACTOR_CAP}] "
+               f"with {{hdim}}**copies <= {inftensor.DIM_CAP}"),
     # composition_refines reads consecutive rows as coarse -> fine
     "grids": (lambda x, hdim: isinstance(x, list) and bool(x) and all(
                   _is_int(n, 4) and n % 2 == 0 for n in x)
@@ -105,8 +94,13 @@ def _validate_config(config: dict) -> None:
         raise ConfigError("tol must be a positive number")
 
 
-def _validate_tasks(tasks: list, hdim: int) -> None:
-    """Reject task parameters the backend cannot run, before any task runs."""
+def _validate_tasks(tasks: list, backend) -> None:
+    """Reject task parameters the backend cannot run and given symbols or
+    operators its tasks cannot read, before any task runs.  A magnetic grid's
+    symbols are read against its phase space; its family is not materialized."""
+    grid = isinstance(backend, magnetic.MagneticBackend)
+    hdim = backend.n if grid else backend.hdim
+    space = backend.phase_space() if grid else backend.space
     for i, task in enumerate(tasks):
         for name, (test, need) in _PARAM_CHECKS.items():
             if name in task and not test(task[name], hdim):
@@ -116,12 +110,20 @@ def _validate_tasks(tasks: list, hdim: int) -> None:
                 and not task.get("symbols"):
             raise ConfigError(f"task {i}: {task['kind']} needs 'symbols' "
                               "or 'n_random'")
+        try:
+            for d in task.get("symbols") or []:
+                core.symbol_from_json(d, space)
+            for d in task.get("operators") or []:
+                core.as_operator(core.operator_from_json(d), hdim)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"task {i}: unreadable symbols or operators: "
+                              f"{type(exc).__name__}: {exc}") from exc
 
 
 def _build_backend(spec: dict):
     try:
         return bk.backend_from_spec(spec)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid backend spec: {exc}") from exc
 
 
@@ -318,8 +320,7 @@ def run_config(config: dict, out_path: str | None,
     seed = seed_override if seed_override is not None else config.get("seed", 0)
     tol = tol_override if tol_override is not None else config.get("tol")
     backend = _build_backend(config["backend"])
-    _validate_tasks(config["tasks"], backend.n if isinstance(
-        backend, magnetic.MagneticBackend) else backend.hdim)
+    _validate_tasks(config["tasks"], backend)
 
     rng = np.random.default_rng(seed)
     report = {"seed": int(seed),

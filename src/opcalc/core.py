@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,14 +33,41 @@ def _require(cond: bool, msg: str, exc=ValueError) -> None:
         raise exc(msg)
 
 
+def _is_int(x, lo: int | None = None, hi: int | None = None) -> bool:
+    """True for an integer (not a bool) in [lo, hi); a bound of None is open."""
+    return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            and (lo is None or lo <= x) and (hi is None or x < hi))
+
+
+def _is_num(x, positive: bool = True) -> bool:
+    """True for a finite real number (not a bool); positive unless positive=False."""
+    return (isinstance(x, (int, float, np.integer)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max and (x > 0 or not positive))
+
+
 def _spec_int(value, name: str, stop: int | None = None) -> int:
     """A size or index, taken only as an integer (not a bool), and in
     [0, stop) if ``stop`` is given: ``int()`` would quietly truncate 2.7 to 2
     and run a smaller backend."""
-    _require(isinstance(value, (int, np.integer)) and not isinstance(value, bool),
-             f"{name} must be an integer")
-    _require(stop is None or 0 <= value < stop, f"{name} {value} is not in [0, {stop})")
+    _require(_is_int(value), f"{name} must be an integer")
+    _require(stop is None or _is_int(value, 0, stop),
+             f"{name} {value} is not in [0, {stop})")
     return int(value)
+
+
+def _spec_num(value, name: str) -> float:
+    """A real number, not a bool or a string (``float()`` reads both); a
+    non-finite float passes on to its consumer's range check."""
+    _require(_is_num(value, positive=False) or isinstance(value, float),
+             f"{name} must be a number")
+    return float(value)
+
+
+def _spec_array(value, name: str, integer: bool = False) -> np.ndarray:
+    """A nested list of numbers, or of integers, each read as above."""
+    for x in np.asarray(value, dtype=object).reshape(-1):
+        (_spec_int if integer else _spec_num)(x, f"each entry of {name}")
+    return np.asarray(value, dtype=int if integer else float)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +328,7 @@ def operator_to_json(T) -> dict:
 
 def operator_from_json(d: dict) -> np.ndarray:
     T = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-    return as_operator(T, int(d["dim"]))
+    return as_operator(T, _spec_int(d["dim"], "operator dim"))
 
 
 def symbol_to_json(f: Symbol) -> dict:

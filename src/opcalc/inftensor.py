@@ -22,8 +22,8 @@ from .core import (MeasureSpace, Symbol, _require, _spec_int, as_vector, product
                    vec_norm)
 from .family import OperatorFamily, verify_sq
 
-DEFAULT_DIM_CAP = 4096
-DEFAULT_FACTOR_CAP = 12
+DIM_CAP = 4096
+FACTOR_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,7 @@ class RestrictedProduct:
                                 + [tail])
 
 
-def build_restricted(factors, dim_cap: int = DEFAULT_DIM_CAP,
-                     factor_cap: int = DEFAULT_FACTOR_CAP,
-                     tol: float | None = None) -> RestrictedProduct:
+def build_restricted(factors, tol: float | None = None) -> RestrictedProduct:
     """Validate and assemble a restricted product.
 
     ``factors`` is a sequence of (family, base point index, unit vector).
@@ -108,11 +106,11 @@ def build_restricted(factors, dim_cap: int = DEFAULT_DIM_CAP,
     identity at its base point, and come with a unit distinguished vector.
     """
     factors = list(factors)
-    _require(1 <= len(factors) <= factor_cap,
-             f"factor count must be between 1 and {factor_cap}")
+    _require(1 <= len(factors) <= FACTOR_CAP,
+             f"factor count must be between 1 and {FACTOR_CAP}")
     full_dim = math.prod(fam.hdim for fam, _, _ in factors)      # exact, no wrap
-    _require(full_dim <= dim_cap,
-             f"total dimension {full_dim} exceeds the cap {dim_cap}")
+    _require(full_dim <= DIM_CAP,
+             f"total dimension {full_dim} exceeds the cap {DIM_CAP}")
     built = []
     for j, (fam, base_index, w) in enumerate(factors):
         t = (fam.working_tol() if tol is None else tol)
@@ -189,18 +187,16 @@ def _berezin_truncated(X: np.ndarray, wf: np.ndarray) -> np.ndarray:
     return (A @ X).conj()
 
 
-def frame_kernel_inf(rp: RestrictedProduct, wfactors=None):
+def frame_kernel_inf(rp: RestrictedProduct):
     """On-demand reproducing kernel of the restricted-product frame.
 
     Points are given sparsely as {factor index: point index} (missing factors
     sit at their base points); the kernel value is the finite product of
-    per-factor pairings <w_j(t_j), w_j(s_j)> with w_j(s) = pi_j(s)* w_j,
-    base-base factors contributing exactly 1.
+    per-factor pairings <w_j(t_j), w_j(s_j)> with w_j(s) = pi_j(s)* w_j and
+    w_j the factor's distinguished unit vector, so base-base factors
+    contribute exactly 1.
     """
     factors = rp.factors
-    wvecs = [f.w for f in factors] if wfactors is None else list(wfactors)
-    _require(len(wvecs) == rp.J, "one fiducial vector per factor")
-    wvecs = [as_vector(w, f.fam.hdim) for w, f in zip(wvecs, factors)]
 
     def normalize(point) -> dict:
         out = {}
@@ -216,8 +212,8 @@ def frame_kernel_inf(rp: RestrictedProduct, wfactors=None):
         value = 1.0 + 0.0j
         for j in sorted(set(s) | set(t)):
             fac = factors[j]
-            ws = fac.fam.op(s.get(j, fac.base_index)).conj().T @ wvecs[j]
-            wt = fac.fam.op(t.get(j, fac.base_index)).conj().T @ wvecs[j]
+            ws = fac.fam.op(s.get(j, fac.base_index)).conj().T @ fac.w
+            wt = fac.fam.op(t.get(j, fac.base_index)).conj().T @ fac.w
             value *= complex(np.sum(wt * np.conj(ws)))
         return value
 

@@ -5,17 +5,9 @@ import pytest
 
 import opcalc as oc
 from opcalc.backends import abelian_metaplectic, backend_from_spec
-from opcalc.core import DEFAULT_TOL
 from opcalc.family import verify_sq
 
 from conftest import weyl_matrices_oracle
-
-
-def metaplectic_calibration(orders, tol: float = DEFAULT_TOL) -> float:
-    """The calibration constant of the k=2 system relative to counting/|G|."""
-    fam = abelian_metaplectic(orders, k=2, tol=tol)
-    size = int(np.prod(tuple(int(n) for n in orders)))
-    return float(fam.space.weights[0] * size)
 
 
 def abelian_metaplectic_loop(orders, k: int):
@@ -218,13 +210,16 @@ def test_metaplectic_k2_even_rejected():
 
 
 def test_metaplectic_k2_calibrated():
-    fam = oc.abelian_metaplectic([3], 2)
-    report = verify_sq(fam)
-    assert report.passed and report.max_deviation < 1e-12
-    # doubling permutes the finite dual, so the calibration constant is 1;
-    # the constructor still computes it numerically and cross-validates
-    assert metaplectic_calibration([3]) == pytest.approx(1.0, abs=1e-12)
-    assert metaplectic_calibration([3, 5]) == pytest.approx(1.0, abs=1e-12)
+    # the orthogonality constant is exactly 1, so k = 2 carries the k = 1
+    # measure counting x counting/|G|; verify_sq certifies it
+    for orders in ([3], [3, 5], [15], [27], [49]):
+        fam = oc.abelian_metaplectic(orders, 2)
+        size = int(np.prod(orders))
+        k1 = oc.abelian_metaplectic(orders, 1).space.weights
+        assert np.array_equal(fam.space.weights, k1)
+        assert np.array_equal(fam.space.weights, np.full(size * size, 1.0 / size))
+        report = verify_sq(fam)
+        assert report.passed and report.max_deviation < 1e-12
 
 
 def test_metaplectic_product_group():

@@ -446,6 +446,20 @@ WEYL3 = {"kind": "discrete_weyl", "N": 3}
     ({"backend": WEYL3, "tasks": [{"kind": "verify_sq"},
                                   {"kind": "quantize", "n_randm": 2}]},
      "task 1 has unknown keys n_randm"),
+    # given symbols and operators are read before the first task runs
+    ({"backend": WEYL3, "tasks": [{"kind": "verify_sq"},
+                                  {"kind": "quantize", "symbols": [{"re": [0.0] * 9}]}]},
+     "task 1: unreadable symbols or operators: KeyError"),
+    ({"backend": {"kind": "discrete_weyl", "N": 2},
+      "tasks": [{"kind": "verify_sq"}, {"kind": "dequantize", "operators": [
+          {"dim": 3, "re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist()}]}]},
+     "expected dimension 2, got 3"),
+    ({"backend": WEYL3, "tasks": [{"kind": "dequantize", "operators": [
+        {"dim": 2.7, "re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist()}]}]},
+     "operator dim must be an integer"),
+    ({"backend": {"kind": "magnetic_weyl", "n": 8, "L": 12.0},
+      "tasks": [{"kind": "quantize", "symbols": [{"re": [1.0] * 63, "im": [0.0] * 63}]}]},
+     "symbol needs one value per point"),
 ])
 def test_bad_task_input_is_validation_failure(tmp_path, capsys, config, message):
     cfg = write(tmp_path, "cfg.json", config)
@@ -508,3 +522,34 @@ def test_describe_fractional_size_is_validation_failure(tmp_path, capsys):
     assert cli.main(["describe", spec]) == cli.EXIT_VALIDATION_FAILURE
     captured = capsys.readouterr()
     assert "N must be an integer" in captured.err and captured.out == ""
+
+
+Z2_IRREP = {"re": bk.cyclic_character(2, 1).real.tolist()}
+
+
+# spec values of the wrong kind are refused, not coerced: float() reads "12"
+# as 12.0 and True as 1.0, and int() truncates the table entry 0.9 to 0
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "magnetic_weyl", "n": 8, "L": "12"}, "L must be a number"),
+    ({"kind": "magnetic_weyl", "n": 8, "L": True}, "L must be a number"),
+    ({"kind": "magnetic_weyl", "n": 8, "L": 12.0, "tol": True}, "tol must be a number"),
+    ({"kind": "magnetic_weyl", "n": 8, "L": 12.0, "A": ["0.5"] * 8},
+     "each entry of A must be a number"),
+    ({"kind": "magnetic_weyl", "n": 8, "L": 12.0, "B": [False] * 8},
+     "each entry of B must be a number"),
+    ({"kind": "finite_group", "preset": "s3_standard", "measure_scale": True},
+     "measure_scale must be a number"),
+    ({"kind": "finite_group", "preset": "s3_standard", "measure_scale": "1"},
+     "measure_scale must be a number"),
+    ({"kind": "finite_group", "table": [[0, 1], [1, 0.9]], "irrep": Z2_IRREP},
+     "each entry of table must be an integer"),
+    ({"kind": "finite_group", "table": [[0, 1], [1, 0]],
+      "irrep": {"re": [[["1"]], [["-1"]]]}}, "each entry of irrep re must be a number"),
+    ({"kind": "finite_group", "table": [[0, 1], [1, 2 ** 70]], "irrep": Z2_IRREP},
+     "invalid backend spec"),              # past int64: refused, not a crash
+], ids=lambda x: x if isinstance(x, str) else None)
+def test_describe_coerced_value_is_validation_failure(tmp_path, capsys, spec, message):
+    spec = write(tmp_path, "backend.json", spec)
+    assert cli.main(["describe", spec]) == cli.EXIT_VALIDATION_FAILURE
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""

@@ -74,10 +74,6 @@ def test_caps_enforced(monkeypatch):
 
     monkeypatch.setattr(it, "verify_sq", refuse)
     fam = oc.discrete_weyl(2)
-    with pytest.raises(ValueError, match="cap"):
-        it.build_restricted([(fam, 0, unit(2))] * 3, dim_cap=4)
-    with pytest.raises(ValueError, match="factor count"):
-        it.build_restricted([(fam, 0, unit(2))] * 3, factor_cap=2)
     with pytest.raises(ValueError, match="factor count"):
         it.build_restricted(iter([(fam, 0, unit(2))] * 13))
     with pytest.raises(ValueError, match="factor count"):
@@ -250,6 +246,7 @@ def test_frame_kernel(rp3):
         s = {int(rng.integers(3)): int(rng.integers(4))}
         t = {int(rng.integers(3)): int(rng.integers(4))}
         assert kernel(s, t) == pytest.approx(np.conj(kernel(t, s)), abs=1e-13)
+        assert kernel(s, s) == pytest.approx(1.0, abs=1e-13)   # ||w(s)||^2
 
 
 def test_frame_kernel_validates_points(rp3):
@@ -261,10 +258,6 @@ def test_frame_kernel_validates_points(rp3):
     for bad in ({0: -1}, {0: 1.5}, {0.0: 1}, {True: 1}, [0, 1, 2, 3]):
         with pytest.raises(ValueError):
             kernel(bad, {})
-    assert it.frame_kernel_inf(rp3, [unit(2)] * rp3.J)({}, {}) == pytest.approx(1.0)
-    for count in (rp3.J - 1, rp3.J + 1):
-        with pytest.raises(ValueError, match="one fiducial vector per factor"):
-            it.frame_kernel_inf(rp3, [unit(2)] * count)
 
 
 def from_scratch_level_space(rp, N):
