@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import (DEFAULT_TOL, GridLabels, MeasureSpace, _require, _spec_array, _spec_int,
                    _spec_num)
-from .family import OperatorFamily
+from .family import OperatorFamily, _monomial_family
 
 
 def trivial_backend() -> OperatorFamily:
@@ -38,10 +38,11 @@ def discrete_weyl(N: int) -> OperatorFamily:
     omega = np.exp(2j * np.pi / N)
     i = np.arange(N)
     a, b, cols = i[:, None, None], i[None, :, None], i[None, None, :]
-    ops = np.zeros((N, N, N, N), dtype=complex)
-    ops[a, b, (cols + a) % N, cols] = omega ** (b * cols)   # U^a V^b
+    # U^a V^b e_c = omega^(b c) e_(c + a)
+    perm, values = (np.broadcast_to(v, (N, N, N)).reshape(N * N, N)
+                    for v in ((cols + a) % N, omega ** (b * cols)))
     space = MeasureSpace(GridLabels(i, i), np.full(N * N, 1.0 / N))
-    return OperatorFamily(space, ops.reshape(N * N, N, N))
+    return _monomial_family(space, perm, values)
 
 
 # ---------------------------------------------------------------------------
@@ -200,22 +201,18 @@ def abelian_metaplectic(orders, k: int) -> OperatorFamily:
     def index(c):   # coordinates (..., len(orders)) mod orders -> element index
         return np.ravel_multi_index(tuple(np.moveaxis(c % radix, -1, 0)), orders)
 
-    x, z = coords[:, None], coords[None, :]
-    shifted = index(z + x)                    # [x, z]: index of z + x
-    arg = index(k * z + (k - 1) * x)          # [x, z]: index of k z + (k-1) x
-
-    # (pi_k(x, xi) u)(z) = <xi, k z + (k-1) x> u(z + x)
-    ops = np.zeros((size, size, size, size), dtype=complex)
-    x_i = np.arange(size)[:, None, None]
-    xi_i = np.arange(size)[None, :, None]
-    z_i = np.arange(size)[None, None, :]
-    ops[x_i, xi_i, z_i, shifted[:, None, :]] = characters[xi_i, arg[:, None, :]]
-    ops = ops.reshape(size * size, size, size)
+    # (pi_k(x, xi) u)(z) = <xi, k z + (k-1) x> u(z + x): column c holds that
+    # character in row z = c - x
+    x, c = coords[:, None], coords[None, :]
+    source = index(c - x)                                 # [x, c]: index of c - x
+    arg = index(k * coords[source] + (k - 1) * x)         # [x, c]: index of k z + (k-1) x
+    perm = np.broadcast_to(source[:, None], (size, size, size))
+    values = characters[np.arange(size)[:, None], arg[:, None]]
     labels = [",".join(map(str, e)) for e in elements]
     points = [f"({a};{b})" for a in labels for b in labels]
 
     space = MeasureSpace(tuple(points), np.full(size * size, 1.0 / size))
-    return OperatorFamily(space, ops)
+    return _monomial_family(space, perm.reshape(-1, size), values.reshape(-1, size))
 
 
 # ---------------------------------------------------------------------------

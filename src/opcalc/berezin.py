@@ -73,7 +73,8 @@ def make_frame(fam: OperatorFamily, w, tol: float | None = None) -> Frame:
         raise ValueError("fiducial vector must be a unit vector")
     if not verify_sq(fam, tol=tol).passed:
         raise ValueError("family fails square-integrability; no frame")
-    wfield = (w.conj() @ fam.stack).conj()                   # pi(s)* w
+    # pi(s)* w: entry i is the sum over j of w_j conj(flat[s, j*d + i])
+    wfield = _flat_matmul(fam, np.kron(w.conj()[:, None], np.eye(fam.hdim))).conj()
     kernel = wfield.conj() @ wfield.T                        # <w(t), w(s)>
     fr = Frame(fam, _readonly(w), _readonly(wfield), _readonly(kernel))
     residual = resolution_residual(fr)

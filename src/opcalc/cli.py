@@ -110,6 +110,12 @@ def _validate_tasks(tasks: list, backend) -> None:
                 and not task.get("symbols"):
             raise ConfigError(f"task {i}: {task['kind']} needs 'symbols' "
                               "or 'n_random'")
+        for given in ("symbols", "operators"):
+            if given in task and "n_random" in task:
+                raise ConfigError(f"task {i}: set '{given}' or 'n_random', not both")
+        if grid and backend.n > magnetic._FAMILY_MAX_N and task["kind"] != "magnetic_study":
+            raise ConfigError(f"task {i}: {task['kind']} runs on the grid's family, "
+                              f"which is built only for n <= {magnetic._FAMILY_MAX_N}")
         try:
             for d in task.get("symbols") or []:
                 core.symbol_from_json(d, space)
@@ -134,9 +140,9 @@ def _build_backend(spec: dict):
 def _describe_backend(spec: dict) -> dict:
     """Summary of a backend.  A family that passes the square-integrability
     gate dequantizes isometrically from the Hilbert-Schmidt operators, so its
-    symbol range has dimension hdim^2 and needs no SVD.  A magnetic grid is
-    gated by its certificate and never materialized: its n shift classes
-    are its coefficient blocks."""
+    symbol range has dimension hdim^2 and needs no SVD; ``sq_deviation`` is
+    the gate's deviation.  A magnetic grid is gated by its certificate and
+    never materialized: its n shift classes are its coefficient blocks."""
     built = _build_backend(spec)
     if isinstance(built, magnetic.MagneticBackend):
         n, deviation = built.n, built.sq_certificate()
@@ -146,11 +152,13 @@ def _describe_backend(spec: dict) -> dict:
                 f"> tol {built.tol:.1e}); cannot quantize")
         return {"kind": spec["kind"], "hdim": n, "points": n * n, "mass": float(n),
                 "exact": False, "tol": built.tol, "b2_rank": n * n,
-                "coefficient_blocks": n}
+                "sq_deviation": deviation, "coefficient_blocks": n}
     ca.build_quantizer(built)                   # raises for a failing family
     return {"kind": spec["kind"], "hdim": built.hdim, "points": built.npoints,
             "mass": built.space.mass, "exact": built.exact, "tol": built.tol,
-            "b2_rank": built.hdim ** 2, "coefficient_blocks": len(built.blocks[0])}
+            "b2_rank": built.hdim ** 2,
+            "sq_deviation": fm.verify_sq(built).max_deviation,
+            "coefficient_blocks": len(built.blocks[0])}
 
 
 def _render_table(summary: dict) -> str:
@@ -164,11 +172,10 @@ def _render_table(summary: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _symbols(task: dict, space, rng) -> list:
-    """``n_random`` seeded draws, else the given ``symbols``, else 3 draws."""
-    if "n_random" in task or not task.get("symbols"):
-        return [core.random_symbol(rng, space)
-                for _ in range(task.get("n_random", 3))]
-    return [core.symbol_from_json(d, space) for d in task["symbols"]]
+    """The given ``symbols``, else ``n_random`` seeded draws (default 3)."""
+    if task.get("symbols"):
+        return [core.symbol_from_json(d, space) for d in task["symbols"]]
+    return [core.random_symbol(rng, space) for _ in range(task.get("n_random", 3))]
 
 
 def _unit(task: dict, hdim: int) -> np.ndarray:

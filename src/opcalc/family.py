@@ -25,14 +25,17 @@ from .core import (DEFAULT_TOL, MeasureSpace, Symbol, _readonly, _require,
 class OperatorFamily:
     """The pair (measure space, point -> operator) with dimension metadata.
 
-    Operators are stored as one dense stack of shape (npoints, hdim, hdim);
-    ``flat`` is its (npoints, hdim^2) coefficient-matrix view, with
-    ``flat[s, j*hdim + i] = <pi(s)e_i, e_j>``, and ``blocks`` the same matrix
-    as nonzero blocks, which every per-call map reads.  ``tol`` is None for
-    exact families; quadrature-built families carry the declared tolerance of
-    their construction.  The stack and weights are read-only, so the blocks,
-    the square-integrability witness and the sup norm derived from them are
-    each computed once, on first use.
+    The family's store is its coefficient matrix, the (npoints, hdim^2) array
+    ``flat[s, j*hdim + i] = <pi(s)e_i, e_j>``, held as nonzero ``blocks``,
+    which every per-call map reads.  ``stack`` (npoints, hdim, hdim) and
+    ``flat`` are read-only dense views of it.  A family built from dense
+    operators keeps them as its view and finds its blocks on first use; a
+    monomial family (``_monomial_family``) is built as its blocks, and its
+    view is scattered from them the first time a dense-only reader asks.
+    ``tol`` is None for exact families; quadrature-built families carry the
+    declared tolerance of their construction.  The store and weights are
+    read-only, so the blocks, the views, the square-integrability witness
+    and the sup norm are each computed once, on first use.
     """
 
     def __init__(self, space: MeasureSpace, operators, tol: float | None = None):
@@ -42,13 +45,18 @@ class OperatorFamily:
         _require(stack.shape[1] == stack.shape[2], "operators must be square")
         _require(bool(np.all(np.isfinite(stack))), "operator entries must be finite")
         self.space = space
+        self.hdim = stack.shape[1]
         self.stack = _readonly(stack)
-        self.flat = self.stack.reshape(space.npoints, -1)
         self.tol = tol
 
-    @property
-    def hdim(self) -> int:
-        return self.stack.shape[1]
+    @classmethod
+    def _from_blocks(cls, space: MeasureSpace, hdim: int, blocks,
+                     tol: float | None = None) -> OperatorFamily:
+        """A family given by its coefficient blocks, as ``blocks`` returns them."""
+        fam = cls.__new__(cls)
+        fam.space, fam.hdim, fam.tol = space, hdim, tol
+        fam.blocks = tuple(map(_readonly, blocks))
+        return fam
 
     @property
     def npoints(self) -> int:
@@ -58,8 +66,28 @@ class OperatorFamily:
     def exact(self) -> bool:
         return self.tol is None
 
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The dense (npoints, hdim, hdim) view, scattered from the blocks."""
+        rows, cols, V = self.blocks
+        flat = np.zeros((self.npoints, self.hdim ** 2), dtype=complex)
+        flat[rows[:, :, None], cols[:, None, :]] = V
+        return _readonly(flat.reshape(self.npoints, self.hdim, self.hdim))
+
+    @property
+    def flat(self) -> np.ndarray:
+        return self.stack.reshape(self.npoints, -1)
+
     def op(self, i: int) -> np.ndarray:
-        return self.stack[i]
+        """pi(s_i), from the dense view when it is held, else from the point's
+        block row."""
+        if "stack" in self.__dict__:
+            return self.stack[i]
+        rows, cols, V = self.blocks
+        (b,), (j,) = np.nonzero(rows == i)
+        out = np.zeros(self.hdim ** 2, dtype=complex)
+        out[cols[b]] = V[b, j]
+        return out.reshape(self.hdim, self.hdim)
 
     def working_tol(self) -> float:
         return DEFAULT_TOL if self.tol is None else self.tol
@@ -74,7 +102,8 @@ class OperatorFamily:
         representatives' column sets are disjoint and equal in size, as for
         monomial families (one nonzero per column of every pi(s)), where
         k = hdim.  Otherwise the family is the one block of all rows and all
-        columns, a view of ``flat``.  The zero test is exact.
+        columns, a view of ``flat``.  The zero test is exact.  Found on first
+        use from the dense view, unless the family was built as its blocks.
         """
         return _matrix_blocks(self.flat)
 
@@ -161,6 +190,47 @@ def _row_classes(mask: np.ndarray):
             or np.any(mask[rows] != rep[:, None])):
         return None
     return _readonly(rows), _readonly(rep.nonzero()[1].reshape(len(keys), -1))
+
+
+def _monomial_family(space: MeasureSpace, perm, values,
+                    tol: float | None = None) -> OperatorFamily:
+    """The family with pi(s) e_i = values[s, i] e_perm[s, i], built as its blocks.
+
+    ``perm`` and ``values`` are (npoints, hdim); each perm[s] must be a
+    permutation.  Row s of ``flat`` has its nonzeros at columns t*hdim +
+    inv[s, t], inv[s] the inverse permutation, so its first nonzero is
+    inv[s, 0] and the row-class rule of ``OperatorFamily.blocks`` runs on the
+    (npoints, hdim) array inv: O(npoints * hdim), with the classes, row order,
+    column order and values that ``_matrix_blocks`` gives on the dense
+    coefficient matrix.  When a value is 0 or the classes are not kept, the
+    dense stack is built and read as any dense family.
+    """
+    perm = np.asarray(perm)
+    values = np.asarray(values, dtype=complex)
+    m, d = perm.shape
+    _require(m == space.npoints and values.shape == (m, d),
+             "need one permutation and one value row per point of the space")
+    _require(perm.dtype.kind in "iu" and 0 <= perm.min() and perm.max() < d,
+             "permutation entries must be basis indices")
+    hit = np.zeros((m, d), dtype=bool)
+    np.put_along_axis(hit, perm, True, 1)
+    _require(bool(hit.all()), "each point needs a permutation of the basis")
+    _require(bool(np.all(np.isfinite(values))), "operator entries must be finite")
+    inv = np.empty((m, d), dtype=int)
+    np.put_along_axis(inv, perm, np.arange(d)[None], 1)
+    first = inv[:, 0]
+    keys, counts = np.unique(first, return_counts=True)
+    if len(keys) >= 2 and np.all(counts == counts[0]) and np.all(values != 0):
+        rows = np.argsort(first, kind="stable").reshape(len(keys), -1)
+        rep = inv[rows[:, 0]]
+        cols = np.arange(d) * d + rep
+        if np.all(inv[rows] == rep[:, None]) and len(np.unique(cols)) == cols.size:
+            # every row of class b has the columns of rep[b]
+            V = values[rows[:, :, None], rep[:, None, :]]
+            return OperatorFamily._from_blocks(space, d, (rows, cols, V), tol)
+    stack = np.zeros((m, d, d), dtype=complex)
+    stack[np.arange(m)[:, None], perm, np.arange(d)] = values
+    return OperatorFamily(space, stack, tol=tol)
 
 
 def coefficient(fam: OperatorFamily, u, v) -> Symbol:

@@ -25,9 +25,10 @@ from functools import cached_property
 import numpy as np
 
 from .core import GridLabels, MeasureSpace, Symbol, _readonly, _require, op_norm
-from .family import OperatorFamily
+from .family import OperatorFamily, _monomial_family
 
-#: Materializing the full operator family costs n^2 matrices of size n^2.
+#: Largest grid whose family is built.  Its blocks hold n^3 numbers, but a
+#: frame on it forms (n^2, n^2) arrays, several GB at n = 96.
 _FAMILY_MAX_N = 64
 
 #: Complex entries per row chunk of ``magnetic_moyal``'s skewed copies: a
@@ -114,27 +115,24 @@ class MagneticBackend:
         r = np.asarray(shifts)[:, None]
         return self._circ_cum[m + r + self.n] - self._circ_cum[m + self.n]
 
-    def _op_stack(self, shifts, xis) -> np.ndarray:
-        """Operators at every (shift, xi) pair, shift-major, (len*len, n, n)."""
-        n = self.n
-        m = np.arange(n)
-        r = np.asarray(shifts)[:, None, None]
-        xi = np.asarray(xis)[None, :, None]
-        circ = self._circulations(shifts)[:, None, :]
-        phase = np.exp(-1j * (self.x + r * self.dx / 2.0) * xi - 1j * circ)
-        ops = np.zeros((r.size, xi.size, n, n), dtype=complex)
-        ops[np.arange(r.size)[:, None, None], np.arange(xi.size)[:, None],
-            m, (m + r) % n] = phase
-        return ops.reshape(-1, n, n)
-
     def family(self) -> OperatorFamily:
-        """Materialized operator family (guarded: n^2 matrices of size n^2)."""
+        """The operator family, built as its n shift classes (guarded at n <=
+        ``_FAMILY_MAX_N``).  pi(r, xi) e_c = phase e_(c - r) with the
+        half-shift, modulation and gauge phase of row c - r."""
         if self._family is None:
             _require(self.n <= _FAMILY_MAX_N,
                      f"materializing the family needs n <= {_FAMILY_MAX_N}; "
                      "use sq_certificate for larger grids")
-            ops = self._op_stack(self.k, self.xi)
-            self._family = OperatorFamily(self.phase_space(), ops, tol=self.tol)
+            n = self.n
+            r = self.k[:, None]
+            rows = (np.arange(n) - r) % n                       # [r, c]: row c - r
+            x = self.x[rows][:, None]
+            circ = np.take_along_axis(self._circulations(self.k), rows, 1)[:, None]
+            values = np.exp(-1j * (x + r[:, None] * self.dx / 2.0) * self.xi[:, None]
+                            - 1j * circ)
+            perm = np.repeat(rows, n, axis=0)
+            self._family = _monomial_family(self.phase_space(), perm,
+                                           values.reshape(-1, n), tol=self.tol)
         return self._family
 
     # -- square-integrability certificate (no family materialization) -------

@@ -73,3 +73,20 @@ def dense_b2_basis(q):
         dense[b][:, r] = B[b]
     dense = dense.reshape(-1, q.fam.npoints)
     return dense[dense.any(axis=1)]
+
+
+def magnetic_op_stack(bk, shifts, xis):
+    """The dense operators of a magnetic grid at every (shift, xi) pair,
+    shift-major, (len * len, n, n): pi(r, xi) has its phase at row m, column
+    m + r.  The construction the grid family was built by before it was built
+    as its shift classes."""
+    n = bk.n
+    m = np.arange(n)
+    r = np.asarray(shifts)[:, None, None]
+    xi = np.asarray(xis)[None, :, None]
+    circ = bk._circulations(shifts)[:, None, :]
+    phase = np.exp(-1j * (bk.x + r * bk.dx / 2.0) * xi - 1j * circ)
+    ops = np.zeros((r.size, xi.size, n, n), dtype=complex)
+    ops[np.arange(r.size)[:, None, None], np.arange(xi.size)[:, None],
+        m, (m + r) % n] = phase
+    return ops.reshape(-1, n, n)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import opcalc as oc
+from opcalc import magnetic as mg
 from opcalc.backends import abelian_metaplectic, backend_from_spec
-from opcalc.family import verify_sq
+from opcalc.family import _matrix_blocks, verify_sq
 
-from conftest import weyl_matrices_oracle
+from conftest import magnetic_op_stack, weyl_matrices_oracle
 
 
 def abelian_metaplectic_loop(orders, k: int):
@@ -95,6 +96,34 @@ def test_discrete_weyl_matches_point_loop_bitwise(N):
     assert fam.space == flat and fam.space.space_id() == flat.space_id()
     assert np.array_equal(fam.stack, ops)
     assert np.array_equal(np.signbit(fam.stack.view(float)), np.signbit(ops.view(float)))
+
+
+def assert_built_as_blocks(fam, ops):
+    """fam holds no dense view yet, and its blocks are bitwise those that the
+    row-class rule finds on the dense operators."""
+    assert "stack" not in vars(fam)
+    for got, want in zip(fam.blocks, _matrix_blocks(ops.reshape(len(ops), -1))):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 8, 12, 16, 24])
+def test_discrete_weyl_is_built_as_the_blocks_of_its_stack(N):
+    assert_built_as_blocks(oc.discrete_weyl(N), discrete_weyl_loop(N)[1])
+
+
+@pytest.mark.parametrize("orders", [[3], [5], [15], [3, 3], [27]])
+@pytest.mark.parametrize("k", [1, 2])
+def test_metaplectic_is_built_as_the_blocks_of_its_stack(orders, k):
+    assert_built_as_blocks(abelian_metaplectic(orders, k),
+                           abelian_metaplectic_loop(orders, k)[1])
+
+
+@pytest.mark.parametrize("n", [8, 10, 16, 32])
+@pytest.mark.parametrize("amplitude", [0.0, 0.8])
+def test_magnetic_family_is_built_as_the_blocks_of_its_stack(n, amplitude):
+    bk = mg.magnetic_weyl_grid(n, 12.0, A=mg.sine_potential(n, 12.0, amplitude))
+    assert_built_as_blocks(bk.family(), magnetic_op_stack(bk, bk.k, bk.xi))
 
 
 @pytest.mark.parametrize("build, message", [

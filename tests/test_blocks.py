@@ -53,6 +53,19 @@ def zero_inside_a_class():
     return family_of(stack)
 
 
+def monomial_of(perm, values):
+    perm = np.asarray(perm)
+    return fm._monomial_family(oc.MeasureSpace(tuple(range(len(perm))), np.ones(len(perm))),
+                              perm, values)
+
+
+def monomial_zero_value():
+    # shifts by a = s // 3 with pi(1)'s value in column 2 set to 0: the dense route
+    values = np.ones((9, 3), dtype=complex)
+    values[1, 2] = 0.0
+    return monomial_of((np.arange(3) + np.arange(9)[:, None] // 3) % 3, values)
+
+
 def overlapping_columns():
     # equal classes of one row each, whose column sets {0, 1} and {1, 2} overlap
     return family_of([[[1, 1], [0, 0]], [[0, 1], [1, 0]]])
@@ -73,6 +86,10 @@ FAMILIES = {
     "unequal_classes": (unequal_classes, 1),
     "zero_inside_a_class": (zero_inside_a_class, 1),
     "overlapping_columns": (overlapping_columns, 1),
+    # monomial families whose row classes are not kept fall back to the dense store
+    "monomial_unequal_classes": (lambda: monomial_of([[0, 1], [0, 1], [1, 0]],
+                                                     [[1, 1], [2, 2], [1, 1]]), 1),
+    "monomial_zero_value": (monomial_zero_value, 1),
 }
 
 
@@ -111,6 +128,24 @@ def test_blocks_are_computed_once_and_read_only(case):
         assert not part.flags.writeable
         with pytest.raises(ValueError):
             part.flat[0] = part.flat[0]
+
+
+def test_op_reads_the_store_before_the_view_is_built(case):
+    fam, _ = case
+    ops = [fam.op(i) for i in range(fam.npoints)]
+    assert np.array_equal(ops, fam.stack)
+
+
+@pytest.mark.parametrize("perm, values, message", [
+    ([[0, 0]], [[1, 1]], "permutation of the basis"),
+    ([[0, 2]], [[1, 1]], "basis indices"),
+    ([[-1, 0]], [[1, 1]], "basis indices"),
+    ([[0.0, 1.0]], [[1, 1]], "basis indices"),
+    ([[0, 1]], [[1, np.nan]], "finite"),
+])
+def test_monomial_family_rejects_bad_input(perm, values, message):
+    with pytest.raises(ValueError, match=message):
+        monomial_of(perm, values)
 
 
 def test_readers_match_dense_flat(case, rng):

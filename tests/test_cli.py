@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,7 @@ def test_describe_weyl3(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary == {"kind": "discrete_weyl", "hdim": 3, "points": 9,
                        "mass": 3.0, "exact": True, "tol": None, "b2_rank": 9,
+                       "sq_deviation": fm.verify_sq(bk.discrete_weyl(3)).max_deviation,
                        "coefficient_blocks": 3}
 
 
@@ -154,6 +156,20 @@ def test_describe_rank_is_the_svd_rank(tmp_path, capsys, backend):
     fam = built.family() if backend["kind"] == "magnetic_weyl" else built
     assert summary["b2_rank"] == ca.build_quantizer(fam).b2_rank
     assert summary["coefficient_blocks"] == len(fam.blocks[0])
+
+
+@pytest.mark.parametrize("backend", [{"kind": "discrete_weyl", "N": 3},
+                                     {"kind": "magnetic_weyl", "n": 32, "L": 12.0}],
+                         ids=["weyl3", "magnetic32"])
+def test_describe_reports_the_sq_deviation(tmp_path, capsys, backend):
+    assert cli.main(["describe", write(tmp_path, "b.json", backend)]) == 0
+    deviation = json.loads(capsys.readouterr().out)["sq_deviation"]
+    built = bk.backend_from_spec(backend)
+    if backend["kind"] == "magnetic_weyl":
+        assert deviation == built.sq_certificate()
+        built = built.family()
+    assert deviation == pytest.approx(fm.verify_sq(built).max_deviation, abs=1e-14)
+    assert 0 <= deviation < 1e-14
 
 
 def test_describe_rejects_a_magnetic_grid_that_fails_its_certificate(
@@ -299,6 +315,33 @@ def test_quantize_task_maps_each_symbol_once(tmp_path, monkeypatch):
     residual = max(abs(ca.trace_pairing(q, f, g) - opcalc.l2_inner(
         ca.project_b2(q, f), ca.project_b2(q, g))) for f in symbols for g in symbols)
     assert json.loads(out.read_text())["tasks"][0]["isometry_residual"] == residual
+
+
+FAMILY_TASKS = [{"kind": "verify_sq"}] + [
+    {"kind": kind, "n_random": 3} for kind in ("quantize", "dequantize", "star_table")]
+
+
+@pytest.mark.parametrize("spec, small", [
+    ({"kind": "magnetic_weyl", "n": 32, "L": 12.0}, {"kind": "magnetic_weyl", "n": 8, "L": 12.0}),
+    ({"kind": "discrete_weyl", "N": 16}, {"kind": "discrete_weyl", "N": 4}),
+], ids=["magnetic32", "weyl16"])
+def test_family_tasks_form_no_dense_stack(spec, small):
+    # a monomial family is built and read as its blocks, hdim times smaller
+    # than the (m, d, d) stack; the small run keeps one-time imports out
+    for task in FAMILY_TASKS:
+        cli._run_task(task, cli._build_backend(small), None, np.random.default_rng(0))
+    for task in FAMILY_TASKS:
+        backend = cli._build_backend(spec)   # a grid builds its family in the task
+        m, d = (backend.n ** 2, backend.n) if spec["kind"] == "magnetic_weyl" \
+            else (backend.npoints, backend.hdim)
+        tracemalloc.start()
+        try:
+            result = cli._run_task(task, backend, None, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result["verdict"] == "pass"
+        assert peak < m * d * d * 16 / 4, task["kind"]
 
 
 def test_verify_sq_report_names_worst_witness(tmp_path):
@@ -460,6 +503,18 @@ WEYL3 = {"kind": "discrete_weyl", "N": 3}
     ({"backend": {"kind": "magnetic_weyl", "n": 8, "L": 12.0},
       "tasks": [{"kind": "quantize", "symbols": [{"re": [1.0] * 63, "im": [0.0] * 63}]}]},
      "symbol needs one value per point"),
+    # a given input and a random draw are never mixed, nor one silently dropped
+    ({"backend": WEYL3, "tasks": [{"kind": "quantize", "n_random": 1,
+                                   "symbols": [{"re": [1.0] * 9, "im": [0.0] * 9}]}]},
+     "task 0: set 'symbols' or 'n_random', not both"),
+    ({"backend": WEYL3, "tasks": [{"kind": "dequantize", "n_random": 1, "operators": [
+        {"dim": 3, "re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist()}]}]},
+     "task 0: set 'operators' or 'n_random', not both"),
+    # a grid beyond the family's size cap runs only the refinement study
+    ({"backend": {"kind": "magnetic_weyl", "n": 66, "L": 12.0},
+      "tasks": [{"kind": "magnetic_study", "grids": [8, 16]},
+                {"kind": "dequantize", "n_random": 1}]},
+     "task 1: dequantize runs on the grid's family, which is built only for n <= 64"),
 ])
 def test_bad_task_input_is_validation_failure(tmp_path, capsys, config, message):
     cfg = write(tmp_path, "cfg.json", config)
@@ -477,6 +532,16 @@ def magnetic_study_rows(tmp_path, seed):
     out = tmp_path / "r.json"
     code = cli.main(["run", cfg, "--out", str(out), f"--seed={seed}"])
     return code, json.loads(out.read_text())["tasks"][0]
+
+
+def test_magnetic_study_runs_on_a_grid_beyond_the_family_cap(tmp_path):
+    cfg = write(tmp_path, "cfg.json", {
+        "backend": {"kind": "magnetic_weyl", "n": 66, "L": 12.0},
+        "tasks": [{"kind": "magnetic_study", "grids": [32, 64]}]})
+    out = tmp_path / "report.json"
+    assert cli.main(["run", cfg, "--out", str(out)]) == cli.EXIT_OK
+    (task,) = json.loads(out.read_text())["tasks"]
+    assert task["verdict"] == "pass" and [r["n"] for r in task["rows"]] == [32, 64]
 
 
 def test_magnetic_study_rows_do_not_depend_on_the_seed(tmp_path):

@@ -6,6 +6,8 @@ from opcalc import magnetic as mg
 from opcalc.core import op_norm
 from opcalc.family import verify_sq
 
+from conftest import magnetic_op_stack
+
 L = 12.0
 
 
@@ -135,7 +137,7 @@ def weyl_op(bk: mg.MagneticBackend, x_shift: float, xi: float) -> np.ndarray:
     k = int(round(k_float))
     if abs(k_float - k) > 1e-9 or not (-bk.n // 2 <= k < bk.n // 2):
         raise ValueError(f"frequency {xi} is off the dual grid")
-    return bk._op_stack([r], [xi])[0]
+    return magnetic_op_stack(bk, [r], [xi])[0]
 
 
 def test_weyl_op_accessor_validates():
