@@ -68,7 +68,8 @@ class OperatorFamily:
 
     @cached_property
     def stack(self) -> np.ndarray:
-        """The dense (npoints, hdim, hdim) view, scattered from the blocks."""
+        """The dense (npoints, hdim, hdim) view: the given operators, else
+        scattered from the blocks on first read."""
         rows, cols, V = self.blocks
         flat = np.zeros((self.npoints, self.hdim ** 2), dtype=complex)
         flat[rows[:, :, None], cols[:, None, :]] = V

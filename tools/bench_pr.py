@@ -1,6 +1,6 @@
 """Benchmark two commits of opcalc side by side and write a BENCH file.
 
-    python3 tools/bench_pr.py --base c18d915 --change HEAD --out BENCH_21.json
+    python3 tools/bench_pr.py --base c18d915 --change HEAD --out BENCH_<n>.json
 
 Each revision is exported with ``git archive`` into its own fresh directory,
 and every run sets ``PYTHONDONTWRITEBYTECODE=1``, so both sides start from
