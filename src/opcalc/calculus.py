@@ -214,7 +214,7 @@ def involution_explicit(q: Quantizer, f: Symbol) -> Symbol:
 
 def e_symbol(q: Quantizer, s: int) -> Symbol:
     """Point symbol: the symbol quantizing to pi(s)*."""
-    pistar = q.fam.op(_spec_int(s, "point index", q.fam.npoints)).conj()
+    pistar = q.fam.op(s).conj()
     return Symbol(q.space, _flat_matmul(q.fam, pistar.ravel()))
 
 

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (DEFAULT_TOL, MeasureSpace, Symbol, _readonly, _require,
-                   as_vector, product_space, vec_norm)
+                   _spec_int, as_vector, product_space, vec_norm)
 
 
 class OperatorFamily:
@@ -80,15 +80,22 @@ class OperatorFamily:
         return self.stack.reshape(self.npoints, -1)
 
     def op(self, i: int) -> np.ndarray:
-        """pi(s_i), from the dense view when it is held, else from the point's
-        block row."""
+        """pi(s_i), read-only, from the dense view when it is held, else from
+        the point's block row; i must be a point index in [0, npoints)."""
+        i = _spec_int(i, "point index", self.npoints)
         if "stack" in self.__dict__:
             return self.stack[i]
         rows, cols, V = self.blocks
-        (b,), (j,) = np.nonzero(rows == i)
+        b, j = divmod(int(self._block_row[i]), rows.shape[1])
         out = np.zeros(self.hdim ** 2, dtype=complex)
         out[cols[b]] = V[b, j]
-        return out.reshape(self.hdim, self.hdim)
+        return _readonly(out.reshape(self.hdim, self.hdim))
+
+    @cached_property
+    def _block_row(self) -> np.ndarray:
+        """Where each point's row sits in ``blocks[0].ravel()``: a block-built
+        family's blocks hold every point's row exactly once."""
+        return np.argsort(self.blocks[0].ravel())
 
     def working_tol(self) -> float:
         return DEFAULT_TOL if self.tol is None else self.tol
@@ -173,6 +180,14 @@ def _block_diag(X: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+def _class_sizes(keys: np.ndarray) -> np.ndarray:
+    """How often each distinct key occurs, in increasing key order, for
+    nonnegative integer keys: ``np.unique(keys, return_counts=True)[1]``
+    without its first-call import of ``numpy.ma`` (about 6 ms cold)."""
+    counts = np.bincount(keys)
+    return counts[counts > 0]
+
+
 def _row_classes(mask: np.ndarray):
     """(rows, cols) of the row classes of a nonzero mask, or None.
 
@@ -181,16 +196,16 @@ def _row_classes(mask: np.ndarray):
     column set and so fails the equal-size test.
     """
     first = mask.argmax(1)
-    keys, counts = np.unique(first, return_counts=True)
-    if len(keys) < 2 or np.any(counts != counts[0]):
+    counts = _class_sizes(first)
+    if len(counts) < 2 or np.any(counts != counts[0]):
         return None
-    rows = np.argsort(first, kind="stable").reshape(len(keys), -1)
+    rows = np.argsort(first, kind="stable").reshape(len(counts), -1)
     rep = mask[rows[:, 0]]
     sizes = rep.sum(1)
     if (np.any(sizes != sizes[0]) or rep.sum(0).max() > 1
             or np.any(mask[rows] != rep[:, None])):
         return None
-    return _readonly(rows), _readonly(rep.nonzero()[1].reshape(len(keys), -1))
+    return _readonly(rows), _readonly(rep.nonzero()[1].reshape(len(counts), -1))
 
 
 def _monomial_family(space: MeasureSpace, perm, values,
@@ -220,12 +235,12 @@ def _monomial_family(space: MeasureSpace, perm, values,
     inv = np.empty((m, d), dtype=int)
     np.put_along_axis(inv, perm, np.arange(d)[None], 1)
     first = inv[:, 0]
-    keys, counts = np.unique(first, return_counts=True)
-    if len(keys) >= 2 and np.all(counts == counts[0]) and np.all(values != 0):
-        rows = np.argsort(first, kind="stable").reshape(len(keys), -1)
+    counts = _class_sizes(first)
+    if len(counts) >= 2 and np.all(counts == counts[0]) and np.all(values != 0):
+        rows = np.argsort(first, kind="stable").reshape(len(counts), -1)
         rep = inv[rows[:, 0]]
         cols = np.arange(d) * d + rep
-        if np.all(inv[rows] == rep[:, None]) and len(np.unique(cols)) == cols.size:
+        if np.all(inv[rows] == rep[:, None]) and _class_sizes(cols.ravel()).max() == 1:
             # every row of class b has the columns of rep[b]
             V = values[rows[:, :, None], rep[:, None, :]]
             return OperatorFamily._from_blocks(space, d, (rows, cols, V), tol)

@@ -136,6 +136,16 @@ def test_op_reads_the_store_before_the_view_is_built(case):
     assert np.array_equal(ops, fam.stack)
 
 
+def test_op_checks_the_index_and_is_read_only_with_or_without_the_view(case):
+    fam, _ = case
+    for _ in range(2):            # from the blocks, then from the built view
+        for bad in (-1, fam.npoints, 1.0):
+            with pytest.raises(ValueError, match="point index"):
+                fam.op(bad)
+        assert not fam.op(fam.npoints - 1).flags.writeable
+        fam.stack
+
+
 @pytest.mark.parametrize("perm, values, message", [
     ([[0, 0]], [[1, 1]], "permutation of the basis"),
     ([[0, 2]], [[1, 1]], "basis indices"),

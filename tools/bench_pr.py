@@ -6,12 +6,13 @@ Each revision is exported with ``git archive`` into its own fresh directory,
 and every run sets ``PYTHONDONTWRITEBYTECODE=1``, so both sides start from
 the same cold bytecode cache (a cache left by an earlier test run lowers
 ``setup_s`` by about 25 ms).  For every workload of ``BENCHMARK.json`` the
-script runs ``bench/run.py --trace 0`` in alternating pairs, the base first in
-even pairs and the change first in odd ones, all with one fixed seed and one
-fixed ``--seconds``.  The file records every run, each side's median and
-quartiles per metric, the environment and ``src_lines`` of each side, and per
-metric the pairs the change won (lower is better for every end-to-end metric;
-ties count for neither side).
+script runs ``bench/run.py --trace 0`` in ``PAIRS`` alternating pairs, the
+base first in even pairs and the change first in odd ones, all at seed
+``SEED`` and at the ``run_seconds`` that ``BENCHMARK.json`` fixes.  The file
+records every run, each side's median and quartiles per metric, the
+environment and ``src_lines`` of each side, and per metric the pairs the
+change won (lower is better for every end-to-end metric; ties count for
+neither side).
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+SEED = 11
 
 
 def export(rev: str, dest: Path) -> str:
@@ -56,7 +59,7 @@ def summarize(runs: list[dict]) -> dict:
     out = {}
     for name in runs[0]["metrics"]:
         values = sorted(r["metrics"][name] for r in runs)
-        q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+        q1, _, q3 = statistics.quantiles(values, n=4)
         out[name] = {"median": statistics.median(values), "q1": q1, "q3": q3}
     return out
 
@@ -66,12 +69,11 @@ def main(argv=None) -> int:
     p.add_argument("--base", required=True, help="git revision of the parent")
     p.add_argument("--change", required=True, help="git revision of the change")
     p.add_argument("--out", required=True, help="the BENCH file to write")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=11)
     args = p.parse_args(argv)
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
-        workloads = [w["name"] for w in json.load(fh)["workloads"]]
+        spec = json.load(fh)
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
 
     with tempfile.TemporaryDirectory(prefix="bench_pr-") as tmp:
         sides = {side: {"rev": rev, "checkout": Path(tmp) / side}
@@ -80,15 +82,15 @@ def main(argv=None) -> int:
             s["commit"] = export(s["rev"], s["checkout"])
         runs = {side: {w: [] for w in workloads} for side in sides}
         for w in workloads:
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
-                    r = run_once(sides[side]["checkout"], w, args.seed, args.seconds)
+                    r = run_once(sides[side]["checkout"], w, SEED, seconds)
                     runs[side][w].append(r)
                     print(f"bench_pr: {w} pair {i} {side}: "
                           + ", ".join(f"{k}={v:.4g}" for k, v in r["metrics"].items()),
                           file=sys.stderr)
 
-    report = {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+    report = {"seed": SEED, "seconds": seconds, "pairs": PAIRS,
               "command": "bench/run.py --trace 0, PYTHONDONTWRITEBYTECODE=1",
               "sides": {}, "change_vs_base": {}}
     for side, s in sides.items():
