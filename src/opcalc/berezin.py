@@ -45,7 +45,7 @@ class Frame:
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``wfield`` as (rows (k, r), cols (k, c), W (k, r, c)), zero elsewhere.
 
-        Grouped by the row-class rule of ``OperatorFamily.blocks``: for a basis
+        Grouped by the row-class rule of ``OperatorFamily``: for a basis
         vector on a monomial family every w(s) has one nonzero, so k = hdim and
         c = 1.  A dense fiducial is the one block, a view of ``wfield``.  Points
         of different blocks have disjoint supports, so the kernel is exactly 0

@@ -19,23 +19,30 @@ from functools import cached_property
 import numpy as np
 
 from .core import (DEFAULT_TOL, MeasureSpace, Symbol, _readonly, _require,
-                   _spec_int, as_vector, product_space, vec_norm)
+                   _spec_array, _spec_int, as_vector, product_space, vec_norm)
 
 
 class OperatorFamily:
     """The pair (measure space, point -> operator) with dimension metadata.
 
-    The family's store is its coefficient matrix, the (npoints, hdim^2) array
-    ``flat[s, j*hdim + i] = <pi(s)e_i, e_j>``, held as nonzero ``blocks``,
-    which every per-call map reads.  ``stack`` (npoints, hdim, hdim) and
-    ``flat`` are read-only dense views of it.  A family built from dense
-    operators keeps them as its view and finds its blocks on first use; a
-    monomial family (``_monomial_family``) is built as its blocks, and its
-    view is scattered from them the first time a dense-only reader asks.
-    ``tol`` is None for exact families; quadrature-built families carry the
-    declared tolerance of their construction.  The store and weights are
-    read-only, so the blocks, the views, the square-integrability witness
-    and the sup norm are each computed once, on first use.
+    The family's one store is its coefficient matrix, the (npoints, hdim^2)
+    array ``flat[s, j*hdim + i] = <pi(s)e_i, e_j>``, held as its nonzero
+    ``blocks`` = (rows (k, r), cols (k, c), V (k, r, c)), zero elsewhere, with
+    ``V[b] = flat[rows[b]][:, cols[b]]``; every per-call map reads them.
+    Dense operators become their blocks at construction (``_matrix_blocks``):
+    rows are classed by their first nonzero column, and the classes are kept
+    when they are equal in size, every row has its class representative's
+    nonzero pattern, and the representatives' column sets are disjoint and
+    equal in size, as for monomial families (one nonzero per column of every
+    pi(s)), where k = hdim.  Otherwise the family is the one block of all
+    rows and all columns.  The zero test is exact.  A monomial family
+    (``_monomial_family``) is built as its blocks directly.  ``stack``
+    (npoints, hdim, hdim) and ``flat`` are read-only dense views scattered
+    from the blocks the first time a dense-only reader asks.  ``tol`` is None
+    for exact families; quadrature-built families carry the declared
+    tolerance of their construction.  The store and weights are read-only,
+    so the views, the square-integrability witness and the sup norm are each
+    computed once, on first use.
     """
 
     def __init__(self, space: MeasureSpace, operators, tol: float | None = None):
@@ -43,16 +50,17 @@ class OperatorFamily:
         _require(stack.ndim == 3 and stack.shape[0] == space.npoints,
                  "need one operator per point of the space")
         _require(stack.shape[1] == stack.shape[2], "operators must be square")
+        _require(stack.shape[1] > 0, "operator dimension must be at least 1, got 0")
         _require(bool(np.all(np.isfinite(stack))), "operator entries must be finite")
         self.space = space
         self.hdim = stack.shape[1]
-        self.stack = _readonly(stack)
+        self.blocks = _matrix_blocks(_readonly(stack).reshape(space.npoints, -1))
         self.tol = tol
 
     @classmethod
     def _from_blocks(cls, space: MeasureSpace, hdim: int, blocks,
                      tol: float | None = None) -> OperatorFamily:
-        """A family given by its coefficient blocks, as ``blocks`` returns them."""
+        """A family given by its coefficient blocks (rows, cols, V)."""
         fam = cls.__new__(cls)
         fam.space, fam.hdim, fam.tol = space, hdim, tol
         fam.blocks = tuple(map(_readonly, blocks))
@@ -68,8 +76,7 @@ class OperatorFamily:
 
     @cached_property
     def stack(self) -> np.ndarray:
-        """The dense (npoints, hdim, hdim) view: the given operators, else
-        scattered from the blocks on first read."""
+        """The dense (npoints, hdim, hdim) view, scattered from the blocks."""
         rows, cols, V = self.blocks
         flat = np.zeros((self.npoints, self.hdim ** 2), dtype=complex)
         flat[rows[:, :, None], cols[:, None, :]] = V
@@ -80,11 +87,9 @@ class OperatorFamily:
         return self.stack.reshape(self.npoints, -1)
 
     def op(self, i: int) -> np.ndarray:
-        """pi(s_i), read-only, from the dense view when it is held, else from
-        the point's block row; i must be a point index in [0, npoints)."""
+        """pi(s_i), read-only, from the point's block row; i must be a point
+        index in [0, npoints)."""
         i = _spec_int(i, "point index", self.npoints)
-        if "stack" in self.__dict__:
-            return self.stack[i]
         rows, cols, V = self.blocks
         b, j = divmod(int(self._block_row[i]), rows.shape[1])
         out = np.zeros(self.hdim ** 2, dtype=complex)
@@ -93,27 +98,12 @@ class OperatorFamily:
 
     @cached_property
     def _block_row(self) -> np.ndarray:
-        """Where each point's row sits in ``blocks[0].ravel()``: a block-built
-        family's blocks hold every point's row exactly once."""
+        """Where each point's row sits in ``blocks[0].ravel()``: the blocks
+        hold every point's row exactly once."""
         return np.argsort(self.blocks[0].ravel())
 
     def working_tol(self) -> float:
         return DEFAULT_TOL if self.tol is None else self.tol
-
-    @cached_property
-    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``flat`` as (rows (k, r), cols (k, c), V (k, r, c)), zero elsewhere.
-
-        ``V[b] = flat[rows[b]][:, cols[b]]``.  Rows are classed by their first
-        nonzero column.  The classes are kept when they are equal in size,
-        every row has its class representative's nonzero pattern, and the
-        representatives' column sets are disjoint and equal in size, as for
-        monomial families (one nonzero per column of every pi(s)), where
-        k = hdim.  Otherwise the family is the one block of all rows and all
-        columns, a view of ``flat``.  The zero test is exact.  Found on first
-        use from the dense view, unless the family was built as its blocks.
-        """
-        return _matrix_blocks(self.flat)
 
     @cached_property
     def _sq_witness(self) -> tuple[float, tuple[int, int, int, int]]:
@@ -156,10 +146,15 @@ class OperatorFamily:
 def _matrix_blocks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A matrix as read-only (rows (k, r), cols (k, c), V (k, r, c)), zero elsewhere.
 
-    The blocks are the row classes of ``M != 0``; without them, M is the one
-    block of all rows and all columns, a view of M.
+    The blocks are the row classes of M's nonzero pattern; when its rows
+    differ in nonzero count, are all zero, or their classes are not kept, M
+    is the one block of all rows and all columns, a view of M.
     """
-    classes = _row_classes(M != 0)
+    mask = M != 0
+    count = mask.sum(1)
+    classes = None
+    if count[0] > 0 and np.all(count == count[0]):
+        classes = _row_classes(mask.nonzero()[1].reshape(len(M), -1))
     if classes is None:
         m, n = M.shape
         return (_readonly(np.arange(m)[None]), _readonly(np.arange(n)[None]),
@@ -188,24 +183,22 @@ def _class_sizes(keys: np.ndarray) -> np.ndarray:
     return counts[counts > 0]
 
 
-def _row_classes(mask: np.ndarray):
-    """(rows, cols) of the row classes of a nonzero mask, or None.
+def _row_classes(nz: np.ndarray):
+    """(rows, cols) of the row classes of a sparsity pattern, or None.
 
-    Rows are keyed by their first nonzero; see ``OperatorFamily.blocks`` for
-    when the classes are kept.  A class whose rows are all zero has an empty
-    column set and so fails the equal-size test.
+    ``nz[s]`` holds row s's nonzero columns in increasing order, the same
+    count for every row.  Rows are keyed by their first nonzero; see
+    ``OperatorFamily`` for when the classes are kept.
     """
-    first = mask.argmax(1)
+    first = nz[:, 0]
     counts = _class_sizes(first)
     if len(counts) < 2 or np.any(counts != counts[0]):
         return None
     rows = np.argsort(first, kind="stable").reshape(len(counts), -1)
-    rep = mask[rows[:, 0]]
-    sizes = rep.sum(1)
-    if (np.any(sizes != sizes[0]) or rep.sum(0).max() > 1
-            or np.any(mask[rows] != rep[:, None])):
+    rep = nz[rows[:, 0]]
+    if np.any(nz[rows] != rep[:, None]) or _class_sizes(rep.ravel()).max() > 1:
         return None
-    return _readonly(rows), _readonly(rep.nonzero()[1].reshape(len(counts), -1))
+    return _readonly(rows), _readonly(rep)
 
 
 def _monomial_family(space: MeasureSpace, perm, values,
@@ -213,13 +206,13 @@ def _monomial_family(space: MeasureSpace, perm, values,
     """The family with pi(s) e_i = values[s, i] e_perm[s, i], built as its blocks.
 
     ``perm`` and ``values`` are (npoints, hdim); each perm[s] must be a
-    permutation.  Row s of ``flat`` has its nonzeros at columns t*hdim +
-    inv[s, t], inv[s] the inverse permutation, so its first nonzero is
-    inv[s, 0] and the row-class rule of ``OperatorFamily.blocks`` runs on the
-    (npoints, hdim) array inv: O(npoints * hdim), with the classes, row order,
-    column order and values that ``_matrix_blocks`` gives on the dense
-    coefficient matrix.  When a value is 0 or the classes are not kept, the
-    dense stack is built and read as any dense family.
+    permutation.  Row s of ``flat`` has its nonzeros at the increasing
+    columns t*hdim + inv[s, t], inv[s] the inverse permutation, so
+    ``_row_classes`` runs on that (npoints, hdim) pattern: O(npoints * hdim),
+    with the classes, row order, column order and values that
+    ``_matrix_blocks`` gives on the dense coefficient matrix.  When a value
+    is 0 or the classes are not kept, the dense stack is built and read as
+    any dense family.
     """
     perm = np.asarray(perm)
     values = np.asarray(values, dtype=complex)
@@ -234,16 +227,11 @@ def _monomial_family(space: MeasureSpace, perm, values,
     _require(bool(np.all(np.isfinite(values))), "operator entries must be finite")
     inv = np.empty((m, d), dtype=int)
     np.put_along_axis(inv, perm, np.arange(d)[None], 1)
-    first = inv[:, 0]
-    counts = _class_sizes(first)
-    if len(counts) >= 2 and np.all(counts == counts[0]) and np.all(values != 0):
-        rows = np.argsort(first, kind="stable").reshape(len(counts), -1)
-        rep = inv[rows[:, 0]]
-        cols = np.arange(d) * d + rep
-        if np.all(inv[rows] == rep[:, None]) and _class_sizes(cols.ravel()).max() == 1:
-            # every row of class b has the columns of rep[b]
-            V = values[rows[:, :, None], rep[:, None, :]]
-            return OperatorFamily._from_blocks(space, d, (rows, cols, V), tol)
+    classes = _row_classes(np.arange(d) * d + inv) if np.all(values != 0) else None
+    if classes is not None:
+        rows, cols = classes
+        V = values[rows[:, :, None], (cols % d)[:, None, :]]
+        return OperatorFamily._from_blocks(space, d, (rows, cols, V), tol)
     stack = np.zeros((m, d, d), dtype=complex)
     stack[np.arange(m)[:, None], perm, np.arange(d)] = values
     return OperatorFamily(space, stack, tol=tol)
@@ -253,8 +241,7 @@ def coefficient(fam: OperatorFamily, u, v) -> Symbol:
     """Coefficient symbol s -> <pi(s)u, v>, sesquilinear in (u, v)."""
     u = as_vector(u, fam.hdim)
     v = as_vector(v, fam.hdim)
-    values = (fam.stack @ u) @ np.conj(v)
-    return Symbol(fam.space, values)
+    return Symbol(fam.space, _flat_matmul(fam, np.kron(np.conj(v), u)))
 
 
 def _flat_matmul(fam: OperatorFamily, x: np.ndarray) -> np.ndarray:
@@ -376,8 +363,11 @@ def invariant_subspace_check(fam: OperatorFamily, basis,
              "candidate basis is not linearly independent")
     if k >= fam.hdim:
         return True  # full space
-    proj_out = np.eye(fam.hdim) - Q @ Q.conj().T
-    return np.abs(proj_out @ (fam.stack @ Q)).max() <= tol
+    eye = np.eye(fam.hdim)
+    proj_out = eye - Q @ Q.conj().T
+    # the rows pi(s)q of every point, one column q of Q at a time: m*d numbers
+    return all(np.abs(_flat_matmul(fam, np.kron(eye, q[:, None])) @ proj_out.T).max() <= tol
+               for q in Q.T)
 
 
 def tensor(f1: OperatorFamily, f2: OperatorFamily) -> OperatorFamily:
@@ -405,7 +395,7 @@ def compress(f2: OperatorFamily, point_map, target_space: MeasureSpace,
     representatives must agree to tolerance.
     """
     tol = f2.working_tol() if tol is None else tol
-    p = np.asarray(point_map, dtype=int)
+    p = _spec_array(point_map, "point map", integer=True)
     _require(p.shape == (f2.npoints,), "point map needs one entry per source point")
     _require(bool(np.all((0 <= p) & (p < target_space.npoints))),
              "point map hits indices outside the target space")

@@ -99,14 +99,52 @@ def case(request):
     return build(), k
 
 
-def test_block_count(case):
-    fam, k = case
+def build_recording(name, monkeypatch):
+    """Build a case, with a copy of the dense operators its family was given
+    (None when it was built as its blocks)."""
+    given = [None]
+    init = oc.OperatorFamily.__init__
+
+    def record(self, space, operators, tol=None):
+        given[0] = np.array(operators, dtype=complex)
+        init(self, space, operators, tol)
+
+    monkeypatch.setattr(oc.OperatorFamily, "__init__", record)
+    build, k = FAMILIES[name]
+    fam = build()
+    monkeypatch.undo()
+    return fam, k, given[0]
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_block_count(name, monkeypatch):
+    fam, k, given = build_recording(name, monkeypatch)
     rows, cols, V = fam.blocks
     assert rows.shape[0] == cols.shape[0] == V.shape[0] == k
     if k == 1:                 # the one-block route: every row, every column
         assert np.array_equal(rows[0], np.arange(fam.npoints))
         assert np.array_equal(cols[0], np.arange(fam.hdim ** 2))
-        assert np.shares_memory(V, fam.flat)
+        assert fam.stack.tobytes() == given.tobytes()    # scattered back bitwise
+
+
+@pytest.mark.parametrize("name", ["s3", "random", "compress", "tensor_w2_w3",
+                                  "direct_sum_w3_w3", "adjoint_weyl4"])
+def test_dense_input_keeps_no_dense_store(name, monkeypatch, rng):
+    # the given operators become the blocks; no reader below builds the view
+    fam, _, given = build_recording(name, monkeypatch)
+    d = fam.hdim
+    assert "stack" not in vars(fam)
+    q = ca.Quantizer(fam)
+    oc.verify_sq(fam)
+    oc.commutant_dim(fam)
+    oc.quantize(q, oc.random_symbol(rng, fam.space))
+    oc.dequantize(q, oc.random_vector(rng, d * d).reshape(d, d))
+    oc.coefficient(fam, oc.random_vector(rng, d), oc.random_vector(rng, d))
+    oc.invariant_subspace_check(fam, oc.random_vector(rng, d))
+    ops = [fam.op(i) for i in range(fam.npoints)]
+    assert "stack" not in vars(fam)
+    # exact equality: every bit but the sign of a zero, which the store drops
+    assert np.array_equal(ops, given)
 
 
 def test_blocks_are_flat_with_zeros_elsewhere(case):

@@ -321,6 +321,16 @@ FAMILY_TASKS = [{"kind": "verify_sq"}] + [
     {"kind": kind, "n_random": 3} for kind in ("quantize", "dequantize", "star_table")]
 
 
+def traced_peak(call):
+    """(result, peak bytes traced by tracemalloc) of ``call()``."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("spec, small", [
     ({"kind": "magnetic_weyl", "n": 32, "L": 12.0}, {"kind": "magnetic_weyl", "n": 8, "L": 12.0}),
     ({"kind": "discrete_weyl", "N": 16}, {"kind": "discrete_weyl", "N": 4}),
@@ -334,14 +344,27 @@ def test_family_tasks_form_no_dense_stack(spec, small):
         backend = cli._build_backend(spec)   # a grid builds its family in the task
         m, d = (backend.n ** 2, backend.n) if spec["kind"] == "magnetic_weyl" \
             else (backend.npoints, backend.hdim)
-        tracemalloc.start()
-        try:
-            result = cli._run_task(task, backend, None, np.random.default_rng(0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(
+            lambda: cli._run_task(task, backend, None, np.random.default_rng(0)))
         assert result["verdict"] == "pass"
         assert peak < m * d * d * 16 / 4, task["kind"]
+
+
+def test_coefficient_and_subspace_check_form_no_dense_stack():
+    # the same bound for the library readers on metaplectic [27], whose stack
+    # is 8.5 MB; a random 2-plane, as the benchmark's certificate checks use
+    rng = np.random.default_rng(0)
+    for orders in ([5], [27]):
+        fam = opcalc.abelian_metaplectic(orders, k=2)
+        d = fam.hdim
+        u, v = opcalc.random_vector(rng, d), opcalc.random_vector(rng, d)
+        plane = np.linalg.qr(opcalc.random_vector(rng, 2 * d).reshape(d, 2))[0]
+        coef, coef_peak = traced_peak(lambda: opcalc.coefficient(fam, u, v))
+        invariant, check_peak = traced_peak(lambda: opcalc.invariant_subspace_check(fam, plane))
+    bound = fam.npoints * d * d * 16 / 4
+    assert coef.values.shape == (fam.npoints,) and not invariant
+    assert coef_peak < bound and check_peak < bound
+    assert "stack" not in vars(fam)
 
 
 def test_verify_sq_report_names_worst_witness(tmp_path):

@@ -49,6 +49,12 @@ def test_coefficient_sesquilinear(weyl3, rng):
     assert np.abs(scaled.values - alpha * oc.coefficient(weyl3, u, v).values).max() < 1e-13
 
 
+def test_zero_dimensional_operators_are_rejected():
+    space = oc.MeasureSpace(("a", "b"), np.ones(2))
+    with pytest.raises(ValueError, match="dimension must be at least 1, got 0"):
+        OperatorFamily(space, np.zeros((2, 0, 0)))
+
+
 def test_verify_sq_trivial_exact():
     report = verify_sq(oc.trivial_backend())
     assert report.passed and report.max_deviation == 0.0
@@ -276,6 +282,9 @@ def test_compress_precondition_errors(weyl2):
         oc.compress(weyl2, np.arange(4), bad_weights, np.eye(2))
     with pytest.raises(ValueError, match="isometry"):
         oc.compress(weyl2, np.arange(4), weyl2.space, 2.0 * np.eye(2))
+    for bad in ([0.9, 1.2, 2.7, 3.1], [True, False, 2, 3]):   # not read as 0..3
+        with pytest.raises(ValueError, match="point map must be an integer"):
+            oc.compress(weyl2, bad, weyl2.space, np.eye(2))
 
 
 def test_adjoint_family_sq(weyl3):

@@ -1,0 +1,63 @@
+"""Print the exit code and sha256 of each benchmark report one revision writes.
+
+    python3 tools/report_hashes.py HEAD~1 > base.txt
+    python3 tools/report_hashes.py HEAD > change.txt
+    diff base.txt change.txt
+
+The revision is exported with ``git archive`` (``bench_pr.export``) into a
+fresh directory.  A child interpreter there imports that checkout's
+``src/opcalc`` through ``bench/env.py`` (one thread) and runs the six
+``exact_batch`` configs and the ``magnetic_refine`` config of
+``bench/workloads.py`` through ``cli.run_config`` at seeds 1, 7 and 11: 21
+reports.  Each printed line holds the workload, seed, config index, exit code
+and the sha256 of the report, so two revisions that compute the same numbers
+print the same lines.  Nothing under ``bench/`` is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pr import export
+
+WORKLOADS = ("exact_batch", "magnetic_refine")
+SEEDS = (1, 7, 11)
+
+CHILD = f"""
+import contextlib, hashlib, io, sys
+sys.path.insert(0, "bench")
+import env
+env.bootstrap()
+import workloads
+from opcalc import cli
+for name in {WORKLOADS!r}:
+    for seed in {SEEDS!r}:
+        for i, cfg in enumerate(workloads.make(name, seed).configs):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.run_config(cfg, None)
+            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            print(f"{{name}} seed={{seed}} config={{i}} exit={{code}} sha256={{digest}}")
+"""
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("rev", help="git revision whose reports to hash")
+    args = p.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="report_hashes-") as tmp:
+        checkout = Path(tmp) / "checkout"
+        commit = export(args.rev, checkout)
+        print(f"# {args.rev} = {commit}")
+        sys.stdout.flush()
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        return subprocess.run([sys.executable, "-c", CHILD], cwd=checkout, env=env).returncode
+
+
+if __name__ == "__main__":
+    sys.exit(main())
