@@ -354,7 +354,7 @@ def test_coefficient_and_subspace_check_form_no_dense_stack():
     # the same bound for the library readers on metaplectic [27], whose stack
     # is 8.5 MB; a random 2-plane, as the benchmark's certificate checks use
     rng = np.random.default_rng(0)
-    for orders in ([5], [27]):
+    for orders in ([5], [27]):                 # the [5] run keeps imports out
         fam = opcalc.abelian_metaplectic(orders, k=2)
         d = fam.hdim
         u, v = opcalc.random_vector(rng, d), opcalc.random_vector(rng, d)
