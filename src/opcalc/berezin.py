@@ -9,7 +9,6 @@ on the kernel space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,43 +20,42 @@ from .family import (OperatorFamily, _block_diag, _diag_blocks, _flat_matmul,
 from .calculus import Quantizer, _adjoint_sum, quantize
 
 
-@dataclass(frozen=True, eq=False)
 class Frame:
-    """A fiducial unit vector with its derived vector field and kernel.
+    """A fiducial unit vector w with its vector field w(s) = pi(s)* w and kernel.
 
-    ``wfield[s]`` holds pi(s)* w; ``kernel[s, t]`` is <w(t), w(s)>, which is
-    conjugate-symmetric and reproduces the range of the analysis map.
-    ``blocks`` is ``wfield`` as nonzero blocks, which the readers go through,
-    and ``overlap`` the blocks' |<w(s), w(t)>|^2; both are computed on first
-    use.
+    ``blocks`` = (rows (k, r), cols (k, c), W (k, r, c)) holds the field, zero
+    elsewhere, by the row-class rule of ``OperatorFamily``: k = hdim and c = 1
+    for a basis vector on a monomial family, else the one block.  Blocks have
+    disjoint supports, so the kernel <w(t), w(s)> is exactly 0 between them;
+    ``kernel`` holds its k diagonal (r, r) blocks conj(W[b]) W[b]^T.  Both are
+    built unchecked (``make_frame`` checks); the read-only dense ``wfield`` and
+    the blocks' ``overlap`` |<w(s), w(t)>|^2 are computed on first use.
     """
 
-    fam: OperatorFamily
-    w: np.ndarray
-    wfield: np.ndarray
-    kernel: np.ndarray
+    def __init__(self, fam: OperatorFamily, w):
+        self.fam, self.w = fam, _readonly(as_vector(w, fam.hdim).copy())
+        # pi(s)* w: entry i is the sum over j of w_j conj(flat[s, j*d + i])
+        field = _flat_matmul(fam, np.kron(self.w.conj()[:, None], np.eye(fam.hdim)))
+        self.blocks = _matrix_blocks(field.conj())
+        W = self.blocks[2]
+        self.kernel = _readonly(W.conj() @ W.swapaxes(1, 2))
 
     @property
     def space(self) -> MeasureSpace:
         return self.fam.space
 
     @cached_property
-    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``wfield`` as (rows (k, r), cols (k, c), W (k, r, c)), zero elsewhere.
-
-        Grouped by the row-class rule of ``OperatorFamily``: for a basis
-        vector on a monomial family every w(s) has one nonzero, so k = hdim and
-        c = 1.  A dense fiducial is the one block, a view of ``wfield``.  Points
-        of different blocks have disjoint supports, so the kernel is exactly 0
-        between them.
-        """
-        return _matrix_blocks(self.wfield)
+    def wfield(self) -> np.ndarray:
+        """The dense field, ``wfield[s]`` = pi(s)* w, scattered from the blocks."""
+        rows, cols, W = self.blocks
+        out = np.zeros((self.space.npoints, self.fam.hdim), dtype=complex)
+        out[rows[:, :, None], cols[:, None, :]] = W
+        return _readonly(out)
 
     @cached_property
     def overlap(self) -> np.ndarray:
         """(k, r, r) blocks |kernel^T|^2 on each row class; 0 between classes."""
-        K = _diag_blocks(self.kernel, self.blocks[0])
-        return _readonly((np.abs(K.swapaxes(1, 2)) ** 2).astype(complex))
+        return _readonly((np.abs(self.kernel.swapaxes(1, 2)) ** 2).astype(complex))
 
 
 def make_frame(fam: OperatorFamily, w, tol: float | None = None) -> Frame:
@@ -73,10 +71,7 @@ def make_frame(fam: OperatorFamily, w, tol: float | None = None) -> Frame:
         raise ValueError("fiducial vector must be a unit vector")
     if not verify_sq(fam, tol=tol).passed:
         raise ValueError("family fails square-integrability; no frame")
-    # pi(s)* w: entry i is the sum over j of w_j conj(flat[s, j*d + i])
-    wfield = _flat_matmul(fam, np.kron(w.conj()[:, None], np.eye(fam.hdim))).conj()
-    kernel = wfield.conj() @ wfield.T                        # <w(t), w(s)>
-    fr = Frame(fam, _readonly(w), _readonly(wfield), _readonly(kernel))
+    fr = Frame(fam, w)
     residual = resolution_residual(fr)
     if residual > tol:
         raise ArithmeticError(
@@ -85,9 +80,9 @@ def make_frame(fam: OperatorFamily, w, tol: float | None = None) -> Frame:
 
 
 def resolution_residual(fr: Frame) -> float:
-    """Operator-norm distance of the frame's identity resolution from 1."""
-    resolution = fr.wfield.T @ (fr.space.weights[:, None] * fr.wfield.conj())
-    return op_norm(resolution - np.eye(fr.fam.hdim))
+    """Operator-norm distance from 1 of the identity resolution berezin_op(1)."""
+    ones = Symbol(fr.space, np.ones(fr.space.npoints))
+    return op_norm(berezin_op(fr, ones) - np.eye(fr.fam.hdim))
 
 
 def _on_points(fr: Frame, x: np.ndarray) -> Symbol:
@@ -124,7 +119,8 @@ def kernel_projector(fr: Frame) -> np.ndarray:
     in the weighted inner product, with range dimension equal to the Hilbert
     space dimension.
     """
-    return fr.kernel * fr.space.weights[None, :]
+    rows = fr.blocks[0]
+    return _block_diag(fr.kernel * fr.space.weights[rows][:, None, :], rows, fr.space.npoints)
 
 
 def berezin_op(fr: Frame, f: Symbol) -> np.ndarray:
@@ -140,15 +136,17 @@ def berezin_op(fr: Frame, f: Symbol) -> np.ndarray:
 
 
 def toeplitz_op(fr: Frame, f: Symbol) -> np.ndarray:
-    """Toeplitz compression on symbol space: project, multiply, project.
-
-    The kernel projector vanishes between row classes, so each class is
-    compressed on its own.
-    """
+    """Toeplitz compression on symbol space: project, multiply, project."""
     _require(f.space == fr.space, "symbol lives on a different space")
+    return _block_diag(_toeplitz_blocks(fr, f), fr.blocks[0], fr.space.npoints)
+
+
+def _toeplitz_blocks(fr: Frame, f: Symbol) -> np.ndarray:
+    """The (k, r, r) diagonal blocks of ``toeplitz_op``: the kernel projector
+    vanishes between row classes, so each is compressed on its own."""
     rows = fr.blocks[0]
-    P = _diag_blocks(fr.kernel, rows) * fr.space.weights[rows][:, None, :]
-    return _block_diag(P @ (f.values[rows][:, :, None] * P), rows, fr.space.npoints)
+    P = fr.kernel * fr.space.weights[rows][:, None, :]
+    return P @ (f.values[rows][:, :, None] * P)
 
 
 def covariant_symbol_sigma(fr: Frame, A) -> Symbol:
@@ -159,12 +157,14 @@ def covariant_symbol_sigma(fr: Frame, A) -> Symbol:
     row class, so only the diagonal blocks of A are read.
     """
     A = np.asarray(A, dtype=complex)
-    m = fr.space.npoints
-    _require(A.shape == (m, m), "operator must act on symbol value vectors")
-    rows = fr.blocks[0]
-    K = _diag_blocks(fr.kernel, rows)
-    AK = fr.space.weights[rows][:, :, None] * (_diag_blocks(A, rows) @ K)
-    return _on_points(fr, np.sum(AK * K.conj(), axis=1))
+    _require(A.shape == (fr.space.npoints,) * 2, "operator must act on symbol value vectors")
+    return _sigma(fr, _diag_blocks(A, fr.blocks[0]))
+
+
+def _sigma(fr: Frame, A: np.ndarray) -> Symbol:
+    """``covariant_symbol_sigma`` from the (k, r, r) diagonal blocks of A."""
+    K, w = fr.kernel, fr.space.weights[fr.blocks[0]]
+    return _on_points(fr, np.sum(w[:, :, None] * (A @ K) * K.conj(), axis=1))
 
 
 def covariant_symbol_tau(fr: Frame, S) -> Symbol:
@@ -185,11 +185,13 @@ def covariant_berezin_symbol(fr: Frame, g: Symbol) -> Symbol:
     return _on_points(fr, (fr.overlap @ wg[:, :, None])[:, :, 0])
 
 
-def _frame_pairing(fr: Frame) -> np.ndarray:
-    """pair[s, t] = <pi(s) w(t), w(t)>; against f over t, Tr[berezin_op(f) pi(s)]."""
-    W = fr.wfield
-    R = (W.conj()[:, :, None] * W[:, None, :]).reshape(len(W), -1)  # conj w(t) (x) w(t)
-    return _flat_matmul(fr.fam, R.T)
+def _smoothed(fr: Frame, f: Symbol) -> Symbol:
+    """s -> integral of f(t) <pi(s) w(t), w(t)> dmu(t): the family's blocks
+    against the one d^2 vector sum_t w_t f(t) conj w(t) (x) w(t)."""
+    rows, cols, W = fr.blocks
+    wf = (fr.space.weights * f.values)[rows]
+    M = (W.conj().swapaxes(1, 2) * wf[:, None, :]) @ W       # its (k, c, c) blocks
+    return Symbol(fr.space, _flat_matmul(fr.fam, _block_diag(M, cols, fr.fam.hdim).ravel()))
 
 
 def berezin_as_quantization(fr: Frame, q: Quantizer, f: Symbol,
@@ -204,7 +206,7 @@ def berezin_as_quantization(fr: Frame, q: Quantizer, f: Symbol,
              "quantizer and frame must share a family")
     tol = fr.fam.working_tol() if tol is None else tol
     _require(f.space == fr.space, "symbol lives on a different space")
-    smoothed = Symbol(fr.space, _frame_pairing(fr) @ (fr.space.weights * f.values))
+    smoothed = _smoothed(fr, f)
     residual = op_norm(quantize(q, smoothed) - berezin_op(fr, f))
     if residual > tol:
         raise ArithmeticError(
@@ -217,33 +219,30 @@ def frame_identities(fr: Frame, q: Quantizer, symbols) -> dict:
 
     Keys: the identity resolution; ||berezin_op(f)|| - sup|f| (at most 0);
     the least eigenvalue of berezin_op(|f|) (at least 0); the trace formula;
-    toeplitz_op(f) against analysis-conjugated berezin_op(f); sigma and tau
-    against covariant_berezin_symbol(f); and berezin_as_quantization.
+    toeplitz_op(f) against analysis-conjugated berezin_op(f), block by block;
+    sigma and tau against covariant_berezin_symbol(f); berezin_as_quantization.
     """
     _require(q.fam is fr.fam or q.fam.space == fr.space,
              "quantizer and frame must share a family")
-    weights = fr.space.weights
-    analysis_mat = fr.wfield.conj()
-    synthesis_mat = weights * fr.wfield.T
-    w_norms = np.linalg.norm(fr.wfield, axis=1) ** 2
-    pair = _frame_pairing(fr)
+    (rows, cols, W), weights = fr.blocks, fr.space.weights
+    synthesis_blocks = W.swapaxes(1, 2) * weights[rows][:, None, :]
+    w_norms = _on_points(fr, np.linalg.norm(W, axis=2) ** 2).values
     norm_margin = pos_floor = trace_res = toeplitz_res = cov_res = fact_res = 0.0
     for f in symbols:
         om = berezin_op(fr, f)
-        toep = toeplitz_op(fr, f)
+        toep = _toeplitz_blocks(fr, f)
         norm_margin = max(norm_margin, op_norm(om) - float(np.abs(f.values).max()))
         eigs = np.linalg.eigvalsh(berezin_op(fr, Symbol(fr.space, np.abs(f.values))))
         pos_floor = min(pos_floor, float(eigs.min()))
         trace_res = max(trace_res, abs(trace(om) - np.dot(weights, f.values * w_norms)))
         toeplitz_res = max(toeplitz_res, float(np.abs(
-            toep - analysis_mat @ om @ synthesis_mat).max()))
+            toep - W.conj() @ _diag_blocks(om, cols) @ synthesis_blocks).max()))
         three = covariant_berezin_symbol(fr, f).values
-        sigma = covariant_symbol_sigma(fr, toep).values
+        sigma = _sigma(fr, toep).values
         tau = covariant_symbol_tau(fr, om).values
         cov_res = max(cov_res, float(np.abs(sigma - three).max()),
                       float(np.abs(tau - three).max()))
-        smoothed = Symbol(fr.space, pair @ (weights * f.values))
-        fact_res = max(fact_res, op_norm(quantize(q, smoothed) - om))
+        fact_res = max(fact_res, op_norm(quantize(q, _smoothed(fr, f)) - om))
     return {"resolution_residual": resolution_residual(fr),
             "norm_bound_margin": norm_margin,
             "positivity_floor": pos_floor,

@@ -103,16 +103,14 @@ class MeasureSpace:
 
     ``kind`` is ``"exact"`` for genuinely finite spaces and ``"quadrature"``
     for discretized continuous spaces, in which case ``tol`` declares the
-    quadrature tolerance.  ``factors`` records the factor spaces of a product
-    so product points can be reassembled.  ``points`` is a tuple of labels or
-    a :class:`GridLabels` recipe, which keeps its labels unmade.
+    quadrature tolerance.  ``points`` is a tuple of labels or a
+    :class:`GridLabels` recipe, which keeps its labels unmade.
     """
 
     points: tuple | GridLabels
     weights: np.ndarray
     kind: str = "exact"
     tol: float | None = None
-    factors: tuple | None = None
 
     def __post_init__(self):
         grid = isinstance(self.points, GridLabels)   # labels unique by construction
@@ -165,7 +163,7 @@ class MeasureSpace:
 
 
 def product_space(a: MeasureSpace, b: MeasureSpace) -> MeasureSpace:
-    """Cartesian product with product weights; factor structure recorded.
+    """Cartesian product with product weights.
 
     Points are ordered with the first factor varying slowest, matching the
     Kronecker convention used for tensor products of operator families.
@@ -176,7 +174,7 @@ def product_space(a: MeasureSpace, b: MeasureSpace) -> MeasureSpace:
     tol = None
     if kind == "quadrature":
         tol = max(t for t in (a.tol, b.tol) if t is not None)
-    return MeasureSpace(points, weights, kind=kind, tol=tol, factors=(a, b))
+    return MeasureSpace(points, weights, kind=kind, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +312,6 @@ def space_to_json(space: MeasureSpace) -> dict:
     }
     if space.tol is not None:
         d["tol"] = float(space.tol)
-    if space.factors is not None:
-        d["factors"] = [space_to_json(f) for f in space.factors]
     return d
 
 

@@ -46,7 +46,7 @@ class OperatorFamily:
     """
 
     def __init__(self, space: MeasureSpace, operators, tol: float | None = None):
-        stack = np.asarray(operators, dtype=complex)
+        stack = np.array(operators, dtype=complex)        # a private copy
         _require(stack.ndim == 3 and stack.shape[0] == space.npoints,
                  "need one operator per point of the space")
         _require(stack.shape[1] == stack.shape[2], "operators must be square")

@@ -27,8 +27,9 @@ import numpy as np
 from .core import GridLabels, MeasureSpace, Symbol, _readonly, _require, op_norm
 from .family import OperatorFamily, _monomial_family
 
-#: Largest grid whose family is built.  Its blocks hold n^3 numbers, but a
-#: frame on it forms (n^2, n^2) arrays, several GB at n = 96.
+#: Largest grid whose family is built.  Its blocks and frames hold n^3 numbers,
+#: but ``RestrictedProduct.levels`` reads the dense view, n^4 entries (about
+#: 1.36 GB at n = 96).
 _FAMILY_MAX_N = 64
 
 #: Complex entries per row chunk of ``magnetic_moyal``'s skewed copies: a

@@ -11,13 +11,11 @@ def rng():
 
 def space_from_json(d: dict) -> oc.MeasureSpace:
     """The inverse of ``core.space_to_json``; the library never reads a space."""
-    factors = d.get("factors")
     return oc.MeasureSpace(
         tuple(d["points"]),
         np.asarray(d["weights"], dtype=float),
         kind=d.get("kind", "exact"),
         tol=d.get("tol"),
-        factors=tuple(space_from_json(f) for f in factors) if factors else None,
     )
 
 

@@ -39,6 +39,14 @@ def test_resolution_weyl3_and_s3(weyl3_frame, s3_frame):
     assert oc.resolution_residual(s3_frame) < 1e-12
 
 
+def test_make_frame_copies_the_fiducial():
+    w = unit(3)
+    fr = oc.make_frame(oc.discrete_weyl(3), w)
+    assert w.flags.writeable and not fr.w.flags.writeable
+    w[0] = 0.0
+    assert fr.w[0] == 1.0
+
+
 def test_make_frame_rejections():
     with pytest.raises(ValueError, match="unit"):
         oc.make_frame(oc.discrete_weyl(2), np.array([1.0, 1.0]))
@@ -47,9 +55,24 @@ def test_make_frame_rejections():
         oc.make_frame(bad, unit(4))
 
 
+def dense_kernel(fr):
+    """The (m, m) kernel <w(t), w(s)> from the frame's dense field."""
+    return fr.wfield.conj() @ fr.wfield.T
+
+
+def scattered_kernel(fr):
+    """The frame's kernel blocks scattered over an (m, m) zero fill."""
+    rows = fr.blocks[0]
+    out = np.zeros((fr.space.npoints,) * 2, dtype=complex)
+    out[rows[:, :, None], rows[:, None, :]] = fr.kernel
+    return out
+
+
 def test_kernel_conjugate_symmetric(weyl3_frame):
     K = weyl3_frame.kernel
-    assert np.abs(K - K.conj().T).max() < 1e-14
+    assert K.shape == (3, 3, 3)                      # hdim blocks of 3 points
+    assert np.abs(K - K.conj().swapaxes(1, 2)).max() < 1e-14
+    assert np.abs(scattered_kernel(weyl3_frame) - dense_kernel(weyl3_frame)).max() < 1e-14
 
 
 def test_analysis_synthesis_roundtrip(weyl2_frame, rng):
@@ -68,7 +91,7 @@ def test_analysis_isometry(weyl3_frame, rng):
 def test_analysis_of_fiducial_is_kernel_column(weyl3_frame):
     # the identity sits at phase-space point (0,0), index 0
     col = oc.analysis(weyl3_frame, weyl3_frame.w)
-    assert np.abs(col.values - weyl3_frame.kernel[:, 0]).max() < 1e-13
+    assert np.abs(col.values - scattered_kernel(weyl3_frame)[:, 0]).max() < 1e-13
 
 
 def test_synthesis_equals_quantize_route(weyl3_frame, rng):
@@ -181,11 +204,12 @@ def test_overlap_is_memoized_on_first_use(weyl3_frame, rng):
     assert oc.covariant_berezin_symbol(fr, g).values.tolist() == first.values.tolist()
     assert vars(fr)["overlap"] is memo and not memo.flags.writeable
     rows = fr.blocks[0]
-    dense = np.abs(fr.kernel.T) ** 2
-    assert np.array_equal(memo, dense[rows[:, :, None], rows[:, None, :]])
-    same_block = np.zeros(dense.shape, dtype=bool)
+    K = dense_kernel(fr)
+    assert np.array_equal(memo, np.abs(fr.kernel.swapaxes(1, 2)) ** 2)
+    assert np.abs(fr.kernel - K[rows[:, :, None], rows[:, None, :]]).max() < 1e-15
+    same_block = np.zeros(K.shape, dtype=bool)
     same_block[rows[:, :, None], rows[:, None, :]] = True
-    assert np.all(fr.kernel[~same_block] == 0)       # exactly 0 off the blocks
+    assert np.all(K[~same_block] == 0)               # exactly 0 off the blocks
 
 
 def test_berezin_as_quantization(weyl2_frame, rng):

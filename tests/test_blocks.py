@@ -4,9 +4,10 @@
 ``flat`` as row classes with disjoint column sets; a dense family is the one
 block of all rows and all columns.  The references below are the plain
 products with ``flat`` that the block products replaced, so a lost block, a
-misplaced scatter or a wrong fallback shows up here.  ``Frame.blocks`` does
-the same for a frame's (npoints, hdim) vector field ``wfield``, and its
-readers are checked against their formulas on ``wfield`` and ``kernel``.
+misplaced scatter or a wrong fallback shows up here.  ``Frame.blocks`` holds
+a frame's (npoints, hdim) vector field the same way, with its kernel as
+diagonal blocks, and its readers are checked against their formulas on the
+dense field and the dense (npoints, npoints) kernel formed here.
 """
 
 import numpy as np
@@ -147,6 +148,22 @@ def test_dense_input_keeps_no_dense_store(name, monkeypatch, rng):
     assert np.array_equal(ops, given)
 
 
+@pytest.mark.parametrize("name", ["weyl3", "s3"])        # hdim classes, one block
+def test_dense_input_is_copied(name):
+    # the family keeps its own copy of a C-contiguous complex input: the
+    # caller's array stays writable, and writing to it changes neither op(i)
+    # nor the view scattered after the write
+    build, k = FAMILIES[name]
+    ref = build()
+    given = np.array(ref.stack)
+    fam = oc.OperatorFamily(ref.space, given)
+    assert len(fam.blocks[0]) == k
+    assert given.flags.writeable and given.flags.c_contiguous
+    given[...] = 7.0
+    assert np.array_equal([fam.op(i) for i in range(fam.npoints)], ref.stack)
+    assert np.array_equal(fam.stack, ref.stack)
+
+
 def test_blocks_are_flat_with_zeros_elsewhere(case):
     fam, _ = case
     rows, cols, V = fam.blocks
@@ -226,10 +243,11 @@ def test_frame_readers_match_dense_flat(case, rng):
     flat, d = fam.flat, fam.hdim
     v = oc.random_unit_vector(rng, d)
     wfield = (v.conj() @ fam.stack).conj()
-    fr = bz.Frame(fam, v, wfield, wfield.conj() @ wfield.T)   # no SQ gate needed
+    fr = bz.Frame(fam, v)                                     # no SQ gate needed
+    close(fr.wfield, wfield)
     R = (wfield.conj()[:, :, None] * wfield[:, None, :]).reshape(len(wfield), -1)
-    close(bz._frame_pairing(fr), flat @ R.T)
     g = oc.random_symbol(rng, fam.space)
+    close(bz._smoothed(fr, g).values, (flat @ R.T) @ (fam.space.weights * g.values))
     Q = (np.conj(fam.space.weights * g.values) @ flat).conj().reshape(d, d).T
     close(oc.upsilon_transform(fr, g).values, (wfield @ Q.T @ wfield.conj().T).ravel())
 
@@ -323,30 +341,34 @@ def test_frame_block_count(frame_case):
     fr, k = frame_case
     rows, cols, W = fr.blocks
     assert rows.shape[0] == cols.shape[0] == W.shape[0] == k
-    if k == 1:                 # the one-block route: a view of the dense field
+    if k == 1:                 # the one-block route: the whole dense field
         assert np.array_equal(rows[0], np.arange(fr.space.npoints))
         assert np.array_equal(cols[0], np.arange(fr.fam.hdim))
-        assert np.shares_memory(W, fr.wfield)
+        assert np.array_equal(W[0], fr.wfield)
     else:                      # one nonzero per frame vector
         assert cols.shape[1] == 1
 
 
 def test_frame_blocks_are_wfield_and_computed_once(frame_case):
+    # the blocks are the one store; the dense field is a view made on first read
     fr, _ = frame_case
     rows, cols, W = fr.blocks
-    assert fr.blocks is fr.blocks
+    assert "wfield" not in vars(fr)
     assert np.array_equal(np.sort(rows.ravel()), np.arange(fr.space.npoints))
     assert len(np.unique(cols)) == cols.size              # disjoint column sets
-    dense = np.zeros_like(fr.wfield)
+    dense = np.zeros((fr.space.npoints, fr.fam.hdim), dtype=complex)
     dense[rows[:, :, None], cols[:, None, :]] = W
+    close(dense, (fr.w.conj() @ fr.fam.stack).conj())     # pi(s)* w
     assert np.array_equal(dense, fr.wfield)
-    for part in fr.blocks:
+    assert fr.wfield is fr.wfield
+    for part in (*fr.blocks, fr.kernel, fr.wfield):
         assert not part.flags.writeable
 
 
 def test_frame_readers_match_dense_wfield(frame_case, rng):
     fr, _ = frame_case
-    W, K, w = fr.wfield, fr.kernel, fr.space.weights
+    W, w = (fr.w.conj() @ fr.fam.stack).conj(), fr.space.weights   # pi(s)* w
+    K = W.conj() @ W.T                                   # <w(t), w(s)>
     d, m = fr.fam.hdim, fr.space.npoints
     f = oc.random_symbol(rng, fr.space)
     u = oc.random_vector(rng, d)
@@ -359,6 +381,7 @@ def test_frame_readers_match_dense_wfield(frame_case, rng):
     close(oc.covariant_berezin_symbol(fr, f).values,
           (np.abs(K.T) ** 2) @ (w * f.values))
     P = K * w[None, :]
+    close(oc.kernel_projector(fr), P)
     close(oc.toeplitz_op(fr, f), P @ (f.values[:, None] * P))
     close(oc.covariant_symbol_sigma(fr, A).values,
           np.sum(w[:, None] * (A @ K) * K.conj(), axis=0))

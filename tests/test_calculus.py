@@ -175,16 +175,17 @@ def test_explicit_routes_never_quantize(weyl3_q, rng, monkeypatch):
     S = oc.random_vector(rng, 9).reshape(3, 3)
     star, inv = oc.star(weyl3_q, f, g), oc.involution(weyl3_q, f)
     fr = oc.make_frame(weyl3_q.fam, np.eye(3)[0])
+    smoothed = oc.berezin_as_quantization(fr, weyl3_q, f)  # before the maps are refused
 
     def refuse(*args):
         raise AssertionError("an explicit route called the transported maps")
 
     for mod in (ca, bz):
-        for name in ("quantize", "dequantize"):
+        for name in ("quantize", "dequantize", "berezin_op"):
             monkeypatch.setattr(mod, name, refuse, raising=False)
     assert np.abs(oc.star_explicit(weyl3_q, f, g).values - star.values).max() < 1e-10
     assert np.abs(oc.involution_explicit(weyl3_q, f).values - inv.values).max() < 1e-11
-    assert bz._frame_pairing(fr).shape == (9, 9)
+    assert np.array_equal(bz._smoothed(fr, f).values, smoothed.values)
     with pytest.raises(AssertionError, match="explicit route"):
         oc.mixed_trace(weyl3_q, f, S)       # its left side is the quantized route
 

@@ -350,6 +350,23 @@ def test_family_tasks_form_no_dense_stack(spec, small):
         assert peak < m * d * d * 16 / 4, task["kind"]
 
 
+@pytest.mark.parametrize("spec, small", [
+    ({"kind": "magnetic_weyl", "n": 32, "L": 12.0}, {"kind": "magnetic_weyl", "n": 8, "L": 12.0}),
+    ({"kind": "discrete_weyl", "N": 16}, {"kind": "discrete_weyl", "N": 4}),
+], ids=["magnetic32", "weyl16"])
+def test_berezin_task_forms_no_point_by_point_array(spec, small):
+    # the frame of a basis vector is held as its hdim blocks and its kernel as
+    # their (r, r) diagonal blocks, so the task stays below one (m, m) array
+    task = {"kind": "berezin", "n_random": 3}
+    cli._run_task(task, cli._build_backend(small), None, np.random.default_rng(0))
+    backend = cli._build_backend(spec)
+    m = backend.n ** 2 if spec["kind"] == "magnetic_weyl" else backend.npoints
+    result, peak = traced_peak(
+        lambda: cli._run_task(task, backend, None, np.random.default_rng(0)))
+    assert result["verdict"] == "pass"
+    assert peak < m * m * 16
+
+
 def test_coefficient_and_subspace_check_form_no_dense_stack():
     # the same bound for the library readers on metaplectic [27], whose stack
     # is 8.5 MB; a random 2-plane, as the benchmark's certificate checks use

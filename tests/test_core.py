@@ -105,7 +105,6 @@ def test_product_space_counts_and_mass():
     pw = oc.product_space(w, w)
     assert pw.npoints == 16
     assert np.allclose(pw.weights, 0.25)
-    assert pw.factors[0] == w
 
 
 def test_l2_inner_definiteness(rng):
@@ -205,4 +204,3 @@ def test_space_json_roundtrip():
     q = space_from_json(core.space_to_json(p))
     assert q == p
     assert q.kind == "quadrature" and q.tol == 1e-5
-    assert q.factors is not None and q.factors[1].tol == 1e-5
