@@ -34,7 +34,6 @@ from .backends import (abelian_metaplectic, backend_from_spec, cyclic_character,
                        trivial_backend)
 from .magnetic import (MagneticBackend, composition_residual,
                        gauge_transform_check, gaussian_symbol, magnetic_moyal,
-                       magnetic_study, magnetic_weyl_grid, op_a,
-                       reduction_residual)
+                       magnetic_study, op_a, reduction_residual)
 
 __version__ = "0.1.0"

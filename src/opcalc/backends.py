@@ -262,7 +262,7 @@ def backend_from_spec(spec: dict):
     if kind == "magnetic_weyl":
         A = spec.get("A")
         B = spec.get("B")
-        return magnetic.magnetic_weyl_grid(
+        return magnetic.MagneticBackend(
             _spec_int(spec["n"], "n"), _spec_num(spec["L"], "L"),
             A=None if A is None else _spec_array(A, "A"),
             B=None if B is None else _spec_array(B, "B"),

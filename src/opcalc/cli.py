@@ -186,12 +186,12 @@ def _unit(task: dict, hdim: int) -> np.ndarray:
 
 
 def _verify_sq(task, fam, tol, rng):
-    report = fm.verify_sq(fam, tol=float(task.get("tol", tol)))
+    report = fm.verify_sq(fam, tol=tol)
     return report.passed, {"report": report.to_json()}
 
 
 def _quantize(task, fam, tol, rng):
-    q = ca.build_quantizer(fam)
+    q = ca.build_quantizer(fam, tol)
     symbols = _symbols(task, fam.space, rng)
     ops = [ca.quantize(q, f) for f in symbols]
     projected = [ca.project_b2(q, f) for f in symbols]
@@ -204,7 +204,7 @@ def _quantize(task, fam, tol, rng):
 
 
 def _dequantize(task, fam, tol, rng):
-    q = ca.build_quantizer(fam)
+    q = ca.build_quantizer(fam, tol)
     raw = task.get("operators")
     if raw:
         ops = [core.operator_from_json(d) for d in raw]
@@ -220,7 +220,7 @@ def _dequantize(task, fam, tol, rng):
 
 
 def _star_table(task, fam, tol, rng):
-    q = ca.build_quantizer(fam)
+    q = ca.build_quantizer(fam, tol)
     symbols = _symbols(task, fam.space, rng)
     check = task.get("check_explicit", fam.npoints <= 64)
     table, residual = [], 0.0
@@ -239,7 +239,7 @@ def _star_table(task, fam, tol, rng):
 
 
 def _berezin(task, fam, tol, rng):
-    q = ca.build_quantizer(fam)
+    q = ca.build_quantizer(fam, tol)
     fr = bz.make_frame(fam, _unit(task, fam.hdim), tol=tol)
     res = bz.frame_identities(fr, q, _symbols(task, fam.space, rng))
     ok = res["positivity_floor"] >= -tol and all(
@@ -255,7 +255,7 @@ def _inftensor(task, fam, tol, rng):
         raise ConfigError("backend has no identity point; "
                           "cannot form a restricted product")
     rp = inftensor.build_restricted(
-        [(fam, base, _unit(task, fam.hdim))] * task.get("copies", 3))
+        [(fam, base, _unit(task, fam.hdim))] * task.get("copies", 3), tol=tol)
     product_vec = rp.embed(np.ones(1, dtype=complex), 0)
     ent = np.zeros(rp.full_dim, dtype=complex)
     ent[0] = 1 / np.sqrt(2)
@@ -280,11 +280,14 @@ def _inftensor(task, fam, tol, rng):
 
 
 def _on_family(run):
-    """Run a task on the backend's materialized family at the working tol."""
+    """Run a task on the backend's materialized family.  Every gate of the
+    task uses one tolerance: the task's ``tol``, else the run's (``--tol`` or
+    the config's), else the family's working tolerance."""
     def on_backend(task, backend, tol, rng):
         fam = backend.family() if isinstance(backend, magnetic.MagneticBackend) \
             else backend
-        return run(task, fam, fam.working_tol() if tol is None else tol, rng)
+        tol = task.get("tol", tol)
+        return run(task, fam, fam.working_tol() if tol is None else float(tol), rng)
     return on_backend
 
 

@@ -28,9 +28,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _require(cond: bool, msg: str, exc=ValueError) -> None:
+def _require(cond: bool, msg: str) -> None:
     if not cond:
-        raise exc(msg)
+        raise ValueError(msg)
 
 
 def _is_int(x, lo: int | None = None, hi: int | None = None) -> bool:
@@ -101,32 +101,34 @@ class GridLabels:
 class MeasureSpace:
     """Finitely many labelled points with strictly positive weights.
 
-    ``kind`` is ``"exact"`` for genuinely finite spaces and ``"quadrature"``
-    for discretized continuous spaces, in which case ``tol`` declares the
-    quadrature tolerance.  ``points`` is a tuple of labels or a
-    :class:`GridLabels` recipe, which keeps its labels unmade.
+    A discretized continuous space declares its quadrature tolerance ``tol``;
+    a genuinely finite space declares none.  That one value is the tolerance
+    of every family on the space (``kind`` only names the case).  ``points``
+    is a tuple of labels or a :class:`GridLabels` recipe, which keeps its
+    labels unmade.  The weights are a private, read-only copy.
     """
 
     points: tuple | GridLabels
     weights: np.ndarray
-    kind: str = "exact"
     tol: float | None = None
 
     def __post_init__(self):
         grid = isinstance(self.points, GridLabels)   # labels unique by construction
         pts = self.points if grid else tuple(str(p) for p in self.points)
-        w = np.asarray(self.weights, dtype=float)
+        w = np.array(self.weights, dtype=float)      # a private copy
         _require(w.ndim == 1 and len(pts) == w.size, "one weight per point")
         _require(w.size > 0, "a measure space needs at least one point")
         _require(bool(np.all(np.isfinite(w)) and np.all(w > 0)),
                  "weights must be strictly positive and finite")
         _require(grid or len(set(pts)) == len(pts), "point labels must be unique")
-        _require(self.kind in ("exact", "quadrature"), f"unknown kind {self.kind!r}")
-        if self.kind == "quadrature":
-            _require(self.tol is not None and self.tol > 0,
-                     "a quadrature space must declare a positive tolerance")
+        _require(self.tol is None or _is_num(self.tol),
+                 "a declared quadrature tolerance must be finite and positive")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", _readonly(w))
+
+    @property
+    def kind(self) -> str:
+        return "exact" if self.tol is None else "quadrature"
 
     @property
     def npoints(self) -> int:
@@ -142,7 +144,7 @@ class MeasureSpace:
         if not isinstance(other, MeasureSpace):
             return NotImplemented
         return (self.points == other.points
-                and self.kind == other.kind
+                and self.tol == other.tol
                 and np.array_equal(self.weights, other.weights))
 
     __hash__ = None
@@ -170,11 +172,8 @@ def product_space(a: MeasureSpace, b: MeasureSpace) -> MeasureSpace:
     """
     points = tuple(f"{p}|{q}" for p in a.points for q in b.points)
     weights = np.multiply.outer(a.weights, b.weights).reshape(-1)
-    kind = "quadrature" if "quadrature" in (a.kind, b.kind) else "exact"
-    tol = None
-    if kind == "quadrature":
-        tol = max(t for t in (a.tol, b.tol) if t is not None)
-    return MeasureSpace(points, weights, kind=kind, tol=tol)
+    tol = max((t for t in (a.tol, b.tol) if t is not None), default=None)
+    return MeasureSpace(points, weights, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +182,14 @@ def product_space(a: MeasureSpace, b: MeasureSpace) -> MeasureSpace:
 
 @dataclass(frozen=True, eq=False)
 class Symbol:
-    """Complex-valued function on a measure space, stored pointwise."""
+    """Complex-valued function on a measure space, stored pointwise as a
+    private, read-only copy of the given values."""
 
     space: MeasureSpace
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
+        v = np.array(self.values, dtype=complex)     # a private copy
         _require(v.ndim == 1 and v.size == self.space.npoints,
                  "symbol needs one value per point of its space")
         _require(bool(np.all(np.isfinite(v))), "symbol values must be finite")

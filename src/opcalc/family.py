@@ -38,14 +38,14 @@ class OperatorFamily:
     rows and all columns.  The zero test is exact.  A monomial family
     (``_monomial_family``) is built as its blocks directly.  ``stack``
     (npoints, hdim, hdim) and ``flat`` are read-only dense views scattered
-    from the blocks the first time a dense-only reader asks.  ``tol`` is None
-    for exact families; quadrature-built families carry the declared
-    tolerance of their construction.  The store and weights are read-only,
-    so the views, the square-integrability witness and the sup norm are each
-    computed once, on first use.
+    from the blocks the first time a dense-only reader asks.  ``tol`` and
+    ``exact`` are the space's: a family gates at the quadrature tolerance its
+    space declares, or at ``DEFAULT_TOL`` on an exact space.  The store and
+    weights are read-only, so the views, the square-integrability witness
+    and the sup norm are each computed once, on first use.
     """
 
-    def __init__(self, space: MeasureSpace, operators, tol: float | None = None):
+    def __init__(self, space: MeasureSpace, operators):
         stack = np.array(operators, dtype=complex)        # a private copy
         _require(stack.ndim == 3 and stack.shape[0] == space.npoints,
                  "need one operator per point of the space")
@@ -55,20 +55,22 @@ class OperatorFamily:
         self.space = space
         self.hdim = stack.shape[1]
         self.blocks = _matrix_blocks(_readonly(stack).reshape(space.npoints, -1))
-        self.tol = tol
 
     @classmethod
-    def _from_blocks(cls, space: MeasureSpace, hdim: int, blocks,
-                     tol: float | None = None) -> OperatorFamily:
+    def _from_blocks(cls, space: MeasureSpace, hdim: int, blocks) -> OperatorFamily:
         """A family given by its coefficient blocks (rows, cols, V)."""
         fam = cls.__new__(cls)
-        fam.space, fam.hdim, fam.tol = space, hdim, tol
+        fam.space, fam.hdim = space, hdim
         fam.blocks = tuple(map(_readonly, blocks))
         return fam
 
     @property
     def npoints(self) -> int:
         return self.space.npoints
+
+    @property
+    def tol(self) -> float | None:
+        return self.space.tol
 
     @property
     def exact(self) -> bool:
@@ -201,8 +203,7 @@ def _row_classes(nz: np.ndarray):
     return _readonly(rows), _readonly(rep)
 
 
-def _monomial_family(space: MeasureSpace, perm, values,
-                    tol: float | None = None) -> OperatorFamily:
+def _monomial_family(space: MeasureSpace, perm, values) -> OperatorFamily:
     """The family with pi(s) e_i = values[s, i] e_perm[s, i], built as its blocks.
 
     ``perm`` and ``values`` are (npoints, hdim); each perm[s] must be a
@@ -231,10 +232,10 @@ def _monomial_family(space: MeasureSpace, perm, values,
     if classes is not None:
         rows, cols = classes
         V = values[rows[:, :, None], (cols % d)[:, None, :]]
-        return OperatorFamily._from_blocks(space, d, (rows, cols, V), tol)
+        return OperatorFamily._from_blocks(space, d, (rows, cols, V))
     stack = np.zeros((m, d, d), dtype=complex)
     stack[np.arange(m)[:, None], perm, np.arange(d)] = values
-    return OperatorFamily(space, stack, tol=tol)
+    return OperatorFamily(space, stack)
 
 
 def coefficient(fam: OperatorFamily, u, v) -> Symbol:
@@ -373,15 +374,12 @@ def invariant_subspace_check(fam: OperatorFamily, basis,
 def tensor(f1: OperatorFamily, f2: OperatorFamily) -> OperatorFamily:
     """Kronecker-product family on the product space."""
     space = product_space(f1.space, f2.space)
-    stack = np.kron(f1.stack, f2.stack)
-    tols = [t for t in (f1.tol, f2.tol) if t is not None]
-    return OperatorFamily(space, stack, tol=max(tols) if tols else None)
+    return OperatorFamily(space, np.kron(f1.stack, f2.stack))
 
 
 def adjoint_family(fam: OperatorFamily) -> OperatorFamily:
     """Pointwise adjoint family; square-integrable iff the original is."""
-    return OperatorFamily(fam.space, np.conj(np.swapaxes(fam.stack, 1, 2)),
-                          tol=fam.tol)
+    return OperatorFamily(fam.space, np.conj(np.swapaxes(fam.stack, 1, 2)))
 
 
 def compress(f2: OperatorFamily, point_map, target_space: MeasureSpace,
@@ -392,8 +390,13 @@ def compress(f2: OperatorFamily, point_map, target_space: MeasureSpace,
     pushforward of the source weights must reproduce the target weights, and
     ``iota`` (hdim2 x hdim1) must be an isometry.  The compressed operator at
     a target point is iota* pi2(s2) iota for any s2 in the fibre; all fibre
-    representatives must agree to tolerance.
+    representatives must agree to tolerance.  The target space must declare
+    the source space's quadrature tolerance, since the compressed family
+    gates at it.
     """
+    _require(target_space.tol == f2.tol,
+             f"target space declares tol {target_space.tol}, "
+             f"the source space {f2.tol}")
     tol = f2.working_tol() if tol is None else tol
     p = _spec_array(point_map, "point map", integer=True)
     _require(p.shape == (f2.npoints,), "point map needs one entry per source point")
@@ -422,7 +425,7 @@ def compress(f2: OperatorFamily, point_map, target_space: MeasureSpace,
                 f"fibre over target point {t} is inconsistent (spread {spread:.3e})")
         wts = f2.space.weights[p == t]
         stack[t] = np.tensordot(wts / wts.sum(), fibre, axes=1)
-    return OperatorFamily(target_space, stack, tol=f2.tol)
+    return OperatorFamily(target_space, stack)
 
 
 def direct_sum(fams) -> OperatorFamily:
@@ -443,8 +446,7 @@ def direct_sum(fams) -> OperatorFamily:
     for f, d in zip(fams, dims):
         stack[:, off:off + d, off:off + d] = f.stack
         off += d
-    tols = [f.tol for f in fams if f.tol is not None]
-    return OperatorFamily(space, stack, tol=max(tols) if tols else None)
+    return OperatorFamily(space, stack)
 
 
 def direct_sum_product(f1: OperatorFamily, f2: OperatorFamily) -> OperatorFamily:
@@ -460,8 +462,7 @@ def direct_sum_product(f1: OperatorFamily, f2: OperatorFamily) -> OperatorFamily
     stack = np.zeros((space.npoints, D, D), dtype=complex)
     stack[:, :d1, :d1] = np.repeat(f1.stack, f2.npoints, 0)   # first factor slowest
     stack[:, d1:, d1:] = np.tile(f2.stack, (f1.npoints, 1, 1))
-    tols = [t for t in (f1.tol, f2.tol) if t is not None]
-    return OperatorFamily(space, stack, tol=max(tols) if tols else None)
+    return OperatorFamily(space, stack)
 
 
 def bounded_overlap_check(fams, u1, v1, u2, v2,

@@ -107,8 +107,7 @@ class MagneticBackend:
     def _grid_space(self, rows) -> MeasureSpace:
         """Labels "(row,k)" over rows x dual grid, equal weights summing to n."""
         points = GridLabels(rows, self.k)
-        return MeasureSpace(points, np.full(len(points), self.n / len(points)),
-                            kind="quadrature", tol=self.tol)
+        return MeasureSpace(points, np.full(len(points), self.n / len(points)), self.tol)
 
     def _circulations(self, shifts) -> np.ndarray:
         """Circulation from every node m to m + r, shape (len(shifts), n)."""
@@ -133,7 +132,7 @@ class MagneticBackend:
                             - 1j * circ)
             perm = np.repeat(rows, n, axis=0)
             self._family = _monomial_family(self.phase_space(), perm,
-                                           values.reshape(-1, n), tol=self.tol)
+                                           values.reshape(-1, n))
         return self._family
 
     # -- square-integrability certificate (no family materialization) -------
@@ -192,17 +191,6 @@ class MagneticBackend:
         Q, P = np.meshgrid(self.midpoints(), self.xi, indexing="ij")
         return Symbol(self.midpoint_space(), np.asarray(fn(Q, P),
                                                         dtype=complex).reshape(-1))
-
-
-def magnetic_weyl_grid(n: int, L: float, A=None, B=None,
-                       tol: float = 1e-6) -> MagneticBackend:
-    """Build the twisted Weyl system of a sampled vector potential.
-
-    The returned backend exposes the operator family through ``family()``
-    (materialized on demand) together with the kernel quantizer ``op_a``,
-    the composition law ``magnetic_moyal`` and the gauge check.
-    """
-    return MagneticBackend(n, L, A=A, B=B, tol=tol)
 
 
 def gaussian_symbol(backend: MagneticBackend, sigma=1.0,
@@ -363,20 +351,17 @@ def magnetic_moyal(backend: MagneticBackend, a: Symbol, b: Symbol) -> Symbol:
     return Symbol(backend.midpoint_space(), out.reshape(-1))
 
 
-def composition_residual(backend: MagneticBackend, a: Symbol, b: Symbol,
-                         composed: Symbol | None = None) -> float:
+def composition_residual(backend: MagneticBackend, a: Symbol, b: Symbol) -> float:
     """Relative gap between the operator product and the composed symbol.
 
     ||op(a) op(b) - op(a # b)|| / (||op(a)|| ||op(b)||); the two sides are
     assembled through unrelated routes (matrix product versus the double
     phase-space integral).
     """
-    if composed is None:
-        composed = magnetic_moyal(backend, a, b)
     Ta = op_a(backend, a)
     Tb = op_a(backend, b)
     scale = max(op_norm(Ta) * op_norm(Tb), 1e-300)
-    return op_norm(Ta @ Tb - op_a(backend, composed)) / scale
+    return op_norm(Ta @ Tb - op_a(backend, magnetic_moyal(backend, a, b))) / scale
 
 
 def discrete_gradient(backend: MagneticBackend, rho) -> np.ndarray:

@@ -11,12 +11,8 @@ def rng():
 
 def space_from_json(d: dict) -> oc.MeasureSpace:
     """The inverse of ``core.space_to_json``; the library never reads a space."""
-    return oc.MeasureSpace(
-        tuple(d["points"]),
-        np.asarray(d["weights"], dtype=float),
-        kind=d.get("kind", "exact"),
-        tol=d.get("tol"),
-    )
+    return oc.MeasureSpace(tuple(d["points"]), np.asarray(d["weights"], dtype=float),
+                           tol=d.get("tol"))
 
 
 # ---------------------------------------------------------------------------

@@ -235,16 +235,16 @@ def test_criterion_10_magnetic_calculus():
     with criterion(10, "magnetic Weyl calculus on the periodic grid"):
         start = time.perf_counter()
         L = 12.0
-        assert mg.reduction_residual(mg.magnetic_weyl_grid(64, L)) < 1e-8
+        assert mg.reduction_residual(mg.MagneticBackend(64, L)) < 1e-8
 
-        bk64 = mg.magnetic_weyl_grid(64, L, A=mg.sine_potential(64, L, 0.8))
+        bk64 = mg.MagneticBackend(64, L, A=mg.sine_potential(64, L, 0.8))
         alpha = 3 * (2 * np.pi / L)
         assert mg.gauge_transform_check(bk64, alpha * bk64.x,
                                         drho=np.full(64, alpha)) < 1e-10
 
         residuals = []
         for n in (32, 64, 128):
-            bk = mg.magnetic_weyl_grid(n, L, A=mg.sine_potential(n, L, 0.8))
+            bk = mg.MagneticBackend(n, L, A=mg.sine_potential(n, L, 0.8))
             a = mg.gaussian_symbol(bk, sigma=(1.0, 3.0), center=(0.4, 0.6),
                                    modulation=(0.3, -0.2))
             b = mg.gaussian_symbol(bk, sigma=(1.0, 3.0), center=(-0.5, 0.2),

@@ -122,7 +122,7 @@ def test_metaplectic_is_built_as_the_blocks_of_its_stack(orders, k):
 @pytest.mark.parametrize("n", [8, 10, 16, 32])
 @pytest.mark.parametrize("amplitude", [0.0, 0.8])
 def test_magnetic_family_is_built_as_the_blocks_of_its_stack(n, amplitude):
-    bk = mg.magnetic_weyl_grid(n, 12.0, A=mg.sine_potential(n, 12.0, amplitude))
+    bk = mg.MagneticBackend(n, 12.0, A=mg.sine_potential(n, 12.0, amplitude))
     assert_built_as_blocks(bk.family(), magnetic_op_stack(bk, bk.k, bk.xi))
 
 

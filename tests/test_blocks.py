@@ -80,7 +80,7 @@ FAMILIES = {
     **{f"weyl{N}": (lambda N=N: oc.discrete_weyl(N), N) for N in (2, 3, 4, 5)},
     "metaplectic27_k1": (lambda: oc.abelian_metaplectic((27,), k=1), 27),
     "metaplectic27_k2": (lambda: oc.abelian_metaplectic((27,), k=2), 27),
-    "magnetic8": (lambda: oc.magnetic_weyl_grid(8, 12.0).family(), 8),
+    "magnetic8": (lambda: oc.MagneticBackend(8, 12.0).family(), 8),
     "tensor_w2_w3": (lambda: oc.tensor(oc.discrete_weyl(2), oc.discrete_weyl(3)), 6),
     "adjoint_weyl4": (lambda: oc.adjoint_family(oc.discrete_weyl(4)), 4),
     "direct_sum_w3_w3": (lambda: oc.direct_sum([oc.discrete_weyl(3)] * 2), 3),
@@ -106,9 +106,9 @@ def build_recording(name, monkeypatch):
     given = [None]
     init = oc.OperatorFamily.__init__
 
-    def record(self, space, operators, tol=None):
+    def record(self, space, operators):
         given[0] = np.array(operators, dtype=complex)
-        init(self, space, operators, tol)
+        init(self, space, operators)
 
     monkeypatch.setattr(oc.OperatorFamily, "__init__", record)
     build, k = FAMILIES[name]
@@ -275,8 +275,8 @@ def test_range_basis_matches_dense_svd(case, rng):
 
 BITWISE = {
     **{f"weyl{N}": (lambda N=N: oc.discrete_weyl(N)) for N in (4, 8, 16, 24)},
-    "magnetic8": lambda: oc.magnetic_weyl_grid(8, 12.0).family(),
-    "magnetic32": lambda: oc.magnetic_weyl_grid(32, 12.0).family(),
+    "magnetic8": lambda: oc.MagneticBackend(8, 12.0).family(),
+    "magnetic32": lambda: oc.MagneticBackend(32, 12.0).family(),
 }
 
 
@@ -313,7 +313,7 @@ MONOMIAL = {
     "weyl3": lambda: oc.discrete_weyl(3),
     "weyl4": lambda: oc.discrete_weyl(4),
     "metaplectic5_k2": lambda: oc.abelian_metaplectic((5,), k=2),
-    "magnetic8": lambda: oc.magnetic_weyl_grid(8, 12.0).family(),
+    "magnetic8": lambda: oc.MagneticBackend(8, 12.0).family(),
     "tensor_w2_w3": lambda: oc.tensor(oc.discrete_weyl(2), oc.discrete_weyl(3)),
 }
 
@@ -408,7 +408,7 @@ def weyl2_padded():
 
 
 def magnetic_family(n):
-    return oc.magnetic_weyl_grid(n, 12.0, A=mg.sine_potential(n, 12.0, 0.8)).family()
+    return oc.MagneticBackend(n, 12.0, A=mg.sine_potential(n, 12.0, 0.8)).family()
 
 
 @pytest.mark.parametrize("build, expected", [

@@ -616,6 +616,48 @@ def test_tol_override_is_validated_before_any_task(tmp_path, capsys):
     assert json.loads(out.read_text())["tol"] == 1e-8
 
 
+def run_verdicts(tmp_path, config, tol_override=None):
+    out = tmp_path / "report.json"
+    code = cli.run_config(config, str(out), tol_override)
+    return code, json.loads(out.read_text())["tasks"]
+
+
+def test_every_gate_of_a_task_uses_the_run_tol(tmp_path):
+    # a measure 1e-8 too heavy: the SQ deviation is 1e-8, inside a run tol of
+    # 1e-6, so the quantizer and frame gates pass as verify_sq does
+    backend = {"kind": "finite_group", "preset": "s3_standard",
+               "measure_scale": 1.00000001}
+    tasks = [{"kind": "verify_sq"}, {"kind": "quantize", "n_random": 2},
+             {"kind": "berezin", "n_random": 2}]
+    for config, override in (({"backend": backend, "tol": 1e-6, "tasks": tasks}, None),
+                             ({"backend": backend, "tasks": tasks}, 1e-6)):
+        code, done = run_verdicts(tmp_path, config, override)
+        assert [t["verdict"] for t in done] == ["pass"] * 3, done
+        assert code == cli.EXIT_OK
+        assert 0.5e-8 < done[0]["report"]["max_deviation"] < 1e-6
+    # at the default 1e-10 every gate of the three tasks refuses the family
+    code, done = run_verdicts(tmp_path, {"backend": backend, "tasks": tasks})
+    assert [t["verdict"] for t in done] == ["fail", "error", "error"]
+
+
+def test_a_task_tol_gates_every_check_of_its_task(tmp_path):
+    # a task's tol wins over the run's, for every task that runs on the family
+    kinds = [{"kind": "verify_sq"}, {"kind": "quantize", "n_random": 2},
+             {"kind": "dequantize", "n_random": 2}, {"kind": "star_table", "n_random": 2},
+             {"kind": "berezin", "n_random": 2}, {"kind": "inftensor", "copies": 2}]
+    for task_tol, run_tol, want in ((1e-30, None, False), (1e-30, 1e-8, False),
+                                    (1e-8, 1e-30, True)):
+        tasks = [dict(t, tol=task_tol) for t in kinds] + [{"kind": "verify_sq"}]
+        config = {"backend": WEYL3, "seed": 4, "tasks": tasks}
+        if run_tol is not None:
+            config["tol"] = run_tol
+        code, done = run_verdicts(tmp_path, config)
+        assert [t["verdict"] == "pass" for t in done[:-1]] == [want] * len(kinds), done
+        assert code == cli.EXIT_TASK_FAILURE
+    # the unset task gated at the run's tol, 1e-30: the Weyl 3 deviation is not 0
+    assert done[-1]["report"]["tol"] == 1e-30 and done[-1]["verdict"] == "fail"
+
+
 def test_describe_incomplete_spec_is_validation_failure(tmp_path, capsys):
     spec = write(tmp_path, "backend.json", {"kind": "discrete_weyl"})
     assert cli.main(["describe", spec]) == cli.EXIT_VALIDATION_FAILURE

@@ -9,9 +9,9 @@ from opcalc import core
 from conftest import brute_inner, space_from_json, weyl_matrices_oracle
 
 
-def space(weights, kind="exact", tol=None):
+def space(weights, tol=None):
     return oc.MeasureSpace(tuple(f"p{i}" for i in range(len(weights))),
-                           np.asarray(weights, dtype=float), kind=kind, tol=tol)
+                           np.asarray(weights, dtype=float), tol=tol)
 
 
 def test_measure_space_validation():
@@ -19,10 +19,39 @@ def test_measure_space_validation():
         space([1.0, -1.0])
     with pytest.raises(ValueError):
         oc.MeasureSpace(("a", "a"), np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        space([1.0], kind="quadrature")  # quadrature needs a tolerance
-    s = space([1.0, 2.0], kind="quadrature", tol=1e-6)
-    assert s.tol == 1e-6
+    for bad in (0.0, -1e-6, np.inf, np.nan, True):   # a declared tol is positive
+        with pytest.raises(ValueError, match="tolerance"):
+            space([1.0], tol=bad)
+    s = space([1.0, 2.0], tol=1e-6)
+    assert s.tol == 1e-6 and s.kind == "quadrature"
+    assert space([1.0]).kind == "exact"
+
+
+def test_a_space_declares_its_tolerance_once():
+    pts, w = ("a", "b"), np.ones(2)
+    with pytest.raises(TypeError):                  # no kind to contradict tol
+        oc.MeasureSpace(pts, w, kind="exact", tol=1e-3)
+    s = oc.MeasureSpace(pts, w, tol=1e-3)
+    assert s.kind == "quadrature" and oc.MeasureSpace(pts, w).kind == "exact"
+    with pytest.raises(AttributeError):
+        s.kind = "exact"
+    # equality reads the tolerance, as the space id does
+    for other in (oc.MeasureSpace(pts, w), oc.MeasureSpace(pts, w, tol=1e-4),
+                  oc.MeasureSpace(pts, w, tol=1e-3)):
+        assert (s == other) == (s.space_id() == other.space_id())
+    assert s == oc.MeasureSpace(pts, w, tol=1e-3) != oc.MeasureSpace(pts, w)
+
+
+def test_spaces_and_symbols_keep_private_copies():
+    w = np.array([1.0, 2.0])
+    s = oc.MeasureSpace(("a", "b"), w)
+    v = np.ones(2, dtype=complex)
+    f = oc.Symbol(s, v)
+    for given, kept in ((w, s.weights), (v, f.values)):
+        assert given.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(given, kept)
+    w[0] = v[0] = 5.0                   # the caller's buffers stay the caller's
+    assert s.weights[0] == 1.0 and f.values[0] == 1.0
 
 
 def test_grid_labels_stand_for_their_tuple_space():
@@ -30,18 +59,16 @@ def test_grid_labels_stand_for_their_tuple_space():
     labels = core.GridLabels(rows, cols)
     strings = tuple(f"({r},{k})" for r in rows for k in cols)
     w = np.full(len(strings), 0.5)
-    grid = oc.MeasureSpace(labels, w, kind="quadrature", tol=1e-6)
-    flat = oc.MeasureSpace(strings, w, kind="quadrature", tol=1e-6)
+    grid = oc.MeasureSpace(labels, w, tol=1e-6)
+    flat = oc.MeasureSpace(strings, w, tol=1e-6)
     assert grid.points is labels                 # the strings stay unmade
     assert grid.npoints == flat.npoints == len(strings)
     assert core.space_to_json(grid) == core.space_to_json(flat)
     assert grid.space_id() == flat.space_id()
     assert grid == flat and flat == grid
-    assert grid == oc.MeasureSpace(core.GridLabels(rows, cols), w,
-                                   kind="quadrature", tol=1e-6)
-    assert grid != oc.MeasureSpace(core.GridLabels(range(5), cols), w,
-                                   kind="quadrature", tol=1e-6)
-    assert grid != oc.MeasureSpace(strings[::-1], w, kind="quadrature", tol=1e-6)
+    assert grid == oc.MeasureSpace(core.GridLabels(rows, cols), w, tol=1e-6)
+    assert grid != oc.MeasureSpace(core.GridLabels(range(5), cols), w, tol=1e-6)
+    assert grid != oc.MeasureSpace(strings[::-1], w, tol=1e-6)
     other = space([1.0, 2.0])
     for over_grid, over_flat in ((oc.product_space(grid, other), oc.product_space(flat, other)),
                                  (oc.product_space(other, grid), oc.product_space(other, flat))):
@@ -200,7 +227,7 @@ def test_symbol_json_roundtrip(rng):
 
 
 def test_space_json_roundtrip():
-    p = oc.product_space(space([0.5, 0.5]), space([1.0, 2.0], "quadrature", 1e-5))
+    p = oc.product_space(space([0.5, 0.5]), space([1.0, 2.0], 1e-5))
     q = space_from_json(core.space_to_json(p))
     assert q == p
     assert q.kind == "quadrature" and q.tol == 1e-5

@@ -170,7 +170,7 @@ COMMUTANT_CASES = {
     "tensor23": (lambda: oc.tensor(oc.discrete_weyl(2), oc.discrete_weyl(3)), 1),
     "adjoint3": (lambda: oc.adjoint_family(oc.discrete_weyl(3)), 1),
     "compress3": (lambda: compressed_weyl3(np.random.default_rng(5)), 1),
-    "magnetic8": (lambda: oc.magnetic_weyl_grid(8, 6.0).family(), 1),
+    "magnetic8": (lambda: oc.MagneticBackend(8, 6.0).family(), 1),
     "random_generic": (lambda: random_family(np.random.default_rng(7)), 1),
     "two_copies_weyl2": (lambda: oc.direct_sum([oc.discrete_weyl(2)] * 2), 4),
     "direct_sum_product34": (lambda: oc.direct_sum_product(oc.discrete_weyl(3),
@@ -287,6 +287,35 @@ def test_compress_precondition_errors(weyl2):
             oc.compress(weyl2, bad, weyl2.space, np.eye(2))
 
 
+def test_compress_keeps_the_declared_tolerance(weyl2):
+    fam = oc.MagneticBackend(8, 6.0).family()
+    exact = oc.MeasureSpace(tuple(fam.space.points), fam.space.weights)
+    with pytest.raises(ValueError, match="declares tol None, the source space 1e-06"):
+        oc.compress(fam, np.arange(fam.npoints), exact, np.eye(8))
+    quadrature = oc.MeasureSpace(("a", "b", "c", "d"), weyl2.space.weights, tol=1e-6)
+    with pytest.raises(ValueError, match="declares tol"):
+        oc.compress(weyl2, np.arange(4), quadrature, np.eye(2))
+    same = oc.compress(fam, np.arange(fam.npoints), fam.space, np.eye(8))
+    assert same.tol == 1e-6 and verify_sq(same).passed
+
+
+def test_families_and_closures_gate_at_the_space_tolerance(weyl2):
+    bk = oc.MagneticBackend(8, 6.0)
+    mag = bk.family()
+    dense = OperatorFamily(bk.phase_space(), mag.stack)   # not built by the backend
+    quadrature = [mag, dense, oc.tensor(mag, weyl2), oc.tensor(weyl2, dense),
+                  oc.adjoint_family(dense), oc.direct_sum([mag, dense]),
+                  oc.direct_sum_product(weyl2, dense),
+                  oc.compress(dense, np.arange(mag.npoints), mag.space, np.eye(8))]
+    for fam in quadrature:
+        assert fam.tol == fam.space.tol == 1e-6 and not fam.exact
+        assert verify_sq(fam).tol == 1e-6
+    assert verify_sq(dense).passed
+    for fam in (oc.tensor(weyl2, weyl2), oc.adjoint_family(weyl2),
+                oc.direct_sum_product(weyl2, weyl2)):
+        assert fam.tol is fam.space.tol is None and fam.exact
+
+
 def test_adjoint_family_sq(weyl3):
     assert verify_sq(oc.adjoint_family(weyl3)).passed
 
@@ -315,18 +344,15 @@ def test_direct_sum_requires_shared_space(weyl2, weyl3):
 
 
 def family_to_json(fam: OperatorFamily) -> dict:
-    d = {"space": space_to_json(fam.space),
-         "hdim": fam.hdim,
-         "operators": [operator_to_json(T) for T in fam.stack]}
-    if fam.tol is not None:
-        d["tol"] = float(fam.tol)
-    return d
+    return {"space": space_to_json(fam.space),
+            "hdim": fam.hdim,
+            "operators": [operator_to_json(T) for T in fam.stack]}
 
 
 def family_from_json(d: dict) -> OperatorFamily:
     space = space_from_json(d["space"])
     ops = np.array([operator_from_json(block) for block in d["operators"]])
-    fam = OperatorFamily(space, ops, tol=d.get("tol"))
+    fam = OperatorFamily(space, ops)
     _require(fam.hdim == int(d["hdim"]), "declared dimension does not match")
     return fam
 

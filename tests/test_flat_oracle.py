@@ -68,7 +68,7 @@ FAMILIES = {
     "weyl3": lambda: oc.discrete_weyl(3),
     "s3": lambda: oc.finite_group_backend(oc.s3_table()[0], oc.s3_standard_irrep()),
     "metaplectic5": lambda: oc.abelian_metaplectic((5,), k=2),
-    "magnetic8": lambda: oc.magnetic_weyl_grid(8, 6.0).family(),
+    "magnetic8": lambda: oc.MagneticBackend(8, 6.0).family(),
 }
 
 

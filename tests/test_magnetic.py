@@ -43,12 +43,12 @@ def circulation_loop_family(bk):
 
 @pytest.mark.parametrize("n", [16, 32])
 def test_family_matches_circulation_loop_bitwise(n):
-    bk = mg.magnetic_weyl_grid(n, L, A=mg.sine_potential(n, L, 0.8))
+    bk = mg.MagneticBackend(n, L, A=mg.sine_potential(n, L, 0.8))
     assert np.array_equal(bk.family().stack, circulation_loop_family(bk))
 
 
 def test_family_reduces_to_standard_weyl_entrywise():
-    bk = mg.magnetic_weyl_grid(8, L)
+    bk = mg.MagneticBackend(8, L)
     fam = bk.family()
     oracle = standard_weyl_oracle(8)
     idx = 0
@@ -60,7 +60,7 @@ def test_family_reduces_to_standard_weyl_entrywise():
 
 def test_constant_potential_circulation_exact():
     a0 = 0.73
-    bk = mg.magnetic_weyl_grid(16, L, A=np.full(16, a0))
+    bk = mg.MagneticBackend(16, L, A=np.full(16, a0))
     # trapezoid rule integrates constants exactly: circulation = a0 * x
     for i, r in [(0, 3), (5, -4), (12, 7)]:
         assert bk.circulation(i, i + r) == pytest.approx(a0 * r * bk.dx)
@@ -68,7 +68,7 @@ def test_constant_potential_circulation_exact():
 
 def test_family_is_unitary_valued(rng):
     A = mg.sine_potential(16, L, 0.9)
-    bk = mg.magnetic_weyl_grid(16, L, A=A)
+    bk = mg.MagneticBackend(16, L, A=A)
     fam = bk.family()
     for idx in rng.integers(0, fam.npoints, size=10):
         M = fam.op(int(idx))
@@ -77,7 +77,7 @@ def test_family_is_unitary_valued(rng):
 
 def test_verify_sq_exact_on_grid():
     A = mg.sine_potential(16, L, 0.9)
-    bk = mg.magnetic_weyl_grid(16, L, A=A)
+    bk = mg.MagneticBackend(16, L, A=A)
     report = verify_sq(bk.family())
     assert report.passed and report.max_deviation < 1e-12
 
@@ -85,7 +85,7 @@ def test_verify_sq_exact_on_grid():
 @pytest.mark.parametrize("n", [8, 16, 32])
 @pytest.mark.parametrize("amplitude", [0.0, 0.8])
 def test_sq_certificate_matches_verify_sq(n, amplitude):
-    bk = mg.magnetic_weyl_grid(n, L, A=mg.sine_potential(n, L, amplitude))
+    bk = mg.MagneticBackend(n, L, A=mg.sine_potential(n, L, amplitude))
     certificate = bk.sq_certificate()
     assert certificate == pytest.approx(verify_sq(bk.family()).max_deviation, abs=1e-14)
     assert certificate < 1e-14
@@ -98,8 +98,7 @@ def scaled_xi_step(bk):
 
 def scaled_weights(bk):
     space = bk.phase_space()
-    bk._phase_space = oc.MeasureSpace(space.points, 1.01 * space.weights,
-                                      kind="quadrature", tol=bk.tol)
+    bk._phase_space = oc.MeasureSpace(space.points, 1.01 * space.weights, tol=bk.tol)
 
 
 @pytest.mark.parametrize("mutate, want", [
@@ -108,7 +107,7 @@ def scaled_weights(bk):
 ], ids=["xi_step", "weights"])
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_sq_certificate_fails_a_broken_grid(n, mutate, want):
-    bk = mg.magnetic_weyl_grid(n, L, A=mg.sine_potential(n, L, 0.8))
+    bk = mg.MagneticBackend(n, L, A=mg.sine_potential(n, L, 0.8))
     mutate(bk)
     certificate = bk.sq_certificate()
     assert certificate > bk.tol
@@ -119,8 +118,8 @@ def test_sq_certificate_fails_a_broken_grid(n, mutate, want):
 @pytest.mark.parametrize("n", [8, 32, 128])
 def test_sq_certificate_is_gauge_independent(n):
     A = mg.sine_potential(n, L, 0.8)
-    shifted = mg.magnetic_weyl_grid(n, L, A=A + 0.37).sq_certificate()
-    assert abs(shifted - mg.magnetic_weyl_grid(n, L, A=A).sq_certificate()) <= 1e-15
+    shifted = mg.MagneticBackend(n, L, A=A + 0.37).sq_certificate()
+    assert abs(shifted - mg.MagneticBackend(n, L, A=A).sq_certificate()) <= 1e-15
 
 
 def weyl_op(bk: mg.MagneticBackend, x_shift: float, xi: float) -> np.ndarray:
@@ -141,7 +140,7 @@ def weyl_op(bk: mg.MagneticBackend, x_shift: float, xi: float) -> np.ndarray:
 
 
 def test_weyl_op_accessor_validates():
-    bk = mg.magnetic_weyl_grid(16, L)
+    bk = mg.MagneticBackend(16, L)
     M = weyl_op(bk, 2 * bk.dx, 2 * np.pi / L)
     assert np.abs(M - bk.family().op((2 + 8) * 16 + (1 + 8))).max() < 1e-13
     with pytest.raises(ValueError, match="off-grid"):
@@ -152,28 +151,28 @@ def test_weyl_op_accessor_validates():
 
 def test_nonzero_field_rejected():
     with pytest.raises(ValueError, match="vanishes"):
-        mg.magnetic_weyl_grid(16, L, B=np.ones(16))
+        mg.MagneticBackend(16, L, B=np.ones(16))
 
 
 def test_nonfinite_field_and_box_rejected():
     B = np.zeros(16)
     B[3] = np.nan                  # |B|.max() > 0 is False for NaN
     with pytest.raises(ValueError, match="field samples must be finite"):
-        mg.magnetic_weyl_grid(16, L, B=B)
+        mg.MagneticBackend(16, L, B=B)
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="box length"):
-            mg.magnetic_weyl_grid(16, bad)
+            mg.MagneticBackend(16, bad)
 
 
 def test_op_of_unit_symbol_is_identity():
-    bk = mg.magnetic_weyl_grid(32, L, A=mg.sine_potential(32, L, 0.8))
+    bk = mg.MagneticBackend(32, L, A=mg.sine_potential(32, L, 0.8))
     one = bk.sample_symbol(lambda Q, P: np.ones_like(Q, dtype=complex))
     assert np.abs(mg.op_a(bk, one) - np.eye(32)).max() < 1e-12
 
 
 def test_op_momentum_matches_fft_oracle():
     n = 32
-    bk = mg.magnetic_weyl_grid(n, L)
+    bk = mg.MagneticBackend(n, L)
     P = mg.op_a(bk, bk.sample_symbol(lambda Q, Pv: Pv + 0j))
     # spectral differentiation through numpy's FFT, an unrelated code path
     u = np.exp(-bk.x ** 2) * (1 + 0.3j)
@@ -183,14 +182,14 @@ def test_op_momentum_matches_fft_oracle():
 
 
 def test_op_position_symbol_is_multiplication():
-    bk = mg.magnetic_weyl_grid(16, L, A=mg.sine_potential(16, L, 0.4))
+    bk = mg.MagneticBackend(16, L, A=mg.sine_potential(16, L, 0.4))
     g = lambda y: np.cos(2 * np.pi * y / L)
     T = mg.op_a(bk, bk.sample_symbol(lambda Q, P: g(Q) + 0j))
     assert np.abs(T - np.diag(g(bk.x)).astype(complex)).max() < 1e-12
 
 
 def test_op_real_symbol_self_adjoint(rng):
-    bk = mg.magnetic_weyl_grid(16, L, A=mg.sine_potential(16, L, 0.6))
+    bk = mg.MagneticBackend(16, L, A=mg.sine_potential(16, L, 0.6))
     a = bk.sample_symbol(
         lambda Q, P: np.exp(-(Q - 0.4) ** 2 - 0.2 * (P - 0.3) ** 2) + 0j)
     T = mg.op_a(bk, a)
@@ -234,7 +233,7 @@ def op_a_per_lag(bk, lagT):
 @pytest.mark.parametrize("n", [8, 16, 32])
 @pytest.mark.parametrize("amplitude", [0.0, 0.8])
 def test_op_matches_per_lag_loop_bitwise(n, amplitude):
-    bk = mg.magnetic_weyl_grid(n, L, A=mg.sine_potential(n, L, amplitude))
+    bk = mg.MagneticBackend(n, L, A=mg.sine_potential(n, L, amplitude))
     a = mg.gaussian_symbol(bk, sigma=(1.0, 3.0), center=(0.4, 0.6),
                            modulation=(0.3, -0.2))
     lagT = mg._lag_transform(bk, a)
@@ -250,7 +249,7 @@ def rel_gap(got, want):
 
 @pytest.mark.parametrize("n", [8, 16, 64, 192])
 def test_fft_routes_match_dft_matrices(n, rng):
-    bk = mg.magnetic_weyl_grid(n, L, A=mg.sine_potential(n, L, 0.8))
+    bk = mg.MagneticBackend(n, L, A=mg.sine_potential(n, L, 0.8))
     a = mg.gaussian_symbol(bk, sigma=(1.0, 3.0), center=(0.4, 0.6),
                            modulation=(0.3, -0.2))
     vals = a.values.reshape(2 * n, n)
@@ -262,7 +261,7 @@ def test_fft_routes_match_dft_matrices(n, rng):
 
 @pytest.mark.parametrize("n", [8, 64, 192])
 def test_refinement_keeps_the_samples_on_even_half_steps(n, rng):
-    bk = mg.magnetic_weyl_grid(n, L)
+    bk = mg.MagneticBackend(n, L)
     V = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
     a = mg.gaussian_symbol(bk, sigma=(1.0, 3.0), modulation=(0.3, -0.2))
     for rows in (V, a.values.reshape(2 * n, n)):
@@ -298,7 +297,7 @@ def gauge_check_inline(bk, rho, drho, lagT):
 
 @pytest.mark.parametrize("n", [8, 64, 192])
 def test_grid_tables_match_inline_formulas_bitwise(n):
-    bk = mg.magnetic_weyl_grid(n, L, A=mg.sine_potential(n, L, 0.8))
+    bk = mg.MagneticBackend(n, L, A=mg.sine_potential(n, L, 0.8))
     a = mg.gaussian_symbol(bk, sigma=(1.0, 3.0), center=(0.4, 0.6),
                            modulation=(0.3, -0.2))
     lagT = mg._lag_transform(bk, a)
@@ -315,22 +314,22 @@ def test_grid_tables_match_inline_formulas_bitwise(n):
 
 
 def test_grid_spaces_keep_their_labels():
-    bk = mg.magnetic_weyl_grid(10, L)
+    bk = mg.MagneticBackend(10, L)
     for space, rows in ((bk.phase_space(), bk.k), (bk.midpoint_space(), range(20))):
         strings = tuple(f"({r},{k})" for r in rows for k in bk.k)
-        flat = oc.MeasureSpace(strings, space.weights, kind="quadrature", tol=bk.tol)
+        flat = oc.MeasureSpace(strings, space.weights, tol=bk.tol)
         assert space == flat and space.space_id() == flat.space_id()
 
 
 def test_op_requires_midpoint_space():
-    bk = mg.magnetic_weyl_grid(16, L)
+    bk = mg.MagneticBackend(16, L)
     wrong = oc.Symbol(bk.phase_space(), np.ones(16 * 16))
     with pytest.raises(ValueError, match="midpoint"):
         mg.op_a(bk, wrong)
 
 
 def test_moyal_unit_both_sides():
-    bk = mg.magnetic_weyl_grid(16, L, A=mg.sine_potential(16, L, 0.8))
+    bk = mg.MagneticBackend(16, L, A=mg.sine_potential(16, L, 0.8))
     one = bk.sample_symbol(lambda Q, P: np.ones_like(Q, dtype=complex))
     a = mg.gaussian_symbol(bk, sigma=(0.8, 2.0), center=(0.3, 0.5))
     left = mg.magnetic_moyal(bk, a, one)
@@ -342,7 +341,7 @@ def test_moyal_unit_both_sides():
 def test_moyal_plane_wave_exact():
     # q#p plane waves compose with the half-commutator phase exactly
     n = 32
-    bk = mg.magnetic_weyl_grid(n, L)
+    bk = mg.MagneticBackend(n, L)
     mu = 2 * np.pi / L
     nu = bk.dx
     a = bk.sample_symbol(lambda Q, P: np.exp(1j * mu * Q))
@@ -355,7 +354,7 @@ def test_moyal_plane_wave_exact():
 
 
 def test_moyal_q_only_is_pointwise_product():
-    bk = mg.magnetic_weyl_grid(16, L)
+    bk = mg.MagneticBackend(16, L)
     a = bk.sample_symbol(lambda Q, P: np.exp(-Q ** 2 / 2) + 0j)
     b = bk.sample_symbol(lambda Q, P: np.exp(-(Q - 0.7) ** 2 / 1.5) + 0j)
     c = mg.magnetic_moyal(bk, a, b)
@@ -389,7 +388,7 @@ def moyal_per_midpoint(bk, a, b):
 
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_moyal_matches_per_midpoint_sum(n):
-    bk = mg.magnetic_weyl_grid(n, L, A=mg.sine_potential(n, L, 0.8))
+    bk = mg.MagneticBackend(n, L, A=mg.sine_potential(n, L, 0.8))
     a = mg.gaussian_symbol(bk, sigma=(1.0, 3.0), center=(0.4, 0.6),
                            modulation=(0.3, -0.2))
     b = mg.gaussian_symbol(bk, sigma=(0.7, 2.0), center=(-0.5, 0.2),
@@ -422,7 +421,7 @@ def moyal_row_by_row(bk, a, b):
 def test_moyal_matches_row_by_row_loop_bitwise(n):
     # n = 8, 64: one row chunk; n = 130: chunks of 2**15 // 260 = 126 rows,
     # which do not divide 2n = 260
-    bk = mg.magnetic_weyl_grid(n, L, A=mg.sine_potential(n, L, 0.8))
+    bk = mg.MagneticBackend(n, L, A=mg.sine_potential(n, L, 0.8))
     a = mg.gaussian_symbol(bk, sigma=(1.0, 3.0), center=(0.4, 0.6),
                            modulation=(0.3, -0.2))
     b = mg.gaussian_symbol(bk, sigma=(0.7, 2.0), center=(-0.5, 0.2),
@@ -474,7 +473,7 @@ def test_composition_refines_rule():
 def test_composition_residual_decreases():
     residuals = []
     for n in (32, 64):
-        bk = mg.magnetic_weyl_grid(n, L, A=mg.sine_potential(n, L, 0.8))
+        bk = mg.MagneticBackend(n, L, A=mg.sine_potential(n, L, 0.8))
         a = mg.gaussian_symbol(bk, sigma=(1.0, 3.0), center=(0.4, 0.6),
                                modulation=(0.3, -0.2))
         b = mg.gaussian_symbol(bk, sigma=(1.0, 3.0), center=(-0.5, 0.2),
@@ -486,20 +485,20 @@ def test_composition_residual_decreases():
 
 def test_composition_residual_is_small_and_nonzero():
     # the composition law holds to quadrature accuracy, not exactly
-    bk = mg.magnetic_weyl_grid(32, L)
+    bk = mg.MagneticBackend(32, L)
     a = mg.gaussian_symbol(bk, sigma=(1.0, 3.0), center=(0.3, 0.4))
     b = mg.gaussian_symbol(bk, sigma=(1.0, 3.0), center=(-0.2, 0.1))
     assert 1e-16 < mg.composition_residual(bk, a, b) < 1e-3
 
 
 def test_gauge_zero():
-    bk = mg.magnetic_weyl_grid(16, L, A=mg.sine_potential(16, L, 0.7))
+    bk = mg.MagneticBackend(16, L, A=mg.sine_potential(16, L, 0.7))
     assert mg.gauge_transform_check(bk, np.zeros(16)) < 1e-14
 
 
 def test_backend_keeps_its_own_potential():
     A = mg.sine_potential(16, L, 0.7)
-    bk = mg.magnetic_weyl_grid(16, L, A=A)
+    bk = mg.MagneticBackend(16, L, A=A)
     assert mg.gauge_transform_check(bk, np.zeros(16)) == 0.0
     A += 1.0                 # the caller's array; the backend tabulated the old one
     assert mg.gauge_transform_check(bk, np.zeros(16)) == 0.0
@@ -507,11 +506,11 @@ def test_backend_keeps_its_own_potential():
 
 
 def test_gauge_check_matches_rebuilt_backend_route():
-    bk = mg.magnetic_weyl_grid(16, L, A=mg.sine_potential(16, L, 0.7))
+    bk = mg.MagneticBackend(16, L, A=mg.sine_potential(16, L, 0.7))
     rho = 0.3 * np.sin(2 * np.pi * bk.x / L)
     drho = mg.discrete_gradient(bk, rho)
     # the shifted potential on a backend with its own, separately built spaces
-    shifted = mg.magnetic_weyl_grid(16, L, A=bk.A + drho)
+    shifted = mg.MagneticBackend(16, L, A=bk.A + drho)
     a = mg.gaussian_symbol(bk)
     phase = np.exp(1j * rho)
     conjugated = phase[:, None] * mg.op_a(bk, a) * np.conj(phase)[None, :]
@@ -520,7 +519,7 @@ def test_gauge_check_matches_rebuilt_backend_route():
 
 
 def test_gauge_check_rejects_nonfinite_input():
-    bk = mg.magnetic_weyl_grid(16, L, A=mg.sine_potential(16, L, 0.7))
+    bk = mg.MagneticBackend(16, L, A=mg.sine_potential(16, L, 0.7))
     drho = np.zeros(16)
     drho[3] = np.nan
     with pytest.raises(ValueError, match="^drho "):
@@ -532,7 +531,7 @@ def test_gauge_check_rejects_nonfinite_input():
 
 
 def test_gauge_linear_exact():
-    bk = mg.magnetic_weyl_grid(32, L, A=mg.sine_potential(32, L, 0.7))
+    bk = mg.MagneticBackend(32, L, A=mg.sine_potential(32, L, 0.7))
     alpha = 3 * (2 * np.pi / L)   # torus-compatible slope
     rho = alpha * bk.x
     assert mg.gauge_transform_check(bk, rho, drho=np.full(32, alpha)) < 1e-10
@@ -541,14 +540,14 @@ def test_gauge_linear_exact():
 def test_gauge_smooth_refines():
     residuals = []
     for n in (16, 32, 64):
-        bk = mg.magnetic_weyl_grid(n, L, A=mg.sine_potential(n, L, 0.7))
+        bk = mg.MagneticBackend(n, L, A=mg.sine_potential(n, L, 0.7))
         rho = 0.3 * np.sin(2 * np.pi * bk.x / L)
         residuals.append(mg.gauge_transform_check(bk, rho))
     assert residuals[0] > residuals[1] > residuals[2]
 
 
 def test_reduction_residual_small():
-    assert mg.reduction_residual(mg.magnetic_weyl_grid(32, L)) < 1e-12
+    assert mg.reduction_residual(mg.MagneticBackend(32, L)) < 1e-12
 
 
 def reduction_residual_every_svd(backend):
@@ -631,7 +630,7 @@ def test_magnetic_study_shares_one_gauge_lag_transform(monkeypatch):
     # the shared route reports the public check's values bit for bit
     for row in rows:
         n = row["n"]
-        bk = mg.magnetic_weyl_grid(n, L, A=mg.sine_potential(n, L, 0.8))
+        bk = mg.MagneticBackend(n, L, A=mg.sine_potential(n, L, 0.8))
         alpha = 2 * (2 * np.pi / L)
         assert row["gauge_linear_residual"] == mg.gauge_transform_check(
             bk, alpha * bk.x, drho=np.full(n, alpha))
@@ -640,7 +639,7 @@ def test_magnetic_study_shares_one_gauge_lag_transform(monkeypatch):
 
 
 def test_family_materialization_guard():
-    bk = mg.magnetic_weyl_grid(128, L)
+    bk = mg.MagneticBackend(128, L)
     with pytest.raises(ValueError, match="n <= 64"):
         bk.family()
     # the certificate still works at this size

@@ -1,4 +1,5 @@
-"""Print the exit code and sha256 of each benchmark report one revision writes.
+"""Print the exit code and sha256 of each benchmark report one revision writes,
+and the sha256 of each benchmark backend's ``describe`` summary.
 
     python3 tools/report_hashes.py HEAD~1 > base.txt
     python3 tools/report_hashes.py HEAD > change.txt
@@ -10,8 +11,12 @@ fresh directory.  A child interpreter there imports that checkout's
 ``exact_batch`` configs and the ``magnetic_refine`` config of
 ``bench/workloads.py`` through ``cli.run_config`` at seeds 1, 7 and 11: 21
 reports.  Each printed line holds the workload, seed, config index, exit code
-and the sha256 of the report, so two revisions that compute the same numbers
-print the same lines.  Nothing under ``bench/`` is written.
+and the sha256 of the report.  Then, per config (the backends do not depend
+on the seed), it prints the sha256 of
+``json.dumps(cli._describe_backend(cfg["backend"]), sort_keys=True)``, the
+summary ``opcalc describe`` prints, which carries the derived ``exact`` and
+``tol`` fields.  Two revisions that compute the same numbers print the same
+lines.  Nothing under ``bench/`` is written.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ WORKLOADS = ("exact_batch", "magnetic_refine")
 SEEDS = (1, 7, 11)
 
 CHILD = f"""
-import contextlib, hashlib, io, sys
+import contextlib, hashlib, io, json, sys
 sys.path.insert(0, "bench")
 import env
 env.bootstrap()
@@ -43,6 +48,11 @@ for name in {WORKLOADS!r}:
                 code = cli.run_config(cfg, None)
             digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
             print(f"{{name}} seed={{seed}} config={{i}} exit={{code}} sha256={{digest}}")
+for name in {WORKLOADS!r}:
+    for i, cfg in enumerate(workloads.make(name, {SEEDS[0]!r}).configs):
+        summary = json.dumps(cli._describe_backend(cfg["backend"]), sort_keys=True)
+        digest = hashlib.sha256(summary.encode()).hexdigest()
+        print(f"{{name}} describe config={{i}} sha256={{digest}}")
 """
 
 
