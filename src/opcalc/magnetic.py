@@ -347,6 +347,7 @@ def magnetic_moyal(backend: MagneticBackend, a: Symbol, b: Symbol) -> Symbol:
             t = -s % two_n
             P[k, r0:r1] = np.matmul(SA[t + r0:t + r1],
                                     SB[s + r0:s + r1, t:t + two_n])[:, 0, 0]
+    del SA, SB          # 14 MiB at n = 192, freed before Symbol copies the output
     out = np.fft.fft(P, axis=1).T / two_n ** 2
     return Symbol(backend.midpoint_space(), out.reshape(-1))
 
@@ -358,10 +359,11 @@ def composition_residual(backend: MagneticBackend, a: Symbol, b: Symbol) -> floa
     assembled through unrelated routes (matrix product versus the double
     phase-space integral).
     """
+    composed = magnetic_moyal(backend, a, b)
     Ta = op_a(backend, a)
     Tb = op_a(backend, b)
     scale = max(op_norm(Ta) * op_norm(Tb), 1e-300)
-    return op_norm(Ta @ Tb - op_a(backend, magnetic_moyal(backend, a, b))) / scale
+    return op_norm(Ta @ Tb - op_a(backend, composed)) / scale
 
 
 def discrete_gradient(backend: MagneticBackend, rho) -> np.ndarray:
