@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from .core import (DEFAULT_TOL, GridLabels, MeasureSpace, _require, _spec_array, _spec_int,
-                   _spec_num)
+                   _spec_keys, _spec_num)
 from .family import OperatorFamily, _monomial_family
 
 
@@ -229,42 +229,46 @@ def backend_from_spec(spec: dict):
     """Build a backend from its JSON description.
 
     Returns an OperatorFamily for exact kinds and a MagneticBackend for
-    "magnetic_weyl".  Raises ValueError on invalid parameters.
+    "magnetic_weyl".  Raises ValueError on invalid parameters and on any key
+    its kind does not read, before anything is built.
     """
     from . import magnetic  # local import: magnetic pulls in grid machinery
 
     _require(isinstance(spec, dict) and "kind" in spec,
              "backend spec must be an object with a 'kind'")
-    kind = spec["kind"]
+    kind, preset = spec["kind"], spec.get("preset")
+    keys = {"trivial": (), "discrete_weyl": ("N",),
+            "finite_group": (("table", "irrep") if preset is None
+                             else ("preset", "order", "k") if preset == "cyclic_character"
+                             else ("preset",)) + ("measure_scale",),
+            "abelian_metaplectic": ("orders", "k"),
+            "magnetic_weyl": ("n", "L", "A", "tol")}
+    _require(kind in keys, f"unknown backend kind {kind!r}")
+    _spec_keys(spec, ("kind", *keys[kind]), "backend", f"{kind} backend")
     if kind == "trivial":
         return trivial_backend()
     if kind == "discrete_weyl":
         return discrete_weyl(spec["N"])
     if kind == "finite_group":
-        if "preset" in spec:
-            preset = spec["preset"]
-            if preset == "cyclic_character":
-                n = _spec_int(spec["order"], "order")
-                table = cyclic_table(n)
-                irrep = cyclic_character(n, _spec_int(spec.get("k", 1), "k"))
-            else:
-                _require(preset in _GROUP_PRESETS, f"unknown group preset {preset!r}")
-                table, irrep = _GROUP_PRESETS[preset]()
+        if preset == "cyclic_character":
+            n = _spec_int(spec["order"], "order")
+            table = cyclic_table(n)
+            irrep = cyclic_character(n, _spec_int(spec.get("k", 1), "k"))
+        elif preset is not None:
+            _require(preset in _GROUP_PRESETS, f"unknown group preset {preset!r}")
+            table, irrep = _GROUP_PRESETS[preset]()
         else:
             table = _spec_array(spec["table"], "table", integer=True)
             raw = spec["irrep"]
+            _spec_keys(raw, ("re", "im"), "irrep", "finite_group irrep")
             irrep = _spec_array(raw["re"], "irrep re") + \
                 1j * _spec_array(raw.get("im", 0.0), "irrep im")
         return finite_group_backend(
             table, irrep, _spec_num(spec.get("measure_scale", 1.0), "measure_scale"))
     if kind == "abelian_metaplectic":
         return abelian_metaplectic(spec["orders"], spec["k"])
-    if kind == "magnetic_weyl":
-        A = spec.get("A")
-        B = spec.get("B")
-        return magnetic.MagneticBackend(
-            _spec_int(spec["n"], "n"), _spec_num(spec["L"], "L"),
-            A=None if A is None else _spec_array(A, "A"),
-            B=None if B is None else _spec_array(B, "B"),
-            tol=_spec_num(spec.get("tol", 1e-6), "tol"))
-    raise ValueError(f"unknown backend kind {kind!r}")
+    A = spec.get("A")
+    return magnetic.MagneticBackend(
+        _spec_int(spec["n"], "n"), _spec_num(spec["L"], "L"),
+        A=None if A is None else _spec_array(A, "A"),
+        tol=_spec_num(spec.get("tol", 1e-6), "tol"))

@@ -59,9 +59,6 @@ _PARAM_CHECKS = {
     "check_explicit": (lambda x, hdim: isinstance(x, bool), "true or false"),
 }
 
-#: Every key a task may set; any other key is rejected, not ignored.
-_TASK_KEYS = {"kind", "symbols", "operators", *_PARAM_CHECKS}
-
 #: Task kinds that need their symbols given, as "symbols" or "n_random".
 _NEEDS_SYMBOLS = ("quantize", "star_table")
 
@@ -74,6 +71,7 @@ def _load_json(path: str) -> dict:
 def _validate_config(config: dict) -> None:
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
+    core._spec_keys(config, ("backend", "tasks", "seed", "tol"), "config", "config")
     if "backend" not in config:
         raise ConfigError("config needs a 'backend' spec")
     tasks = config.get("tasks")
@@ -84,10 +82,8 @@ def _validate_config(config: dict) -> None:
         if not isinstance(task, dict) or task.get("kind") not in kinds:
             raise ConfigError(f"task {i} has an unknown kind "
                               f"(expected one of {', '.join(kinds)})")
-        unknown = sorted(set(task) - _TASK_KEYS)
-        if unknown:
-            raise ConfigError(f"task {i} has unknown keys {', '.join(unknown)} "
-                              f"(expected some of {', '.join(sorted(_TASK_KEYS))})")
+        core._spec_keys(task, ("kind", *_TASKS[task["kind"]][1]), f"task {i}",
+                        f"{task['kind']} task")
     if not _is_int(config.get("seed", 0), 0):
         raise ConfigError("seed must be a non-negative integer")
     if config.get("tol") is not None and not _is_num(config["tol"]):
@@ -304,20 +300,22 @@ def _magnetic_study(task, backend, tol, rng):
     return ok, {"rows": rows}
 
 
-#: Task kind -> run(task, backend, tol, rng) returning (ok, report fields).
+#: Task kind -> (run(task, backend, tol, rng) returning (ok, report fields),
+#: the task keys it reads); any other key is refused, not ignored.
 _TASKS = {
-    "verify_sq": _on_family(_verify_sq),
-    "quantize": _on_family(_quantize),
-    "dequantize": _on_family(_dequantize),
-    "star_table": _on_family(_star_table),
-    "berezin": _on_family(_berezin),
-    "inftensor": _on_family(_inftensor),
-    "magnetic_study": _magnetic_study,
+    "verify_sq": (_on_family(_verify_sq), ("tol",)),
+    "quantize": (_on_family(_quantize), ("tol", "symbols", "n_random")),
+    "dequantize": (_on_family(_dequantize), ("tol", "operators", "n_random")),
+    "star_table": (_on_family(_star_table),
+                   ("tol", "symbols", "n_random", "check_explicit")),
+    "berezin": (_on_family(_berezin), ("tol", "symbols", "n_random", "w_index")),
+    "inftensor": (_on_family(_inftensor), ("tol", "w_index", "copies")),
+    "magnetic_study": (_magnetic_study, ("grids", "L", "amplitude", "sigma")),
 }
 
 
 def _run_task(task: dict, backend, tol: float | None, rng) -> dict:
-    ok, fields = _TASKS[task["kind"]](task, backend, tol, rng)
+    ok, fields = _TASKS[task["kind"]][0](task, backend, tol, rng)
     return {"kind": task["kind"], "verdict": "pass" if ok else "fail", **fields}
 
 

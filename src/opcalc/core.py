@@ -55,6 +55,14 @@ def _spec_int(value, name: str, stop: int | None = None) -> int:
     return int(value)
 
 
+def _spec_keys(spec: dict, keys, name: str, reader: str) -> None:
+    """Refuse every key of ``spec`` outside ``keys``, the keys its ``reader``
+    reads: a misspelt or leftover key would otherwise be silently ignored."""
+    unknown = sorted(set(spec) - set(keys))
+    _require(not unknown, f"{name} has unknown keys {', '.join(unknown)} "
+             f"(a {reader} reads {', '.join(keys)})")
+
+
 def _spec_num(value, name: str) -> float:
     """A real number, not a bool or a string (``float()`` reads both); a
     non-finite float passes on to its consumer's range check."""
@@ -323,6 +331,7 @@ def operator_to_json(T) -> dict:
 
 
 def operator_from_json(d: dict) -> np.ndarray:
+    _spec_keys(d, ("dim", "re", "im"), "operator", "given operator")
     T = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
     return as_operator(T, _spec_int(d["dim"], "operator dim"))
 
@@ -334,6 +343,7 @@ def symbol_to_json(f: Symbol) -> dict:
 
 
 def symbol_from_json(d: dict, space: MeasureSpace) -> Symbol:
+    _spec_keys(d, ("space", "re", "im"), "symbol", "given symbol")
     if "space" in d and d["space"] != space.space_id():
         raise ValueError("symbol was serialized against a different measure space")
     values = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)

@@ -86,10 +86,6 @@ class RestrictedProduct:
         _require(1 <= N <= self.J, "truncation level out of range")
         return next(itertools.islice(self.levels(u), N - 1, None))
 
-    def level_vectors(self, N: int, u) -> np.ndarray:
-        """pi(s) u at every level-N point, as an (m_N, D) array."""
-        return self.level(N, u)[1]
-
     def level_stack(self, N: int) -> np.ndarray:
         """Dense level-N operators, tail factors 1: the m_N * D^2 test reference."""
         _require(1 <= N <= self.J, "truncation level out of range")
@@ -159,7 +155,7 @@ def projected_overlap(rp: RestrictedProduct, N: int, M: int,
     u2 = as_vector(u2, rp.full_dim)
     weights, X = rp.level(N, u1)
     f1 = X @ np.conj(pv1)
-    f2 = rp.level_vectors(N, u2) @ np.conj(pv2)
+    f2 = rp.level(N, u2)[1] @ np.conj(pv2)
     integral = float(np.dot(weights, np.abs(f1) * np.abs(f2)))
     bound = vec_norm(u1) * vec_norm(pv1) * vec_norm(u2) * vec_norm(pv2)
     return integral, bound
@@ -174,7 +170,7 @@ def berezin_truncated(rp: RestrictedProduct, N: int, u,
     """
     _require(f.space == rp.level_space(N),
              "symbol must live on the level-N product space")
-    return _berezin_truncated(rp.level_vectors(N, u), f.space.weights * f.values)
+    return _berezin_truncated(rp.level(N, u)[1], f.space.weights * f.values)
 
 
 def _berezin_truncated(X: np.ndarray, wf: np.ndarray) -> np.ndarray:

@@ -55,7 +55,7 @@ class MagneticBackend:
     """Grid data, circulation table, and the derived quantization maps; the
     tables that depend only on the grid and A are built once, on first use."""
 
-    def __init__(self, n: int, L: float, A=None, B=None, tol: float = 1e-6):
+    def __init__(self, n: int, L: float, A=None, tol: float = 1e-6):
         _require(n >= 4 and n % 2 == 0, "grid size must be an even integer >= 4")
         _require(bool(np.isfinite(L)) and L > 0, "box length must be finite and positive")
         _require(bool(np.isfinite(tol)) and tol > 0,
@@ -73,12 +73,6 @@ class MagneticBackend:
         _require(A.shape == (self.n,), "need one vector-potential sample per node")
         _require(bool(np.all(np.isfinite(A))), "vector potential samples must be finite")
         self.A = _readonly(A)
-        B = np.zeros(self.n) if B is None else np.asarray(B, dtype=float)
-        _require(B.shape == (self.n,), "need one field sample per node")
-        _require(bool(np.all(np.isfinite(B))), "field samples must be finite")
-        if np.abs(B).max() > 0:
-            raise ValueError("in one spatial dimension the field 2-form vanishes; "
-                             "B samples must be identically zero")
         self._circ_cum = _circulation_table(A, self.dx)
         self._family = None
         self._mid_space = None

@@ -495,9 +495,9 @@ WEYL3 = {"kind": "discrete_weyl", "N": 3}
     ({"backend": WEYL3, "tasks": [{"kind": "star_table", "n_random": 2,
                                    "check_explicit": "no"}]}, "check_explicit"),
     ({"backend": WEYL3, "tol": float("inf"), "tasks": [{"kind": "verify_sq"}]}, "tol"),
-    ({"backend": {"kind": "magnetic_weyl", "n": 8, "L": 12.0,
-                  "B": [float("nan")] + [0.0] * 7},
-      "tasks": [{"kind": "verify_sq"}]}, "field samples must be finite"),
+    # a 1-D grid has no field input: its 2-form vanishes, so B is not a key
+    ({"backend": {"kind": "magnetic_weyl", "n": 8, "L": 12.0, "B": [0.0] * 8},
+      "tasks": [{"kind": "verify_sq"}]}, "backend has unknown keys B"),
     ({"backend": {"kind": "magnetic_weyl", "n": 8, "L": float("inf")},
       "tasks": [{"kind": "verify_sq"}]}, "box length must be finite and positive"),
     # sizes are never truncated to a smaller backend
@@ -555,6 +555,26 @@ WEYL3 = {"kind": "discrete_weyl", "N": 3}
       "tasks": [{"kind": "magnetic_study", "grids": [8, 16]},
                 {"kind": "dequantize", "n_random": 1}]},
      "task 1: dequantize runs on the grid's family, which is built only for n <= 64"),
+    # each kind reads only its own keys: a key another kind reads is refused too
+    ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "grids": [32, 64],
+                                   "tol": 1e-30}]},
+     "task 0 has unknown keys tol (a magnetic_study task reads kind, grids"),
+    ({"backend": WEYL3, "tasks": [{"kind": "verify_sq", "copies": 5, "grids": [4]}]},
+     "task 0 has unknown keys copies, grids (a verify_sq task reads kind, tol)"),
+    ({"backend": WEYL3, "tasks": [{"kind": "quantize", "n_random": 2, "w_index": 0}]},
+     "task 0 has unknown keys w_index"),
+    ({"backend": WEYL3, "sede": 5, "tasks": [{"kind": "verify_sq"}]},
+     "config has unknown keys sede"),
+    ({"backend": WEYL3, "tasks": [{"kind": "quantize", "symbols": [
+        {"spcae": "0", "re": [1.0] * 9, "im": [0.0] * 9}]}]},
+     "symbol has unknown keys spcae"),
+    ({"backend": WEYL3, "tasks": [{"kind": "dequantize", "operators": [
+        {"dim": 3, "re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist(),
+         "space": "0"}]}]}, "operator has unknown keys space"),
+    ({"backend": {"kind": "discrete_weyl", "N": 2, "measure_scale": 3.0},
+      "tasks": [{"kind": "verify_sq"}]}, "backend has unknown keys measure_scale"),
+    ({"backend": {"kind": "magnetic_weyl", "n": 8, "L": 12.0, "tols": 1e-30},
+      "tasks": [{"kind": "verify_sq"}]}, "backend has unknown keys tols"),
 ])
 def test_bad_task_input_is_validation_failure(tmp_path, capsys, config, message):
     cfg = write(tmp_path, "cfg.json", config)
@@ -672,6 +692,7 @@ def test_describe_fractional_size_is_validation_failure(tmp_path, capsys):
 
 
 Z2_IRREP = {"re": bk.cyclic_character(2, 1).real.tolist()}
+Z4_IRREP = bk.cyclic_character(4, 1)
 
 
 # spec values of the wrong kind are refused, not coerced: float() reads "12"
@@ -682,8 +703,8 @@ Z2_IRREP = {"re": bk.cyclic_character(2, 1).real.tolist()}
     ({"kind": "magnetic_weyl", "n": 8, "L": 12.0, "tol": True}, "tol must be a number"),
     ({"kind": "magnetic_weyl", "n": 8, "L": 12.0, "A": ["0.5"] * 8},
      "each entry of A must be a number"),
-    ({"kind": "magnetic_weyl", "n": 8, "L": 12.0, "B": [False] * 8},
-     "each entry of B must be a number"),
+    ({"kind": "finite_group", "preset": "s3_sign", "table": [[0]]},
+     "backend has unknown keys table"),     # a preset brings its own table
     ({"kind": "finite_group", "preset": "s3_standard", "measure_scale": True},
      "measure_scale must be a number"),
     ({"kind": "finite_group", "preset": "s3_standard", "measure_scale": "1"},
@@ -694,6 +715,17 @@ Z2_IRREP = {"re": bk.cyclic_character(2, 1).real.tolist()}
       "irrep": {"re": [[["1"]], [["-1"]]]}}, "each entry of irrep re must be a number"),
     ({"kind": "finite_group", "table": [[0, 1], [1, 2 ** 70]], "irrep": Z2_IRREP},
      "invalid backend spec"),              # past int64: refused, not a crash
+    ({"kind": "discrete_weyl", "N": 2, "measure_scale": 3.0},
+     "backend has unknown keys measure_scale"),
+    ({"kind": "magnetic_weyl", "n": 8, "L": 12.0, "tols": 1e-30},
+     "backend has unknown keys tols"),
+    ({"kind": "finite_group", "preset": "cyclic_character", "order": 2, "table": [[0]]},
+     "backend has unknown keys table"),
+    ({"kind": "finite_group", "table": [[0, 1], [1, 0]], "irrep": Z2_IRREP, "k": 1},
+     "backend has unknown keys k"),
+    ({"kind": "finite_group", "table": bk.cyclic_table(4).tolist(),
+      "irrep": {"re": Z4_IRREP.real.tolist(), "imag": Z4_IRREP.imag.tolist()}},
+     "irrep has unknown keys imag"),      # else im is read as 0: "not unitary"
 ], ids=lambda x: x if isinstance(x, str) else None)
 def test_describe_coerced_value_is_validation_failure(tmp_path, capsys, spec, message):
     spec = write(tmp_path, "backend.json", spec)
