@@ -194,8 +194,7 @@ def _smoothed(fr: Frame, f: Symbol) -> Symbol:
     return Symbol(fr.space, _flat_matmul(fr.fam, _block_diag(M, cols, fr.fam.hdim).ravel()))
 
 
-def berezin_as_quantization(fr: Frame, q: Quantizer, f: Symbol,
-                            tol: float | None = None) -> Symbol:
+def berezin_as_quantization(fr: Frame, q: Quantizer, f: Symbol) -> Symbol:
     """Symbol whose quantization is the Berezin operator of f.
 
     Returns s -> integral of f(t) <pi(s) w(t), w(t)> dmu(t), the pointwise
@@ -204,7 +203,7 @@ def berezin_as_quantization(fr: Frame, q: Quantizer, f: Symbol,
     """
     _require(q.fam is fr.fam or q.fam.space == fr.space,
              "quantizer and frame must share a family")
-    tol = fr.fam.working_tol() if tol is None else tol
+    tol = fr.fam.working_tol()
     _require(f.space == fr.space, "symbol lives on a different space")
     smoothed = _smoothed(fr, f)
     residual = op_norm(quantize(q, smoothed) - berezin_op(fr, f))

@@ -150,6 +150,16 @@ def _kernel_classes(fam: OperatorFamily):
     return rows, perm, target, np.take_along_axis(V, order[:, None, :], 2)
 
 
+def _kernel_fit(fam: OperatorFamily):
+    """``_kernel_classes(fam)``, after refusing a three-point kernel whose m^3/k
+    stored entries (k classes, or 1 if they do not compose) exceed the cap."""
+    classes = _kernel_classes(fam)
+    entries = fam.npoints ** 3 // (1 if classes is None else len(classes[0]))
+    _require(entries <= _KERNEL_ENTRY_CAP, f"three-point kernel too large: {entries:,} "
+             f"stored entries, over _KERNEL_ENTRY_CAP = {_KERNEL_ENTRY_CAP:,}")
+    return classes
+
+
 def _three_point_kernel(q: Quantizer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tr[pi(s)* pi(t)* pi(r)] as (rows (k, r), target (k, k), K (k, k, r^2, r)).
 
@@ -163,10 +173,7 @@ def _three_point_kernel(q: Quantizer) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """
     fam = q.fam
     m, d = fam.npoints, fam.hdim
-    classes = _kernel_classes(fam)
-    k = 1 if classes is None else len(classes[0])
-    _require(m ** 3 // k <= _KERNEL_ENTRY_CAP,
-             "space too large to materialize the three-point kernel")
+    classes = _kernel_fit(fam)
     if classes is None:
         pistar = fam.stack.conj().swapaxes(1, 2)
         # pi(s)* pi(t)*, transposed; the product is freed once it is copied
@@ -174,7 +181,7 @@ def _three_point_kernel(q: Quantizer) -> tuple[np.ndarray, np.ndarray, np.ndarra
         K = (ts @ fam.flat.T)[None, None]
         return np.arange(m)[None], np.zeros((1, 1), dtype=int), K
     rows, perm, target, val = classes
-    r = m // k
+    k, r = rows.shape
     K = np.empty((k, k, r * r, r), dtype=complex)
     for a in range(k):          # one source class at a time: m^2 d/k gathered
         # the diagonal of pi(s)* pi(t)* against class target[a, b], (k, r, r, d)
@@ -224,21 +231,20 @@ def pairing_with_e(q: Quantizer, f: Symbol, s: int) -> complex:
     return complex(_flat_matmul(q.fam, quantize(q, f).T.ravel())[s])
 
 
-def quantize_measure(q: Quantizer, atoms, tol: float | None = None) -> np.ndarray:
+def quantize_measure(q: Quantizer, atoms) -> np.ndarray:
     """Quantize a finite complex measure given as (point index, mass) atoms.
 
     A single unit atom at t returns pi(t)*; a density against the base
     measure reproduces plain quantization.  The operator-norm bound
     ||result|| <= total variation x sup ||pi(s)|| is asserted.
     """
-    tol = q.fam.working_tol() if tol is None else tol
     c = np.zeros(q.fam.npoints, dtype=complex)
     total_variation = 0.0
     for idx, mass in atoms:
         c[_spec_int(idx, "point index", q.fam.npoints)] += complex(mass)
         total_variation += abs(complex(mass))
     T = _adjoint_sum(q.fam, c)
-    if op_norm(T) > total_variation * q.fam.sup_norm + tol:
+    if op_norm(T) > total_variation * q.fam.sup_norm + q.fam.working_tol():
         raise ArithmeticError("quantized measure violates the norm bound")
     return T
 
@@ -263,19 +269,18 @@ def trace_pairing(q: Quantizer, f: Symbol, g: Symbol) -> complex:
     return complex(np.vdot(Tg, Tf))
 
 
-def mixed_trace(q: Quantizer, f: Symbol, S, tol: float | None = None) -> complex:
+def mixed_trace(q: Quantizer, f: Symbol, S) -> complex:
     """Tr[quantize(f) S], asserted equal to its integral form.
 
     The integral form pairs f against the dequantized operator:
     integral of f(s) Tr[pi(s)* S] dmu(s).
     """
-    tol = q.fam.working_tol() if tol is None else tol
     S = as_operator(S, q.fam.hdim)
     left = complex(np.trace(quantize(q, f) @ S))
     traces = _flat_matmul(q.fam, S.ravel().conj())        # conj Tr[pi(s)* S]
     right = complex(np.vdot(traces, q.space.weights * f.values))
     scale = max(1.0, abs(left))
-    if abs(left - right) > max(tol, 1e-9 * scale):
+    if abs(left - right) > max(q.fam.working_tol(), 1e-9 * scale):
         raise ArithmeticError(
             f"mixed trace mismatch: {left} vs integral form {right}")
     return left

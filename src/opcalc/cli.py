@@ -51,11 +51,6 @@ _PARAM_CHECKS = {
                   _is_int(n, 4) and n % 2 == 0 for n in x)
               and all(a < b for a, b in zip(x, x[1:])),
               "a nonempty, strictly increasing list of even integers >= 4"),
-    "L": (lambda x, hdim: _is_num(x), "a positive number"),
-    "amplitude": (lambda x, hdim: _is_num(x, positive=False), "a finite real number"),
-    "sigma": (lambda x, hdim: _is_num(x) or (isinstance(x, list) and len(x) == 2
-                                             and all(map(_is_num, x))),
-              "a positive number or a pair of positive numbers"),
     "check_explicit": (lambda x, hdim: isinstance(x, bool), "true or false"),
 }
 
@@ -92,8 +87,8 @@ def _validate_config(config: dict) -> None:
 
 def _validate_tasks(tasks: list, backend) -> None:
     """Reject task parameters the backend cannot run and given symbols or
-    operators its tasks cannot read, before any task runs.  A magnetic grid's
-    symbols are read against its phase space; its family is not materialized."""
+    operators its tasks cannot read, before any task runs.  A grid's symbols
+    are read against its phase space; only ``check_explicit`` builds its family."""
     grid = isinstance(backend, magnetic.MagneticBackend)
     hdim = backend.n if grid else backend.hdim
     space = backend.phase_space() if grid else backend.space
@@ -112,6 +107,11 @@ def _validate_tasks(tasks: list, backend) -> None:
         if grid and backend.n > magnetic._FAMILY_MAX_N and task["kind"] != "magnetic_study":
             raise ConfigError(f"task {i}: {task['kind']} runs on the grid's family, "
                               f"which is built only for n <= {magnetic._FAMILY_MAX_N}")
+        if task.get("check_explicit"):
+            try:
+                ca._kernel_fit(backend.family() if grid else backend)
+            except ValueError as exc:
+                raise ConfigError(f"task {i}: check_explicit: {exc}") from exc
         try:
             for d in task.get("symbols") or []:
                 core.symbol_from_json(d, space)
@@ -288,10 +288,9 @@ def _on_family(run):
 
 
 def _magnetic_study(task, backend, tol, rng):
-    """Builds its own grids, so it never materializes the backend's family."""
-    rows = magnetic.magnetic_study(
-        task.get("grids", [32, 64]),
-        **{k: task[k] for k in ("L", "amplitude", "sigma") if k in task})
+    """Builds its own grids, so it never materializes the backend's family;
+    its fixed gates are set for the study's one protocol."""
+    rows = magnetic.magnetic_study(task.get("grids", [32, 64]))
     ok = magnetic.composition_refines(rows) \
         and rows[-1]["composition_residual"] < 1e-4 \
         and all(r["sq_residual"] <= 1e-10 for r in rows) \
@@ -310,7 +309,7 @@ _TASKS = {
                    ("tol", "symbols", "n_random", "check_explicit")),
     "berezin": (_on_family(_berezin), ("tol", "symbols", "n_random", "w_index")),
     "inftensor": (_on_family(_inftensor), ("tol", "w_index", "copies")),
-    "magnetic_study": (_magnetic_study, ("grids", "L", "amplitude", "sigma")),
+    "magnetic_study": (_magnetic_study, ("grids",)),
 }
 
 

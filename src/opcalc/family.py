@@ -348,10 +348,8 @@ def commutant_dim(fam: OperatorFamily) -> int:
     return d * d - int(np.linalg.matrix_rank(L, hermitian=True))
 
 
-def invariant_subspace_check(fam: OperatorFamily, basis,
-                             tol: float | None = None) -> bool:
+def invariant_subspace_check(fam: OperatorFamily, basis) -> bool:
     """True iff the span of ``basis`` columns is invariant under every pi(s)."""
-    tol = fam.working_tol() if tol is None else tol
     B = np.asarray(basis, dtype=complex)
     if B.size == 0:
         return True  # zero subspace
@@ -367,8 +365,8 @@ def invariant_subspace_check(fam: OperatorFamily, basis,
     eye = np.eye(fam.hdim)
     proj_out = eye - Q @ Q.conj().T
     # the rows pi(s)q of every point, one column q of Q at a time: m*d numbers
-    return all(np.abs(_flat_matmul(fam, np.kron(eye, q[:, None])) @ proj_out.T).max() <= tol
-               for q in Q.T)
+    return all(np.abs(_flat_matmul(fam, np.kron(eye, q[:, None])) @ proj_out.T).max()
+               <= fam.working_tol() for q in Q.T)
 
 
 def tensor(f1: OperatorFamily, f2: OperatorFamily) -> OperatorFamily:
@@ -383,7 +381,7 @@ def adjoint_family(fam: OperatorFamily) -> OperatorFamily:
 
 
 def compress(f2: OperatorFamily, point_map, target_space: MeasureSpace,
-             iota, tol: float | None = None) -> OperatorFamily:
+             iota) -> OperatorFamily:
     """Compress a family along a point map and an isometry.
 
     ``point_map[s2]`` gives the target-point index of source point s2.  The
@@ -397,7 +395,7 @@ def compress(f2: OperatorFamily, point_map, target_space: MeasureSpace,
     _require(target_space.tol == f2.tol,
              f"target space declares tol {target_space.tol}, "
              f"the source space {f2.tol}")
-    tol = f2.working_tol() if tol is None else tol
+    tol = f2.working_tol()
     p = _spec_array(point_map, "point map", integer=True)
     _require(p.shape == (f2.npoints,), "point map needs one entry per source point")
     _require(bool(np.all((0 <= p) & (p < target_space.npoints))),
@@ -465,8 +463,7 @@ def direct_sum_product(f1: OperatorFamily, f2: OperatorFamily) -> OperatorFamily
     return OperatorFamily(space, stack)
 
 
-def bounded_overlap_check(fams, u1, v1, u2, v2,
-                          tol: float | None = None) -> float:
+def bounded_overlap_check(fams, u1, v1, u2, v2) -> float:
     """Absolute overlap integral for the direct sum of families.
 
     Evaluates the integral of |<pi(s)u1,v1> <v2,pi(s)u2>| for the
@@ -474,12 +471,11 @@ def bounded_overlap_check(fams, u1, v1, u2, v2,
     ||u1|| ||v1|| ||v2|| ||u2||.  Returns the integral value.
     """
     summed = direct_sum(fams)
-    tol = summed.working_tol() if tol is None else tol
     f1 = coefficient(summed, u1, v1)
     f2 = coefficient(summed, u2, v2)
     value = float(np.dot(summed.space.weights, np.abs(f1.values) * np.abs(f2.values)))
     bound = vec_norm(u1) * vec_norm(v1) * vec_norm(v2) * vec_norm(u2)
-    if value > bound + tol:
+    if value > bound + summed.working_tol():
         raise ArithmeticError(
             f"overlap integral {value:.6e} exceeds the bound {bound:.6e}")
     return value

@@ -449,20 +449,21 @@ def sine_potential(n: int, L: float, amplitude: float) -> np.ndarray:
     return amplitude * np.sin(2 * np.pi * x / L)
 
 
-def magnetic_study(grids, L: float = 12.0, amplitude: float = 0.8,
-                   sigma=(1.0, 3.0)) -> list[dict]:
+def magnetic_study(grids) -> list[dict]:
     """Grid-refinement study of all identity-class residuals.
 
     For each grid size reports the square-integrability certificate, the
     A = 0 reduction residual, the gauge-covariance residuals (exact linear
     case and smooth case), and the composition residual between the
-    operator product and the composed symbol.
+    operator product and the composed symbol.  It runs one protocol, the
+    one the CLI's gates are set for: L = 12, a sine potential of amplitude
+    0.8, and Gaussian widths (1, 3).
     """
+    L, sigma = 12.0, (1.0, 3.0)
     rows = []
     for n in grids:
         n = int(n)
-        A = sine_potential(n, L, amplitude)
-        bk = MagneticBackend(n, L, A=A)
+        bk = MagneticBackend(n, L, A=sine_potential(n, L, 0.8))
         a = gaussian_symbol(bk, sigma=sigma, center=(0.4, 0.6),
                             modulation=(0.3, -0.2))
         b = gaussian_symbol(bk, sigma=sigma, center=(-0.5, 0.2),

@@ -169,7 +169,7 @@ def test_criterion_6_berezin_suite():
                 assert np.abs(oc.covariant_symbol_tau(fr, om).values
                               - three.values).max() < 1e-10
 
-                smoothed = oc.berezin_as_quantization(fr, q, f, tol=1e-10)
+                smoothed = oc.berezin_as_quantization(fr, q, f)
                 assert oc.op_norm(oc.quantize(q, smoothed) - om) < 1e-10
         assert time.perf_counter() - start < 10.0
 

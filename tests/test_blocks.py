@@ -226,13 +226,13 @@ def test_readers_match_dense_flat(case, rng):
     for s in (0, m - 1):
         close(oc.e_symbol(q, s).values, flat @ flat[s].conj())
         close(oc.pairing_with_e(q, f, s), flat[s] @ ref_q.T.ravel())
-    close(oc.mixed_trace(q, f, T, tol=1e-9),
+    close(oc.mixed_trace(q, f, T),
           np.vdot(flat @ T.ravel().conj(), w * f.values))
     atoms = [(0, 1.5), (m - 1, -0.5j), (0, 0.25 + 1j)]
     c = np.zeros(m, dtype=complex)
     for i, a in atoms:
         c[i] += a
-    close(oc.quantize_measure(q, atoms, tol=1e-9),
+    close(oc.quantize_measure(q, atoms),
           (np.conj(c) @ flat).conj().reshape(d, d).T)
     two_point = flat @ fam.stack.swapaxes(1, 2).reshape(m, -1).T
     close(oc.involution_explicit(q, f).values, two_point @ (w * np.conj(f.values)))

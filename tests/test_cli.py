@@ -482,16 +482,21 @@ WEYL3 = {"kind": "discrete_weyl", "N": 3}
     ({"backend": WEYL3, "tasks": [{"kind": "inftensor", "copies": 8}]},
      "copies"),                  # 3**8 exceeds the restricted-product dimension cap
     ({"backend": WEYL3, "tasks": [{"kind": ["verify_sq"]}]}, "unknown kind"),
-    ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "L": -1}]},
-     "L must be a positive number"),
-    ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "L": "abc"}]},
-     "L must be a positive number"),
-    ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "amplitude": float("nan")}]},
-     "amplitude must be a finite real number"),
-    ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "sigma": [1]}]},
-     "sigma must be a positive number or a pair"),
-    ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "sigma": [1, -3]}]},
-     "sigma must be a positive number or a pair"),
+    # the study runs the one protocol its gates are set for: not even its own
+    # values are keys
+    ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "L": 12.0}]},
+     "task 0 has unknown keys L (a magnetic_study task reads kind, grids)"),
+    ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "amplitude": 0.8}]},
+     "task 0 has unknown keys amplitude (a magnetic_study task reads kind, grids)"),
+    ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "sigma": [1.0, 3.0]}]},
+     "task 0 has unknown keys sigma (a magnetic_study task reads kind, grids)"),
+    ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "grids": [32, 64],
+                                   "sigma": 1.0}]},
+     "task 0 has unknown keys sigma (a magnetic_study task reads kind, grids)"),
+    ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "L": 12.0,
+                                   "amplitude": 0.8, "sigma": [1.0, 3.0]}]},
+     "task 0 has unknown keys L, amplitude, sigma (a magnetic_study task reads "
+     "kind, grids)"),
     ({"backend": WEYL3, "tasks": [{"kind": "star_table", "n_random": 2,
                                    "check_explicit": "no"}]}, "check_explicit"),
     ({"backend": WEYL3, "tol": float("inf"), "tasks": [{"kind": "verify_sq"}]}, "tol"),
@@ -575,6 +580,16 @@ WEYL3 = {"kind": "discrete_weyl", "N": 3}
       "tasks": [{"kind": "verify_sq"}]}, "backend has unknown keys measure_scale"),
     ({"backend": {"kind": "magnetic_weyl", "n": 8, "L": 12.0, "tols": 1e-30},
       "tasks": [{"kind": "verify_sq"}]}, "backend has unknown keys tols"),
+    # an explicit kernel past the cap (m^3/k stored entries on k classes) is
+    # refused before verify_sq or any task runs
+    ({"backend": {"kind": "discrete_weyl", "N": 30},
+      "tasks": [{"kind": "star_table", "n_random": 1, "check_explicit": True}]},
+     "task 0: check_explicit: three-point kernel too large: 24,300,000 stored "
+     "entries, over _KERNEL_ENTRY_CAP = 20,000,000"),
+    ({"backend": {"kind": "magnetic_weyl", "n": 32, "L": 12.0},
+      "tasks": [{"kind": "star_table", "n_random": 1, "check_explicit": True}]},
+     "task 0: check_explicit: three-point kernel too large: 33,554,432 stored "
+     "entries, over _KERNEL_ENTRY_CAP = 20,000,000"),
 ])
 def test_bad_task_input_is_validation_failure(tmp_path, capsys, config, message):
     cfg = write(tmp_path, "cfg.json", config)
@@ -583,6 +598,7 @@ def test_bad_task_input_is_validation_failure(tmp_path, capsys, config, message)
     err = capsys.readouterr().err
     assert message in err
     assert "[opcalc] task" not in err   # rejected before any task ran
+    assert not out.exists()
     assert not out.exists()
 
 
