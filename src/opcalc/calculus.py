@@ -14,8 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (RANK_DROP_TOL, MeasureSpace, Symbol, _readonly, _require,
-                   _spec_int, as_operator, hs_norm, op_norm, trace_norm)
+from .core import (DEFAULT_TOL, RANK_DROP_TOL, MeasureSpace, Symbol, _readonly,
+                   _require, _spec_int, as_operator, hs_norm, op_norm, trace_norm)
 from .family import OperatorFamily, _flat_matmul, _flat_rmatmul, verify_sq
 
 #: Guard on the stored entries of the three-point kernel, m^3/k on k classes.
@@ -150,16 +150,6 @@ def _kernel_classes(fam: OperatorFamily):
     return rows, perm, target, np.take_along_axis(V, order[:, None, :], 2)
 
 
-def _kernel_fit(fam: OperatorFamily):
-    """``_kernel_classes(fam)``, after refusing a three-point kernel whose m^3/k
-    stored entries (k classes, or 1 if they do not compose) exceed the cap."""
-    classes = _kernel_classes(fam)
-    entries = fam.npoints ** 3 // (1 if classes is None else len(classes[0]))
-    _require(entries <= _KERNEL_ENTRY_CAP, f"three-point kernel too large: {entries:,} "
-             f"stored entries, over _KERNEL_ENTRY_CAP = {_KERNEL_ENTRY_CAP:,}")
-    return classes
-
-
 def _three_point_kernel(q: Quantizer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tr[pi(s)* pi(t)* pi(r)] as (rows (k, r), target (k, k), K (k, k, r^2, r)).
 
@@ -169,11 +159,15 @@ def _three_point_kernel(q: Quantizer) -> tuple[np.ndarray, np.ndarray, np.ndarra
     of the one class target[a, b], whose columns no other class shares, so
     each block contracts the d nonzero entries of pi(s)* pi(t)* with that
     class: m^3 d/k work and m^3/k stored numbers.  Any other family is the
-    one block, one (m^2, d^2) x (d^2, m) product.
+    one block, one (m^2, d^2) x (d^2, m) product.  A kernel of more than
+    ``_KERNEL_ENTRY_CAP`` stored entries is refused before it is built.
     """
     fam = q.fam
     m, d = fam.npoints, fam.hdim
-    classes = _kernel_fit(fam)
+    classes = _kernel_classes(fam)
+    entries = m ** 3 // (1 if classes is None else len(classes[0]))
+    _require(entries <= _KERNEL_ENTRY_CAP, f"three-point kernel too large: {entries:,} "
+             f"stored entries, over _KERNEL_ENTRY_CAP = {_KERNEL_ENTRY_CAP:,}")
     if classes is None:
         pistar = fam.stack.conj().swapaxes(1, 2)
         # pi(s)* pi(t)*, transposed; the product is freed once it is copied
@@ -221,14 +215,13 @@ def involution_explicit(q: Quantizer, f: Symbol) -> Symbol:
 
 def e_symbol(q: Quantizer, s: int) -> Symbol:
     """Point symbol: the symbol quantizing to pi(s)*."""
-    pistar = q.fam.op(s).conj()
-    return Symbol(q.space, _flat_matmul(q.fam, pistar.ravel()))
+    return dequantize(q, q.fam.op(s).conj().T)
 
 
 def pairing_with_e(q: Quantizer, f: Symbol, s: int) -> complex:
     """Trace pairing Tr[quantize(f) pi(s)]; reproduces f(s) on range symbols."""
     s = _spec_int(s, "point index", q.fam.npoints)
-    return complex(_flat_matmul(q.fam, quantize(q, f).T.ravel())[s])
+    return complex(dequantize(q, quantize(q, f)).values[s])
 
 
 def quantize_measure(q: Quantizer, atoms) -> np.ndarray:
@@ -256,7 +249,7 @@ def symbol_norms(q: Quantizer, f: Symbol) -> tuple[float, float, float]:
     """
     T = quantize(q, f)
     b1, b2, binf = trace_norm(T), hs_norm(T), op_norm(T)
-    slack = 1e-9 * max(1.0, b1)
+    slack = DEFAULT_TOL * max(1.0, b1)
     if not (binf <= b2 + slack and b2 <= b1 + slack):
         raise ArithmeticError("norm chain binf <= b2 <= b1 violated")
     return b1, b2, binf
@@ -277,10 +270,10 @@ def mixed_trace(q: Quantizer, f: Symbol, S) -> complex:
     """
     S = as_operator(S, q.fam.hdim)
     left = complex(np.trace(quantize(q, f) @ S))
-    traces = _flat_matmul(q.fam, S.ravel().conj())        # conj Tr[pi(s)* S]
+    traces = dequantize(q, S.conj().T).values             # conj Tr[pi(s)* S]
     right = complex(np.vdot(traces, q.space.weights * f.values))
     scale = max(1.0, abs(left))
-    if abs(left - right) > max(q.fam.working_tol(), 1e-9 * scale):
+    if abs(left - right) > max(q.fam.working_tol(), DEFAULT_TOL * scale):
         raise ArithmeticError(
             f"mixed trace mismatch: {left} vs integral form {right}")
     return left

@@ -39,7 +39,6 @@ class ConfigError(Exception):
 #: Checks on task parameters: name -> (test of (value, hdim), what it must be).
 #: Every task that sets a parameter is checked before the first task runs.
 _PARAM_CHECKS = {
-    "tol": (lambda x, hdim: _is_num(x), "a positive number"),
     "n_random": (lambda x, hdim: _is_int(x, 1), "a positive integer"),
     "w_index": (lambda x, hdim: _is_int(x, 0, hdim), "an integer in [0, {hdim})"),
     "copies": (lambda x, hdim: _is_int(x, 1, inftensor.FACTOR_CAP + 1)
@@ -51,7 +50,6 @@ _PARAM_CHECKS = {
                   _is_int(n, 4) and n % 2 == 0 for n in x)
               and all(a < b for a, b in zip(x, x[1:])),
               "a nonempty, strictly increasing list of even integers >= 4"),
-    "check_explicit": (lambda x, hdim: isinstance(x, bool), "true or false"),
 }
 
 #: Task kinds that need their symbols given, as "symbols" or "n_random".
@@ -88,7 +86,7 @@ def _validate_config(config: dict) -> None:
 def _validate_tasks(tasks: list, backend) -> None:
     """Reject task parameters the backend cannot run and given symbols or
     operators its tasks cannot read, before any task runs.  A grid's symbols
-    are read against its phase space; only ``check_explicit`` builds its family."""
+    are read against its phase space, so validation builds no family."""
     grid = isinstance(backend, magnetic.MagneticBackend)
     hdim = backend.n if grid else backend.hdim
     space = backend.phase_space() if grid else backend.space
@@ -107,11 +105,6 @@ def _validate_tasks(tasks: list, backend) -> None:
         if grid and backend.n > magnetic._FAMILY_MAX_N and task["kind"] != "magnetic_study":
             raise ConfigError(f"task {i}: {task['kind']} runs on the grid's family, "
                               f"which is built only for n <= {magnetic._FAMILY_MAX_N}")
-        if task.get("check_explicit"):
-            try:
-                ca._kernel_fit(backend.family() if grid else backend)
-            except ValueError as exc:
-                raise ConfigError(f"task {i}: check_explicit: {exc}") from exc
         try:
             for d in task.get("symbols") or []:
                 core.symbol_from_json(d, space)
@@ -218,7 +211,7 @@ def _dequantize(task, fam, tol, rng):
 def _star_table(task, fam, tol, rng):
     q = ca.build_quantizer(fam, tol)
     symbols = _symbols(task, fam.space, rng)
-    check = task.get("check_explicit", fam.npoints <= 64)
+    check = fam.npoints <= 64
     table, residual = [], 0.0
     for f in symbols:
         row = []
@@ -277,12 +270,11 @@ def _inftensor(task, fam, tol, rng):
 
 def _on_family(run):
     """Run a task on the backend's materialized family.  Every gate of the
-    task uses one tolerance: the task's ``tol``, else the run's (``--tol`` or
-    the config's), else the family's working tolerance."""
+    task uses one tolerance: the config's ``tol``, else the family's working
+    tolerance."""
     def on_backend(task, backend, tol, rng):
         fam = backend.family() if isinstance(backend, magnetic.MagneticBackend) \
             else backend
-        tol = task.get("tol", tol)
         return run(task, fam, fam.working_tol() if tol is None else float(tol), rng)
     return on_backend
 
@@ -302,13 +294,12 @@ def _magnetic_study(task, backend, tol, rng):
 #: Task kind -> (run(task, backend, tol, rng) returning (ok, report fields),
 #: the task keys it reads); any other key is refused, not ignored.
 _TASKS = {
-    "verify_sq": (_on_family(_verify_sq), ("tol",)),
-    "quantize": (_on_family(_quantize), ("tol", "symbols", "n_random")),
-    "dequantize": (_on_family(_dequantize), ("tol", "operators", "n_random")),
-    "star_table": (_on_family(_star_table),
-                   ("tol", "symbols", "n_random", "check_explicit")),
-    "berezin": (_on_family(_berezin), ("tol", "symbols", "n_random", "w_index")),
-    "inftensor": (_on_family(_inftensor), ("tol", "w_index", "copies")),
+    "verify_sq": (_on_family(_verify_sq), ()),
+    "quantize": (_on_family(_quantize), ("symbols", "n_random")),
+    "dequantize": (_on_family(_dequantize), ("operators", "n_random")),
+    "star_table": (_on_family(_star_table), ("symbols", "n_random")),
+    "berezin": (_on_family(_berezin), ("symbols", "n_random", "w_index")),
+    "inftensor": (_on_family(_inftensor), ("w_index", "copies")),
     "magnetic_study": (_magnetic_study, ("grids",)),
 }
 
@@ -318,14 +309,9 @@ def _run_task(task: dict, backend, tol: float | None, rng) -> dict:
     return {"kind": task["kind"], "verdict": "pass" if ok else "fail", **fields}
 
 
-def run_config(config: dict, out_path: str | None,
-               tol_override: float | None = None,
-               seed_override: int | None = None) -> int:
+def run_config(config: dict, out_path: str | None) -> int:
     _validate_config(config)
-    if tol_override is not None and not _is_num(tol_override):
-        raise ConfigError("--tol must be a positive number")
-    seed = seed_override if seed_override is not None else config.get("seed", 0)
-    tol = tol_override if tol_override is not None else config.get("tol")
+    seed, tol = config.get("seed", 0), config.get("tol")
     backend = _build_backend(config["backend"])
     _validate_tasks(config["tasks"], backend)
 
@@ -369,8 +355,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a task list against a backend")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--tol", type=float, default=None)
-    p_run.add_argument("--seed", type=int, default=None)
 
     p_desc = sub.add_parser("describe", help="summarize a backend spec")
     p_desc.add_argument("backend")
@@ -389,7 +373,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            return run_config(config, args.out, args.tol, args.seed)
+            return run_config(config, args.out)
         summary = _describe_backend(spec)
         if args.table:
             print(_render_table(summary))

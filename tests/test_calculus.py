@@ -4,6 +4,7 @@ import pytest
 import opcalc as oc
 from opcalc import berezin as bz
 from opcalc import calculus as ca
+from opcalc import magnetic
 
 from conftest import brute_inner, dense_b2_basis
 
@@ -160,6 +161,27 @@ def test_star_explicit_matches_transported(weyl2_q, rng):
         a = oc.star(weyl2_q, f, g)
         b = oc.star_explicit(weyl2_q, f, g)
         assert np.abs(a.values - b.values).max() < 1e-10
+
+
+def test_star_explicit_matches_star_on_weyl24(rng):
+    # 576 points: past the CLI's star_table check, inside the kernel cap
+    q = oc.build_quantizer(oc.discrete_weyl(24))
+    for _ in range(2):
+        f, g = oc.random_symbol(rng, q.space), oc.random_symbol(rng, q.space)
+        gap = oc.Symbol(q.space, oc.star_explicit(q, f, g).values - oc.star(q, f, g).values)
+        assert oc.l2_norm(gap) < 1e-10
+
+
+@pytest.mark.parametrize("fam, entries", [
+    (lambda: oc.discrete_weyl(30), "24,300,000"),      # 900^3 / 30 classes
+    (lambda: magnetic.MagneticBackend(32, 12.0).family(), "33,554,432")])    # 1024^3 / 32
+def test_three_point_kernel_past_the_cap_is_refused(rng, fam, entries):
+    q = oc.build_quantizer(fam())
+    f = oc.random_symbol(rng, q.space)
+    with pytest.raises(ValueError, match=f"three-point kernel too large: {entries} stored "
+                       "entries, over _KERNEL_ENTRY_CAP = 20,000,000"):
+        oc.star_explicit(q, f, f)
+    assert "three_point" not in vars(q)
 
 
 def test_involution_explicit_matches(weyl3_q, rng):

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -59,8 +60,9 @@ def test_reports_are_byte_identical(tmp_path):
 def test_seed_changes_report(tmp_path):
     cfg = write(tmp_path, "cfg.json", BASE_CONFIG)
     out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
+    reseeded = write(tmp_path, "reseeded.json", dict(BASE_CONFIG, seed=99))
     assert cli.main(["run", cfg, "--out", out1]) == 0
-    assert cli.main(["run", cfg, "--out", out2, "--seed", "99"]) == 0
+    assert cli.main(["run", reseeded, "--out", out2]) == 0
     assert (tmp_path / "r1.json").read_bytes() != (tmp_path / "r2.json").read_bytes()
 
 
@@ -89,8 +91,8 @@ def test_parse_failure(tmp_path):
 
 def test_task_failure_exit_code(tmp_path):
     cfg = write(tmp_path, "cfg.json", {
-        "backend": {"kind": "discrete_weyl", "N": 3},
-        "tasks": [{"kind": "verify_sq", "tol": 1e-30}],
+        "backend": {"kind": "discrete_weyl", "N": 3}, "tol": 1e-30,
+        "tasks": [{"kind": "verify_sq"}],
     })
     assert cli.main(["run", cfg]) == cli.EXIT_TASK_FAILURE
 
@@ -429,20 +431,21 @@ def test_three_point_kernel_built_once_per_star_table(tmp_path, monkeypatch):
                         lambda q: calls.append(q.fam.hdim) or real_kernel(q))
     cfg = write(tmp_path, "cfg.json", {
         "backend": {"kind": "discrete_weyl", "N": 4}, "seed": 3,
-        "tasks": [{"kind": "star_table", "n_random": 3, "check_explicit": True}]})
+        "tasks": [{"kind": "star_table", "n_random": 3}]})
     assert cli.main(["run", cfg, "--out", str(tmp_path / "r.json")]) == 0
     report = json.loads((tmp_path / "r.json").read_text())
-    assert report["tasks"][0]["explicit_residual"] < 1e-10
+    assert report["tasks"][0]["explicit_residual"] < 1e-10     # 16 points: checked
     assert calls == [4]           # nine explicit products, one kernel
 
 
-def test_star_table_checks_the_explicit_law_on_weyl24(tmp_path):
+def test_star_table_skips_the_explicit_law_past_64_points(tmp_path, monkeypatch):
+    monkeypatch.setattr(ca, "_three_point_kernel", None)      # never built
     cfg = write(tmp_path, "cfg.json", {
         "backend": {"kind": "discrete_weyl", "N": 24}, "seed": 3,
-        "tasks": [{"kind": "star_table", "n_random": 2, "check_explicit": True}]})
+        "tasks": [{"kind": "star_table", "n_random": 2}]})
     assert cli.main(["run", cfg, "--out", str(tmp_path / "r.json")]) == 0
     task = json.loads((tmp_path / "r.json").read_text())["tasks"][0]
-    assert task["verdict"] == "pass" and task["explicit_residual"] < 1e-10
+    assert task["verdict"] == "pass" and task["explicit_residual"] is None
 
 
 def test_star_table_hashes_each_space_once(tmp_path, monkeypatch):
@@ -497,6 +500,7 @@ WEYL3 = {"kind": "discrete_weyl", "N": 3}
                                    "amplitude": 0.8, "sigma": [1.0, 3.0]}]},
      "task 0 has unknown keys L, amplitude, sigma (a magnetic_study task reads "
      "kind, grids)"),
+    # no switch: star_table checks the explicit law on at most 64 points
     ({"backend": WEYL3, "tasks": [{"kind": "star_table", "n_random": 2,
                                    "check_explicit": "no"}]}, "check_explicit"),
     ({"backend": WEYL3, "tol": float("inf"), "tasks": [{"kind": "verify_sq"}]}, "tol"),
@@ -565,7 +569,7 @@ WEYL3 = {"kind": "discrete_weyl", "N": 3}
                                    "tol": 1e-30}]},
      "task 0 has unknown keys tol (a magnetic_study task reads kind, grids"),
     ({"backend": WEYL3, "tasks": [{"kind": "verify_sq", "copies": 5, "grids": [4]}]},
-     "task 0 has unknown keys copies, grids (a verify_sq task reads kind, tol)"),
+     "task 0 has unknown keys copies, grids (a verify_sq task reads kind)"),
     ({"backend": WEYL3, "tasks": [{"kind": "quantize", "n_random": 2, "w_index": 0}]},
      "task 0 has unknown keys w_index"),
     ({"backend": WEYL3, "sede": 5, "tasks": [{"kind": "verify_sq"}]},
@@ -580,16 +584,17 @@ WEYL3 = {"kind": "discrete_weyl", "N": 3}
       "tasks": [{"kind": "verify_sq"}]}, "backend has unknown keys measure_scale"),
     ({"backend": {"kind": "magnetic_weyl", "n": 8, "L": 12.0, "tols": 1e-30},
       "tasks": [{"kind": "verify_sq"}]}, "backend has unknown keys tols"),
-    # an explicit kernel past the cap (m^3/k stored entries on k classes) is
-    # refused before verify_sq or any task runs
+    # the run's settings live in the config alone: a task tol or a
+    # check_explicit switch is refused before any family is built
     ({"backend": {"kind": "discrete_weyl", "N": 30},
       "tasks": [{"kind": "star_table", "n_random": 1, "check_explicit": True}]},
-     "task 0: check_explicit: three-point kernel too large: 24,300,000 stored "
-     "entries, over _KERNEL_ENTRY_CAP = 20,000,000"),
+     "task 0 has unknown keys check_explicit (a star_table task reads kind, symbols, "
+     "n_random)"),
     ({"backend": {"kind": "magnetic_weyl", "n": 32, "L": 12.0},
-      "tasks": [{"kind": "star_table", "n_random": 1, "check_explicit": True}]},
-     "task 0: check_explicit: three-point kernel too large: 33,554,432 stored "
-     "entries, over _KERNEL_ENTRY_CAP = 20,000,000"),
+      "tasks": [{"kind": "verify_sq"}, {"kind": "star_table", "n_random": 1,
+                                        "tol": 1e-30, "check_explicit": True}]},
+     "task 1 has unknown keys check_explicit, tol (a star_table task reads kind, "
+     "symbols, n_random)"),
 ])
 def test_bad_task_input_is_validation_failure(tmp_path, capsys, config, message):
     cfg = write(tmp_path, "cfg.json", config)
@@ -599,14 +604,14 @@ def test_bad_task_input_is_validation_failure(tmp_path, capsys, config, message)
     assert message in err
     assert "[opcalc] task" not in err   # rejected before any task ran
     assert not out.exists()
-    assert not out.exists()
 
 
 def magnetic_study_rows(tmp_path, seed):
     cfg = write(tmp_path, "cfg.json", {
-        "backend": WEYL3, "tasks": [{"kind": "magnetic_study", "grids": [32, 64]}]})
+        "backend": WEYL3, "seed": seed,
+        "tasks": [{"kind": "magnetic_study", "grids": [32, 64]}]})
     out = tmp_path / "r.json"
-    code = cli.main(["run", cfg, "--out", str(out), f"--seed={seed}"])
+    code = cli.main(["run", cfg, "--out", str(out)])
     return code, json.loads(out.read_text())["tasks"][0]
 
 
@@ -638,23 +643,21 @@ def test_magnetic_study_verdict_gates_the_certificate(tmp_path, monkeypatch):
     assert [r["sq_residual"] for r in task["rows"]] == [2e-10, 2e-10]
 
 
-def test_tol_override_is_validated_before_any_task(tmp_path, capsys):
+def test_run_takes_no_tol_or_seed_option(tmp_path, capsys):
+    # the config is the one place a run's tolerance and seed are set
     cfg = write(tmp_path, "cfg.json", {"backend": WEYL3, "tasks": [{"kind": "verify_sq"}]})
     out = tmp_path / "report.json"
-    for bad in ("-1", "nan", "inf", "0"):
-        assert cli.main(["run", cfg, "--out", str(out), f"--tol={bad}"]) \
-            == cli.EXIT_VALIDATION_FAILURE
-        err = capsys.readouterr().err
-        assert "--tol must be a positive number" in err
-        assert "[opcalc] task" not in err   # rejected before any task ran
+    for option in ("--tol", "1e-8"), ("--seed", "5"):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["run", cfg, "--out", str(out), *option])
+        assert exit_.value.code == cli.EXIT_PARSE_FAILURE
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
         assert not out.exists()
-    assert cli.main(["run", cfg, "--out", str(out), "--tol=1e-8"]) == cli.EXIT_OK
-    assert json.loads(out.read_text())["tol"] == 1e-8
 
 
-def run_verdicts(tmp_path, config, tol_override=None):
+def run_verdicts(tmp_path, config):
     out = tmp_path / "report.json"
-    code = cli.run_config(config, str(out), tol_override)
+    code = cli.run_config(config, str(out))
     return code, json.loads(out.read_text())["tasks"]
 
 
@@ -665,33 +668,51 @@ def test_every_gate_of_a_task_uses_the_run_tol(tmp_path):
                "measure_scale": 1.00000001}
     tasks = [{"kind": "verify_sq"}, {"kind": "quantize", "n_random": 2},
              {"kind": "berezin", "n_random": 2}]
-    for config, override in (({"backend": backend, "tol": 1e-6, "tasks": tasks}, None),
-                             ({"backend": backend, "tasks": tasks}, 1e-6)):
-        code, done = run_verdicts(tmp_path, config, override)
-        assert [t["verdict"] for t in done] == ["pass"] * 3, done
-        assert code == cli.EXIT_OK
-        assert 0.5e-8 < done[0]["report"]["max_deviation"] < 1e-6
+    code, done = run_verdicts(tmp_path, {"backend": backend, "tol": 1e-6, "tasks": tasks})
+    assert [t["verdict"] for t in done] == ["pass"] * 3, done
+    assert code == cli.EXIT_OK
+    assert 0.5e-8 < done[0]["report"]["max_deviation"] < 1e-6
     # at the default 1e-10 every gate of the three tasks refuses the family
     code, done = run_verdicts(tmp_path, {"backend": backend, "tasks": tasks})
     assert [t["verdict"] for t in done] == ["fail", "error", "error"]
 
 
-def test_a_task_tol_gates_every_check_of_its_task(tmp_path):
-    # a task's tol wins over the run's, for every task that runs on the family
-    kinds = [{"kind": "verify_sq"}, {"kind": "quantize", "n_random": 2},
+def test_the_config_tol_gates_every_check_of_every_family_task(tmp_path):
+    # one tolerance for the whole run, for every task that runs on the family
+    tasks = [{"kind": "verify_sq"}, {"kind": "quantize", "n_random": 2},
              {"kind": "dequantize", "n_random": 2}, {"kind": "star_table", "n_random": 2},
              {"kind": "berezin", "n_random": 2}, {"kind": "inftensor", "copies": 2}]
-    for task_tol, run_tol, want in ((1e-30, None, False), (1e-30, 1e-8, False),
-                                    (1e-8, 1e-30, True)):
-        tasks = [dict(t, tol=task_tol) for t in kinds] + [{"kind": "verify_sq"}]
-        config = {"backend": WEYL3, "seed": 4, "tasks": tasks}
-        if run_tol is not None:
-            config["tol"] = run_tol
-        code, done = run_verdicts(tmp_path, config)
-        assert [t["verdict"] == "pass" for t in done[:-1]] == [want] * len(kinds), done
-        assert code == cli.EXIT_TASK_FAILURE
-    # the unset task gated at the run's tol, 1e-30: the Weyl 3 deviation is not 0
-    assert done[-1]["report"]["tol"] == 1e-30 and done[-1]["verdict"] == "fail"
+    # the Weyl 3 deviation is not 0, so 1e-30 refuses even the certificate
+    for tol, passes in ((1e-30, False), (1e-8, True)):
+        code, done = run_verdicts(tmp_path, {"backend": WEYL3, "seed": 4, "tol": tol,
+                                             "tasks": tasks})
+        assert [t["verdict"] == "pass" for t in done] == [passes] * len(tasks), done
+        assert code == (cli.EXIT_OK if passes else cli.EXIT_TASK_FAILURE)
+        assert done[0]["report"]["tol"] == tol
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_lists_the_keys_each_task_kind_reads():
+    bullet = README.split("- a task, besides `kind`:")[1].split("\n  - ")[0]
+    listed = {}
+    for entry in bullet.split(";"):
+        kind, *keys = re.findall(r"`(\w+)`", entry)
+        listed[kind] = keys
+    assert listed == {kind: list(keys) for kind, (_, keys) in cli._TASKS.items()}
+
+
+def test_readme_synopsis_names_the_options_of_each_command(capsys):
+    def usage(*argv):               # argparse's one-line synopsis
+        with pytest.raises(SystemExit):
+            cli.main([*argv, "--help"])
+        return capsys.readouterr().out.splitlines()[0]
+    commands = re.search(r"\{(.*)\}", usage()).group(1).split(",")
+    parsed = {c: set(re.findall(r"--[\w-]+", usage(c))) - {"--help"} for c in commands}
+    synopsis = README.split("## CLI\n\n```sh\n")[1].split("```")[0].splitlines()
+    documented = {line.split()[1]: set(re.findall(r"--[\w-]+", line)) for line in synopsis}
+    assert documented == parsed
 
 
 def test_describe_incomplete_spec_is_validation_failure(tmp_path, capsys):
