@@ -49,6 +49,10 @@ def discrete_weyl(N: int) -> OperatorFamily:
 # finite groups
 # ---------------------------------------------------------------------------
 
+#: Largest group order a finite-group backend accepts; its table checks take n^3 steps.
+GROUP_ORDER_CAP = 256
+
+
 def cyclic_table(n: int) -> np.ndarray:
     """Multiplication table of Z_n (index arithmetic mod n)."""
     n = _spec_int(n, "n")
@@ -106,22 +110,21 @@ def s3_sign_irrep() -> np.ndarray:
     return np.array(signs, dtype=complex).reshape(-1, 1, 1)
 
 
-def _check_group_table(table: np.ndarray) -> int:
-    n = table.shape[0]
-    _require(table.shape == (n, n), "group table must be square")
+def _check_group_table(table: np.ndarray) -> None:
+    _require(table.ndim == 2 and len(table) == table.shape[1], "group table must be square")
+    n = len(table)
+    _require(n <= GROUP_ORDER_CAP, f"group order {n} exceeds the cap {GROUP_ORDER_CAP}")
     _require(bool(np.all((0 <= table) & (table < n))),
              "group table entries must be element indices")
-    identity = None
-    for e in range(n):
-        if np.array_equal(table[e], np.arange(n)) and \
-                np.array_equal(table[:, e], np.arange(n)):
-            identity = e
-            break
-    _require(identity is not None, "group table has no identity element")
-    # associativity on all triples; cubic in |G| but these are desk-scale groups
-    _require(bool(np.all(table[table, :] == table[:, table])),
-             "group table is not associative")
-    return identity
+    e = np.arange(n)
+    _require(bool(np.any(np.all(table == e, 1) & np.all(table.T == e, 1))),
+             "group table has no identity element")
+    # associativity on all triples, (ab)c against a(bc) for one a at a time
+    for a in range(n):
+        left, right = table[table[a]], table[a][table]
+        if not np.array_equal(left, right):
+            b, c = np.argwhere(left != right)[0]
+            raise ValueError(f"group table is not associative at ({a}, {b}, {c})")
 
 
 def finite_group_backend(table, irrep, measure_scale: float = 1.0) -> OperatorFamily:
@@ -140,15 +143,12 @@ def finite_group_backend(table, irrep, measure_scale: float = 1.0) -> OperatorFa
              "need one representation matrix per group element")
     d = mats.shape[1]
     _require(mats.shape[2] == d, "representation matrices must be square")
-    eye = np.eye(d)
-    for g in range(n):
-        if np.abs(mats[g].conj().T @ mats[g] - eye).max() > DEFAULT_TOL:
-            raise ValueError(f"representation matrix {g} is not unitary")
-    for g in range(n):
-        for h in range(n):
-            if np.abs(mats[g] @ mats[h] - mats[table[g, h]]).max() > DEFAULT_TOL:
-                raise ValueError(
-                    f"matrices do not form a homomorphism at pair ({g}, {h})")
+    bad = np.abs(mats.conj().swapaxes(1, 2) @ mats - np.eye(d)).max((1, 2)) > DEFAULT_TOL
+    _require(not bad.any(), f"representation matrix {bad.argmax()} is not unitary")
+    for g in range(n):          # the pairs (g, h) for all h: n d^2 numbers
+        bad = np.abs(mats[g] @ mats - mats[table[g]]).max((1, 2)) > DEFAULT_TOL
+        _require(not bad.any(),
+                 f"matrices do not form a homomorphism at pair ({g}, {bad.argmax()})")
     _require(measure_scale > 0, "measure scale must be positive")
     weights = np.full(n, measure_scale * d / n)
     space = MeasureSpace(tuple(str(g) for g in range(n)), weights)
@@ -252,6 +252,8 @@ def backend_from_spec(spec: dict):
     if kind == "finite_group":
         if preset == "cyclic_character":
             n = _spec_int(spec["order"], "order")
+            _require(n <= GROUP_ORDER_CAP,
+                     f"group order {n} exceeds the cap {GROUP_ORDER_CAP}")
             table = cyclic_table(n)
             irrep = cyclic_character(n, _spec_int(spec.get("k", 1), "k"))
         elif preset is not None:

@@ -15,9 +15,9 @@ import numpy as np
 
 from .core import (MeasureSpace, Symbol, _readonly, _require, as_operator,
                    as_vector, op_norm, product_space, trace, vec_norm)
-from .family import (OperatorFamily, _block_diag, _diag_blocks, _flat_matmul,
-                     _matrix_blocks, verify_sq)
-from .calculus import Quantizer, _adjoint_sum, quantize
+from .family import (OperatorFamily, _adjoint_sum, _block_diag, _diag_blocks,
+                     _matrix_blocks, _traces, verify_sq)
+from .calculus import Quantizer, quantize
 
 
 class Frame:
@@ -34,8 +34,8 @@ class Frame:
 
     def __init__(self, fam: OperatorFamily, w):
         self.fam, self.w = fam, _readonly(as_vector(w, fam.hdim).copy())
-        # pi(s)* w: entry i is the sum over j of w_j conj(flat[s, j*d + i])
-        field = _flat_matmul(fam, np.kron(self.w.conj()[:, None], np.eye(fam.hdim)))
+        # pi(s)* w: entry l is conj Tr[e_l w* pi(s)]
+        field = _traces(fam, self.w.conj() * np.eye(fam.hdim)[:, :, None])
         self.blocks = _matrix_blocks(field.conj())
         W = self.blocks[2]
         self.kernel = _readonly(W.conj() @ W.swapaxes(1, 2))
@@ -186,12 +186,12 @@ def covariant_berezin_symbol(fr: Frame, g: Symbol) -> Symbol:
 
 
 def _smoothed(fr: Frame, f: Symbol) -> Symbol:
-    """s -> integral of f(t) <pi(s) w(t), w(t)> dmu(t): the family's blocks
-    against the one d^2 vector sum_t w_t f(t) conj w(t) (x) w(t)."""
+    """s -> integral of f(t) <pi(s) w(t), w(t)> dmu(t): the traces against the
+    family of the one operator sum_t w_t f(t) w(t) w(t)*."""
     rows, cols, W = fr.blocks
     wf = (fr.space.weights * f.values)[rows]
-    M = (W.conj().swapaxes(1, 2) * wf[:, None, :]) @ W       # its (k, c, c) blocks
-    return Symbol(fr.space, _flat_matmul(fr.fam, _block_diag(M, cols, fr.fam.hdim).ravel()))
+    M = (W.conj().swapaxes(1, 2) * wf[:, None, :]) @ W       # its transposed blocks
+    return Symbol(fr.space, _traces(fr.fam, _block_diag(M, cols, fr.fam.hdim).T))
 
 
 def berezin_as_quantization(fr: Frame, q: Quantizer, f: Symbol) -> Symbol:

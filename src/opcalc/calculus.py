@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import (DEFAULT_TOL, RANK_DROP_TOL, MeasureSpace, Symbol, _readonly,
                    _require, _spec_int, as_operator, hs_norm, op_norm, trace_norm)
-from .family import OperatorFamily, _flat_matmul, _flat_rmatmul, verify_sq
+from .family import OperatorFamily, _adjoint_sum, _traces, verify_sq
 
 #: Guard on the stored entries of the three-point kernel, m^3/k on k classes.
 _KERNEL_ENTRY_CAP = 20_000_000
@@ -83,12 +83,6 @@ def build_quantizer(fam: OperatorFamily, tol: float | None = None) -> Quantizer:
     return Quantizer(fam)
 
 
-def _adjoint_sum(fam: OperatorFamily, c: np.ndarray) -> np.ndarray:
-    """Sum of c[s] pi(s)*, one product with the coefficient blocks."""
-    d = fam.hdim
-    return _flat_rmatmul(fam, np.conj(c)).conj().reshape(d, d).T
-
-
 def quantize(q: Quantizer, f: Symbol) -> np.ndarray:
     """Weighted sum of f(s) pi(s)*; kills the orthocomplement of the range."""
     _require(f.space == q.space, "symbol lives on a different space")
@@ -98,7 +92,7 @@ def quantize(q: Quantizer, f: Symbol) -> np.ndarray:
 def dequantize(q: Quantizer, T) -> Symbol:
     """Symbol of an operator: s -> Tr[T pi(s)]."""
     T = as_operator(T, q.fam.hdim)
-    return Symbol(q.space, _flat_matmul(q.fam, T.T.ravel()))
+    return Symbol(q.space, _traces(q.fam, T))
 
 
 def project_b2(q: Quantizer, f: Symbol) -> Symbol:
@@ -208,8 +202,7 @@ def star_explicit(q: Quantizer, f: Symbol, g: Symbol) -> Symbol:
 def involution_explicit(q: Quantizer, f: Symbol) -> Symbol:
     """Explicit involution: r -> integral of Tr[pi(r) pi(s)] conj(f(s))."""
     _require(f.space == q.space, "symbol lives on a different space")
-    m = q.fam.npoints
-    two_point = _flat_matmul(q.fam, q.fam.stack.swapaxes(1, 2).reshape(m, -1).T)
+    two_point = _traces(q.fam, q.fam.stack)                # Tr[pi(s) pi(r)] at (r, s)
     return Symbol(q.space, two_point @ (q.space.weights * np.conj(f.values)))
 
 

@@ -36,17 +36,18 @@ class ConfigError(Exception):
     """Invalid configuration content (exit code 3)."""
 
 
-#: Checks on task parameters: name -> (test of (value, hdim), what it must be).
-#: Every task that sets a parameter is checked before the first task runs.
+#: Checks on task parameters: name -> (test of (value, hdim, npoints), what it
+#: must be).  Every task that sets a parameter is checked before the first task runs.
 _PARAM_CHECKS = {
-    "n_random": (lambda x, hdim: _is_int(x, 1), "a positive integer"),
-    "w_index": (lambda x, hdim: _is_int(x, 0, hdim), "an integer in [0, {hdim})"),
-    "copies": (lambda x, hdim: _is_int(x, 1, inftensor.FACTOR_CAP + 1)
-               and hdim ** x <= inftensor.DIM_CAP,
+    "n_random": (lambda x, hdim, m: _is_int(x, 1), "a positive integer"),
+    "w_index": (lambda x, hdim, m: _is_int(x, 0, hdim), "an integer in [0, {hdim})"),
+    # the last level array of a restricted product holds (m * hdim)**copies entries
+    "copies": (lambda x, hdim, m: _is_int(x, 1, inftensor.FACTOR_CAP + 1)
+               and (m * hdim) ** x <= inftensor.LEVEL_ENTRY_CAP,
                f"an integer in [1, {inftensor.FACTOR_CAP}] "
-               f"with {{hdim}}**copies <= {inftensor.DIM_CAP}"),
+               f"with ({{m}}*{{hdim}})**copies <= {inftensor.LEVEL_ENTRY_CAP}"),
     # composition_refines reads consecutive rows as coarse -> fine
-    "grids": (lambda x, hdim: isinstance(x, list) and bool(x) and all(
+    "grids": (lambda x, hdim, m: isinstance(x, list) and bool(x) and all(
                   _is_int(n, 4) and n % 2 == 0 for n in x)
               and all(a < b for a, b in zip(x, x[1:])),
               "a nonempty, strictly increasing list of even integers >= 4"),
@@ -92,9 +93,9 @@ def _validate_tasks(tasks: list, backend) -> None:
     space = backend.phase_space() if grid else backend.space
     for i, task in enumerate(tasks):
         for name, (test, need) in _PARAM_CHECKS.items():
-            if name in task and not test(task[name], hdim):
-                raise ConfigError(
-                    f"task {i}: {name} must be {need.format(hdim=hdim)}")
+            if name in task and not test(task[name], hdim, space.npoints):
+                raise ConfigError(f"task {i}: {name} must be "
+                                  f"{need.format(hdim=hdim, m=space.npoints)}")
         if task["kind"] in _NEEDS_SYMBOLS and "n_random" not in task \
                 and not task.get("symbols"):
             raise ConfigError(f"task {i}: {task['kind']} needs 'symbols' "

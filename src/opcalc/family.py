@@ -28,7 +28,8 @@ class OperatorFamily:
     The family's one store is its coefficient matrix, the (npoints, hdim^2)
     array ``flat[s, j*hdim + i] = <pi(s)e_i, e_j>``, held as its nonzero
     ``blocks`` = (rows (k, r), cols (k, c), V (k, r, c)), zero elsewhere, with
-    ``V[b] = flat[rows[b]][:, cols[b]]``; every per-call map reads them.
+    ``V[b] = flat[rows[b]][:, cols[b]]``; the per-call maps multiply them only
+    in ``_traces`` (dequantization) and ``_adjoint_sum`` (quantization).
     Dense operators become their blocks at construction (``_matrix_blocks``):
     rows are classed by their first nonzero column, and the classes are kept
     when they are equal in size, every row has its class representative's
@@ -239,27 +240,28 @@ def _monomial_family(space: MeasureSpace, perm, values) -> OperatorFamily:
 
 
 def coefficient(fam: OperatorFamily, u, v) -> Symbol:
-    """Coefficient symbol s -> <pi(s)u, v>, sesquilinear in (u, v)."""
+    """Coefficient symbol s -> <pi(s)u, v> = Tr[u v* pi(s)], sesquilinear in (u, v)."""
     u = as_vector(u, fam.hdim)
     v = as_vector(v, fam.hdim)
-    return Symbol(fam.space, _flat_matmul(fam, np.kron(np.conj(v), u)))
+    return Symbol(fam.space, _traces(fam, np.outer(np.conj(v), u).T))
 
 
-def _flat_matmul(fam: OperatorFamily, x: np.ndarray) -> np.ndarray:
-    """``fam.flat @ x`` for x of shape (hdim^2,) or (hdim^2, p), block by block."""
+def _traces(fam: OperatorFamily, T: np.ndarray) -> np.ndarray:
+    """s -> Tr[T pi(s)] for T of shape (..., hdim, hdim), as (npoints, ...):
+    one block product with vec(T^T), whose entry j*hdim + i is T[i, j]."""
     rows, cols, V = fam.blocks
-    x2 = x.reshape(len(x), -1)
-    out = np.zeros((fam.npoints, x2.shape[1]), dtype=complex)
-    out[rows] = V @ x2[cols]
-    return out.reshape((fam.npoints,) + x.shape[1:])
+    x = T.swapaxes(-1, -2).reshape(-1, fam.hdim ** 2).T
+    out = np.zeros((fam.npoints, x.shape[1]), dtype=complex)
+    out[rows] = V @ x[cols]
+    return out.reshape((fam.npoints,) + T.shape[:-2])
 
 
-def _flat_rmatmul(fam: OperatorFamily, c: np.ndarray) -> np.ndarray:
-    """``c @ fam.flat`` for c of shape (npoints,), block by block."""
+def _adjoint_sum(fam: OperatorFamily, c: np.ndarray) -> np.ndarray:
+    """The sum over s of c[s] pi(s)*, one block product with the coefficient blocks."""
     rows, cols, V = fam.blocks
     out = np.zeros(fam.hdim ** 2, dtype=complex)
-    out[cols] = (c[rows][:, None, :] @ V)[:, 0]
-    return out
+    out[cols] = (np.conj(c)[rows][:, None, :] @ V)[:, 0]
+    return out.conj().reshape(fam.hdim, fam.hdim).T
 
 
 def _gram_blocks(fam: OperatorFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -364,8 +366,8 @@ def invariant_subspace_check(fam: OperatorFamily, basis) -> bool:
         return True  # full space
     eye = np.eye(fam.hdim)
     proj_out = eye - Q @ Q.conj().T
-    # the rows pi(s)q of every point, one column q of Q at a time: m*d numbers
-    return all(np.abs(_flat_matmul(fam, np.kron(eye, q[:, None])) @ proj_out.T).max()
+    # pi(s)q at every point, entry l = Tr[q e_l^T pi(s)], one column q of Q at a time
+    return all(np.abs(_traces(fam, eye[:, None, :] * q[:, None]) @ proj_out.T).max()
                <= fam.working_tol() for q in Q.T)
 
 

@@ -22,7 +22,9 @@ from .core import (MeasureSpace, Symbol, _require, _spec_int, as_vector, product
                    vec_norm)
 from .family import OperatorFamily, verify_sq
 
-DIM_CAP = 4096
+#: Cap on the entries of the last level array of ``levels``, prod m_k * prod d_k
+#: (32 MiB of complex numbers); an SQ factor has m_k >= d_k^2, so it bounds D too.
+LEVEL_ENTRY_CAP = 2 ** 21
 FACTOR_CAP = 12
 
 
@@ -104,9 +106,9 @@ def build_restricted(factors, tol: float | None = None) -> RestrictedProduct:
     factors = list(factors)
     _require(1 <= len(factors) <= FACTOR_CAP,
              f"factor count must be between 1 and {FACTOR_CAP}")
-    full_dim = math.prod(fam.hdim for fam, _, _ in factors)      # exact, no wrap
-    _require(full_dim <= DIM_CAP,
-             f"total dimension {full_dim} exceeds the cap {DIM_CAP}")
+    entries = math.prod(fam.npoints * fam.hdim for fam, _, _ in factors)  # exact, no wrap
+    _require(entries <= LEVEL_ENTRY_CAP, f"a level array of {entries} entries "
+             f"exceeds the cap LEVEL_ENTRY_CAP = {LEVEL_ENTRY_CAP}")
     built = []
     for j, (fam, base_index, w) in enumerate(factors):
         t = (fam.working_tol() if tol is None else tol)

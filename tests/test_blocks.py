@@ -236,6 +236,11 @@ def test_readers_match_dense_flat(case, rng):
           (np.conj(c) @ flat).conj().reshape(d, d).T)
     two_point = flat @ fam.stack.swapaxes(1, 2).reshape(m, -1).T
     close(oc.involution_explicit(q, f).values, two_point @ (w * np.conj(f.values)))
+    # the two block maps behind quantize and dequantize, on an operator batch
+    Ts = oc.random_vector(rng, 3 * d * d).reshape(3, d, d)
+    close(fm._traces(fam, Ts), np.einsum("pij,sji->sp", Ts, fam.stack))
+    close(fm._traces(fam, T), np.einsum("ij,sji->s", T, fam.stack))
+    close(fm._adjoint_sum(fam, c), np.einsum("s,sji->ij", c, fam.stack.conj()))
 
 
 def test_frame_readers_match_dense_flat(case, rng):

@@ -114,7 +114,7 @@ def test_project_b2_stays_independent_of_the_transported_maps(rng, monkeypatch):
     def refuse(*args):
         raise AssertionError("project_b2 must not quantize or dequantize")
 
-    for name in ("quantize", "dequantize", "_adjoint_sum", "_flat_matmul", "_flat_rmatmul"):
+    for name in ("quantize", "dequantize", "_adjoint_sum", "_traces"):
         monkeypatch.setattr(ca, name, refuse)
     assert np.array_equal(oc.project_b2(q, f).values, expected)
 

@@ -483,7 +483,7 @@ WEYL3 = {"kind": "discrete_weyl", "N": 3}
     ({"backend": {"kind": "trivial"}, "tasks": [{"kind": "inftensor", "copies": 13}]},
      "copies"),                  # more factors than build_restricted allows
     ({"backend": WEYL3, "tasks": [{"kind": "inftensor", "copies": 8}]},
-     "copies"),                  # 3**8 exceeds the restricted-product dimension cap
+     "copies"),                  # (9*3)**8 exceeds the restricted-product level cap
     ({"backend": WEYL3, "tasks": [{"kind": ["verify_sq"]}]}, "unknown kind"),
     # the study runs the one protocol its gates are set for: not even its own
     # values are keys
@@ -595,6 +595,22 @@ WEYL3 = {"kind": "discrete_weyl", "N": 3}
                                         "tol": 1e-30, "check_explicit": True}]},
      "task 1 has unknown keys check_explicit, tol (a star_table task reads kind, "
      "symbols, n_random)"),
+    # a restricted product's last level array holds (npoints*hdim)**copies
+    # entries: 16 GiB, 1 TiB and 1 TiB here, refused before any task runs
+    ({"backend": {"kind": "discrete_weyl", "N": 2},
+      "tasks": [{"kind": "verify_sq"}, {"kind": "inftensor", "copies": 10}]},
+     f"task 1: copies must be an integer in [1, 12] with (4*2)**copies <= "
+     f"{inftensor.LEVEL_ENTRY_CAP}"),
+    ({"backend": {"kind": "discrete_weyl", "N": 16},
+      "tasks": [{"kind": "verify_sq"}, {"kind": "inftensor", "copies": 3}]},
+     "task 1: copies must be an integer in [1, 12] with (256*16)**copies"),
+    ({"backend": {"kind": "magnetic_weyl", "n": 64, "L": 12.0},
+      "tasks": [{"kind": "verify_sq"}, {"kind": "inftensor", "copies": 2}]},
+     "task 1: copies must be an integer in [1, 12] with (4096*64)**copies"),
+    # the group table checks are sized before any table is built
+    ({"backend": {"kind": "finite_group", "preset": "cyclic_character",
+                  "order": bk.GROUP_ORDER_CAP + 1}, "tasks": [{"kind": "verify_sq"}]},
+     f"group order {bk.GROUP_ORDER_CAP + 1} exceeds the cap"),
 ])
 def test_bad_task_input_is_validation_failure(tmp_path, capsys, config, message):
     cfg = write(tmp_path, "cfg.json", config)
@@ -763,6 +779,13 @@ Z4_IRREP = bk.cyclic_character(4, 1)
     ({"kind": "finite_group", "table": bk.cyclic_table(4).tolist(),
       "irrep": {"re": Z4_IRREP.real.tolist(), "imag": Z4_IRREP.imag.tolist()}},
      "irrep has unknown keys imag"),      # else im is read as 0: "not unitary"
+    ({"kind": "finite_group", "table": 5, "irrep": Z2_IRREP}, "group table must be square"),
+    # the group table checks are sized before any table is built or checked
+    ({"kind": "finite_group", "preset": "cyclic_character",
+      "order": bk.GROUP_ORDER_CAP + 1}, f"group order {bk.GROUP_ORDER_CAP + 1} exceeds"),
+    ({"kind": "finite_group", "table": [[0] * (bk.GROUP_ORDER_CAP + 1)]
+      * (bk.GROUP_ORDER_CAP + 1), "irrep": Z2_IRREP},
+     f"group order {bk.GROUP_ORDER_CAP + 1} exceeds"),
 ], ids=lambda x: x if isinstance(x, str) else None)
 def test_describe_coerced_value_is_validation_failure(tmp_path, capsys, spec, message):
     spec = write(tmp_path, "backend.json", spec)

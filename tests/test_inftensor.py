@@ -79,7 +79,7 @@ def test_caps_enforced(monkeypatch):
     with pytest.raises(ValueError, match="factor count"):
         it.build_restricted([])
     with pytest.raises(ValueError, match="exceeds the cap"):
-        it.build_restricted([(oc.discrete_weyl(3), 0, unit(3))] * 8)   # 3^8 > 4096
+        it.build_restricted([(oc.discrete_weyl(3), 0, unit(3))] * 8)   # (9*3)^8 entries
 
 
 def test_embeddings_are_isometries(rp3):

@@ -15,7 +15,11 @@ and the sha256 of the report.  Then, per config (the backends do not depend
 on the seed), it prints the sha256 of
 ``json.dumps(cli._describe_backend(cfg["backend"]), sort_keys=True)``, the
 summary ``opcalc describe`` prints, which carries the derived ``exact`` and
-``tol`` fields.  Two revisions that compute the same numbers print the same
+``tol`` fields.  Last, for the library workloads ``symbol_stream`` and
+``certify`` at the same seeds, it runs ``setup`` and the first ``run_pass``
+and prints the sha256 of each operation's outputs: arrays are hashed by
+dtype, shape and bytes, every other value by its ``repr``, dict keys in
+sorted order.  Two revisions that compute the same numbers print the same
 lines.  Nothing under ``bench/`` is written.
 """
 
@@ -31,6 +35,7 @@ from pathlib import Path
 from bench_pr import export
 
 WORKLOADS = ("exact_batch", "magnetic_refine")
+LIBRARY_WORKLOADS = ("symbol_stream", "certify")
 SEEDS = (1, 7, 11)
 
 CHILD = f"""
@@ -38,8 +43,25 @@ import contextlib, hashlib, io, json, sys
 sys.path.insert(0, "bench")
 import env
 env.bootstrap()
+import numpy as np
 import workloads
 from opcalc import cli
+
+def feed(h, value):
+    if isinstance(value, dict):
+        for key in sorted(value):
+            h.update(repr(key).encode())
+            feed(h, value[key])
+    elif isinstance(value, (list, tuple)):
+        h.update(b"[")
+        for item in value:
+            feed(h, item)
+        h.update(b"]")
+    elif isinstance(value, np.ndarray):
+        h.update(f"{{value.dtype.str}}{{value.shape}}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    else:
+        h.update(repr(value).encode())
 for name in {WORKLOADS!r}:
     for seed in {SEEDS!r}:
         for i, cfg in enumerate(workloads.make(name, seed).configs):
@@ -53,6 +75,14 @@ for name in {WORKLOADS!r}:
         summary = json.dumps(cli._describe_backend(cfg["backend"]), sort_keys=True)
         digest = hashlib.sha256(summary.encode()).hexdigest()
         print(f"{{name}} describe config={{i}} sha256={{digest}}")
+for name in {LIBRARY_WORKLOADS!r}:
+    for seed in {SEEDS!r}:
+        work = workloads.make(name, seed)
+        work.setup()
+        for op, out in work.results(work.run_pass()[0]).items():
+            h = hashlib.sha256()
+            feed(h, out)
+            print(f"{{name}} seed={{seed}} op={{op}} sha256={{h.hexdigest()}}")
 """
 
 
