@@ -11,12 +11,17 @@ factor, under which the orthogonality constant is exactly one.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from .core import (DEFAULT_TOL, GridLabels, MeasureSpace, _require, _spec_array, _spec_int,
                    _spec_keys, _spec_num)
 from .family import OperatorFamily, _monomial_family
+
+#: Largest block store, d^2 points of d values, of a Weyl (d = N) or metaplectic
+#: (d = |G|) system: at d = 128 ``describe`` takes 0.6 s and 140 MB.
+BLOCK_ENTRY_CAP = 128 ** 3
 
 
 def trivial_backend() -> OperatorFamily:
@@ -35,6 +40,7 @@ def discrete_weyl(N: int) -> OperatorFamily:
     """
     N = _spec_int(N, "N")
     _require(N >= 2, "discrete Weyl system needs N >= 2")
+    _require(N ** 3 <= BLOCK_ENTRY_CAP, f"N = {N} exceeds the cap N^3 <= {BLOCK_ENTRY_CAP}")
     omega = np.exp(2j * np.pi / N)
     i = np.arange(N)
     a, b, cols = i[:, None, None], i[None, :, None], i[None, None, :]
@@ -176,7 +182,9 @@ def abelian_metaplectic(orders, k: int) -> OperatorFamily:
     _require(len(orders) >= 1 and all(n >= 1 for n in orders),
              "orders must be positive integers")
     _require(_spec_int(k, "k") in (1, 2), "variant k must be 1 or 2")
-    size = int(np.prod(orders))
+    size = math.prod(orders)
+    _require(size ** 3 <= BLOCK_ENTRY_CAP,
+             f"group order {size} exceeds the cap |G|^3 <= {BLOCK_ENTRY_CAP}")
     if k == 2 and size % 2 == 0:
         raise ValueError(
             "k=2 requires the map x -> 2x to be an automorphism of G; "

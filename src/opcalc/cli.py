@@ -47,10 +47,9 @@ _PARAM_CHECKS = {
                f"an integer in [1, {inftensor.FACTOR_CAP}] "
                f"with ({{m}}*{{hdim}})**copies <= {inftensor.LEVEL_ENTRY_CAP}"),
     # composition_refines reads consecutive rows as coarse -> fine
-    "grids": (lambda x, hdim, m: isinstance(x, list) and bool(x) and all(
-                  _is_int(n, 4) and n % 2 == 0 for n in x)
-              and all(a < b for a, b in zip(x, x[1:])),
-              "a nonempty, strictly increasing list of even integers >= 4"),
+    "grids": (lambda x, hdim, m: isinstance(x, list) and bool(x)
+              and all(map(magnetic.grid_size_ok, x)) and all(a < b for a, b in zip(x, x[1:])),
+              f"a nonempty, strictly increasing list, each {magnetic.GRID_SIZES}"),
 }
 
 #: Task kinds that need their symbols given, as "symbols" or "n_random".
@@ -88,9 +87,8 @@ def _validate_tasks(tasks: list, backend) -> None:
     """Reject task parameters the backend cannot run and given symbols or
     operators its tasks cannot read, before any task runs.  A grid's symbols
     are read against its phase space, so validation builds no family."""
-    grid = isinstance(backend, magnetic.MagneticBackend)
-    hdim = backend.n if grid else backend.hdim
-    space = backend.phase_space() if grid else backend.space
+    hdim, space = backend.hdim, backend.space
+    refusal = isinstance(backend, magnetic.MagneticBackend) and backend.family_refusal()
     for i, task in enumerate(tasks):
         for name, (test, need) in _PARAM_CHECKS.items():
             if name in task and not test(task[name], hdim, space.npoints):
@@ -98,14 +96,13 @@ def _validate_tasks(tasks: list, backend) -> None:
                                   f"{need.format(hdim=hdim, m=space.npoints)}")
         if task["kind"] in _NEEDS_SYMBOLS and "n_random" not in task \
                 and not task.get("symbols"):
-            raise ConfigError(f"task {i}: {task['kind']} needs 'symbols' "
-                              "or 'n_random'")
+            raise ConfigError(f"task {i}: {task['kind']} needs 'symbols' or 'n_random'")
         for given in ("symbols", "operators"):
             if given in task and "n_random" in task:
                 raise ConfigError(f"task {i}: set '{given}' or 'n_random', not both")
-        if grid and backend.n > magnetic._FAMILY_MAX_N and task["kind"] != "magnetic_study":
+        if refusal and task["kind"] != "magnetic_study":
             raise ConfigError(f"task {i}: {task['kind']} runs on the grid's family, "
-                              f"which is built only for n <= {magnetic._FAMILY_MAX_N}")
+                              f"which is {refusal}")
         try:
             for d in task.get("symbols") or []:
                 core.symbol_from_json(d, space)
@@ -128,27 +125,21 @@ def _build_backend(spec: dict):
 # ---------------------------------------------------------------------------
 
 def _describe_backend(spec: dict) -> dict:
-    """Summary of a backend.  A family that passes the square-integrability
-    gate dequantizes isometrically from the Hilbert-Schmidt operators, so its
-    symbol range has dimension hdim^2 and needs no SVD; ``sq_deviation`` is
-    the gate's deviation.  A magnetic grid is gated by its certificate and
-    never materialized: its n shift classes are its coefficient blocks."""
+    """Summary of a backend's ``space`` and ``hdim``.  A family that passes the
+    square-integrability gate dequantizes isometrically from the Hilbert-Schmidt
+    operators, so its symbol range has dimension hdim^2 and needs no SVD.  A grid
+    is gated by ``sq_certificate`` and never materialized: its blocks are its n shifts."""
     built = _build_backend(spec)
-    if isinstance(built, magnetic.MagneticBackend):
-        n, deviation = built.n, built.sq_certificate()
-        if deviation > built.tol:
-            raise ValueError(
-                f"family fails square-integrability (deviation {deviation:.3e} "
-                f"> tol {built.tol:.1e}); cannot quantize")
-        return {"kind": spec["kind"], "hdim": n, "points": n * n, "mass": float(n),
-                "exact": False, "tol": built.tol, "b2_rank": n * n,
-                "sq_deviation": deviation, "coefficient_blocks": n}
-    ca.build_quantizer(built)                   # raises for a failing family
-    return {"kind": spec["kind"], "hdim": built.hdim, "points": built.npoints,
-            "mass": built.space.mass, "exact": built.exact, "tol": built.tol,
-            "b2_rank": built.hdim ** 2,
-            "sq_deviation": fm.verify_sq(built).max_deviation,
-            "coefficient_blocks": len(built.blocks[0])}
+    space, hdim, grid = built.space, built.hdim, isinstance(built, magnetic.MagneticBackend)
+    deviation = built.sq_certificate() if grid else fm.verify_sq(built).max_deviation
+    tol = core.DEFAULT_TOL if space.tol is None else space.tol
+    if not deviation <= tol:
+        raise ValueError(f"family fails square-integrability (deviation {deviation:.3e} "
+                         f"> tol {tol:.1e}); cannot quantize")
+    return {"kind": spec["kind"], "hdim": hdim, "points": space.npoints,
+            "mass": space.mass, "exact": space.tol is None, "tol": space.tol,
+            "b2_rank": hdim ** 2, "sq_deviation": deviation,
+            "coefficient_blocks": hdim if grid else len(built.blocks[0])}
 
 
 def _render_table(summary: dict) -> str:
@@ -195,12 +186,8 @@ def _quantize(task, fam, tol, rng):
 
 def _dequantize(task, fam, tol, rng):
     q = ca.build_quantizer(fam, tol)
-    raw = task.get("operators")
-    if raw:
-        ops = [core.operator_from_json(d) for d in raw]
-    else:
-        ops = [ca.quantize(q, core.random_symbol(rng, fam.space))
-               for _ in range(task.get("n_random", 3))]
+    ops = [core.operator_from_json(d) for d in task.get("operators") or []] \
+        or [ca.quantize(q, f) for f in _symbols(task, fam.space, rng)]
     symbols = [ca.dequantize(q, T) for T in ops]
     residual = max(core.op_norm(ca.quantize(q, f) - T)
                    for f, T in zip(symbols, ops))
@@ -274,8 +261,7 @@ def _on_family(run):
     task uses one tolerance: the config's ``tol``, else the family's working
     tolerance."""
     def on_backend(task, backend, tol, rng):
-        fam = backend.family() if isinstance(backend, magnetic.MagneticBackend) \
-            else backend
+        fam = backend.family() if isinstance(backend, magnetic.MagneticBackend) else backend
         return run(task, fam, fam.working_tol() if tol is None else float(tol), rng)
     return on_backend
 

@@ -24,8 +24,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GridLabels, MeasureSpace, Symbol, _readonly, _require, op_norm
+from .core import GridLabels, MeasureSpace, Symbol, _is_int, _readonly, _require, op_norm
 from .family import OperatorFamily, _monomial_family
+
+GRID_MAX_N = 512        # largest grid a backend or a study accepts: each costs n^3
+GRID_SIZES = f"an even integer in [4, {GRID_MAX_N}]"    # the rule of grid_size_ok
 
 #: Largest grid whose family is built.  Its blocks and frames hold n^3 numbers,
 #: but ``RestrictedProduct.levels`` reads the dense view, n^4 entries (about
@@ -42,6 +45,11 @@ def _alternating(idx) -> np.ndarray:
     return 1.0 - 2.0 * (np.asarray(idx) % 2)
 
 
+def grid_size_ok(n) -> bool:
+    """Whether n is a grid size a backend and a study accept (``GRID_SIZES``)."""
+    return _is_int(n, 4, GRID_MAX_N + 1) and n % 2 == 0
+
+
 def _circulation_table(A: np.ndarray, dx: float) -> np.ndarray:
     """Trapezoid circulation of periodic A from node -n to node t - n, t in [0, 3n];
     paths are unwrapped chains of grid segments, so circulation is additive."""
@@ -56,11 +64,11 @@ class MagneticBackend:
     tables that depend only on the grid and A are built once, on first use."""
 
     def __init__(self, n: int, L: float, A=None, tol: float = 1e-6):
-        _require(n >= 4 and n % 2 == 0, "grid size must be an even integer >= 4")
+        _require(grid_size_ok(n), f"grid size must be {GRID_SIZES}")
         _require(bool(np.isfinite(L)) and L > 0, "box length must be finite and positive")
         _require(bool(np.isfinite(tol)) and tol > 0,
                  "declared quadrature tolerance must be finite and positive")
-        self.n = int(n)
+        self.n = self.hdim = int(n)            # one basis vector per node
         self.L = float(L)
         self.dx = self.L / self.n
         self.x = -self.L / 2 + self.dx * np.arange(self.n)
@@ -74,9 +82,7 @@ class MagneticBackend:
         _require(bool(np.all(np.isfinite(A))), "vector potential samples must be finite")
         self.A = _readonly(A)
         self._circ_cum = _circulation_table(A, self.dx)
-        self._family = None
-        self._mid_space = None
-        self._phase_space = None
+        self._family = self._mid_space = None
 
     # -- circulation -------------------------------------------------------
 
@@ -92,11 +98,10 @@ class MagneticBackend:
 
     # -- spaces and family ---------------------------------------------------
 
-    def phase_space(self) -> MeasureSpace:
-        """Shift x dual grid, weight dx*dxi/(2*pi) = 1/n per point."""
-        if self._phase_space is None:
-            self._phase_space = self._grid_space(self.k)
-        return self._phase_space
+    @cached_property
+    def space(self) -> MeasureSpace:
+        """The phase space: shift x dual grid, weight dx*dxi/(2*pi) = 1/n per point."""
+        return self._grid_space(self.k)
 
     def _grid_space(self, rows) -> MeasureSpace:
         """Labels "(row,k)" over rows x dual grid, equal weights summing to n."""
@@ -109,14 +114,17 @@ class MagneticBackend:
         r = np.asarray(shifts)[:, None]
         return self._circ_cum[m + r + self.n] - self._circ_cum[m + self.n]
 
+    def family_refusal(self) -> str | None:
+        """Why ``family`` refuses this grid, or None if it builds."""
+        return None if self.n <= _FAMILY_MAX_N else f"built only for n <= {_FAMILY_MAX_N}"
+
     def family(self) -> OperatorFamily:
-        """The operator family, built as its n shift classes (guarded at n <=
-        ``_FAMILY_MAX_N``).  pi(r, xi) e_c = phase e_(c - r) with the
+        """The operator family on ``space``, built as its n shift classes
+        (unless ``family_refusal``).  pi(r, xi) e_c = phase e_(c - r) with the
         half-shift, modulation and gauge phase of row c - r."""
         if self._family is None:
-            _require(self.n <= _FAMILY_MAX_N,
-                     f"materializing the family needs n <= {_FAMILY_MAX_N}; "
-                     "use sq_certificate for larger grids")
+            refusal = self.family_refusal()
+            _require(not refusal, f"the family is {refusal}; use sq_certificate instead")
             n = self.n
             r = self.k[:, None]
             rows = (np.arange(n) - r) % n                       # [r, c]: row c - r
@@ -125,8 +133,7 @@ class MagneticBackend:
             values = np.exp(-1j * (x + r[:, None] * self.dx / 2.0) * self.xi[:, None]
                             - 1j * circ)
             perm = np.repeat(rows, n, axis=0)
-            self._family = _monomial_family(self.phase_space(), perm,
-                                           values.reshape(-1, n))
+            self._family = _monomial_family(self.space, perm, values.reshape(-1, n))
         return self._family
 
     # -- square-integrability certificate (no family materialization) -------
@@ -144,7 +151,7 @@ class MagneticBackend:
         """
         n = self.n
         half = np.exp(-0.5j * np.outer(self.k * self.dx, self.xi))
-        w = self.phase_space().weights.reshape(n, n) * np.abs(half) ** 2
+        w = self.space.weights.reshape(n, n) * np.abs(half) ** 2
         C = w @ np.exp(1j * self.dx * np.outer(self.xi, np.arange(1 - n, n)))
         g2 = np.abs(np.exp(-1j * self._circulations(self.k))) ** 2
         diag = np.abs(g2 * C[:, n - 1, None] - 1.0).max()
@@ -462,7 +469,6 @@ def magnetic_study(grids) -> list[dict]:
     L, sigma = 12.0, (1.0, 3.0)
     rows = []
     for n in grids:
-        n = int(n)
         bk = MagneticBackend(n, L, A=sine_potential(n, L, 0.8))
         a = gaussian_symbol(bk, sigma=sigma, center=(0.4, 0.6),
                             modulation=(0.3, -0.2))
@@ -477,7 +483,7 @@ def magnetic_study(grids) -> list[dict]:
         rho = 0.3 * np.sin(2 * np.pi * bk.x / L)
         gauge_smooth = _gauge_residual(bk, lagT, kernel, rho, discrete_gradient(bk, rho))
         rows.append({
-            "n": n,
+            "n": bk.n,
             "sq_residual": bk.sq_certificate(),
             "reduction_residual": float(reduction_residual(bk)),
             "gauge_linear_residual": float(gauge_linear),

@@ -611,6 +611,18 @@ WEYL3 = {"kind": "discrete_weyl", "N": 3}
     ({"backend": {"kind": "finite_group", "preset": "cyclic_character",
                   "order": bk.GROUP_ORDER_CAP + 1}, "tasks": [{"kind": "verify_sq"}]},
      f"group order {bk.GROUP_ORDER_CAP + 1} exceeds the cap"),
+    # a block store of N^3 or |G|^3 entries is sized before any array is built
+    ({"backend": {"kind": "discrete_weyl", "N": 129}, "tasks": [{"kind": "verify_sq"}]},
+     f"N = 129 exceeds the cap N^3 <= {bk.BLOCK_ENTRY_CAP}"),
+    ({"backend": {"kind": "abelian_metaplectic", "orders": [129], "k": 1},
+      "tasks": [{"kind": "verify_sq"}]},
+     f"group order 129 exceeds the cap |G|^3 <= {bk.BLOCK_ENTRY_CAP}"),
+    ({"backend": {"kind": "magnetic_weyl", "n": magnetic.GRID_MAX_N + 2, "L": 12.0},
+      "tasks": [{"kind": "magnetic_study", "grids": [8]}]},
+     f"grid size must be {magnetic.GRID_SIZES}"),
+    ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study",
+                                   "grids": [8, magnetic.GRID_MAX_N + 2]}]},
+     f"grids must be a nonempty, strictly increasing list, each {magnetic.GRID_SIZES}"),
 ])
 def test_bad_task_input_is_validation_failure(tmp_path, capsys, config, message):
     cfg = write(tmp_path, "cfg.json", config)
@@ -729,6 +741,57 @@ def test_readme_synopsis_names_the_options_of_each_command(capsys):
     synopsis = README.split("## CLI\n\n```sh\n")[1].split("```")[0].splitlines()
     documented = {line.split()[1]: set(re.findall(r"--[\w-]+", line)) for line in synopsis}
     assert documented == parsed
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "discrete_weyl", "N": 129}, f"N = 129 exceeds the cap N^3 <= {bk.BLOCK_ENTRY_CAP}"),
+    ({"kind": "discrete_weyl", "N": 100000}, "N = 100000 exceeds the cap"),
+    ({"kind": "abelian_metaplectic", "orders": [129], "k": 1}, "group order 129 exceeds"),
+    ({"kind": "abelian_metaplectic", "orders": [100000], "k": 1}, "group order 100000"),
+    ({"kind": "abelian_metaplectic", "orders": [2 ** 40] * 3, "k": 1}, "group order"),
+    ({"kind": "magnetic_weyl", "n": magnetic.GRID_MAX_N + 2, "L": 12.0},
+     f"grid size must be {magnetic.GRID_SIZES}"),
+    ({"kind": "magnetic_weyl", "n": 1000000, "L": 12.0}, "grid size must be"),
+], ids=["weyl129", "weyl100000", "meta129", "meta100000", "meta2^120", "grid-cap+2",
+        "grid1000000"])
+def test_describe_refuses_a_backend_over_its_size_cap(tmp_path, capsys, spec, message):
+    # refused before any array is built: at the old code these ran out of memory
+    assert cli.main(["describe", write(tmp_path, "backend.json", spec)]) \
+        == cli.EXIT_VALIDATION_FAILURE
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def test_exact_backends_build_at_the_block_cap():
+    assert bk.discrete_weyl(128).hdim == 128 and 128 ** 3 == bk.BLOCK_ENTRY_CAP
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, magnetic.GRID_MAX_N, magnetic.GRID_MAX_N + 2,
+                               8.0, 6.5, True])
+def test_a_grid_and_the_grids_check_accept_the_same_sizes(n):
+    # one predicate, magnetic.grid_size_ok, serves the backend and the check
+    def accepted(build):
+        try:
+            build()
+        except (ValueError, cli.ConfigError):
+            return False
+        return True
+    study = [{"kind": "magnetic_study", "grids": [n]}]
+    backend = accepted(lambda: magnetic.MagneticBackend(n, 12.0))
+    assert backend == accepted(lambda: cli._validate_tasks(study, bk.discrete_weyl(2)))
+    assert backend == (n in (4, 6, magnetic.GRID_MAX_N) and type(n) is int)
+
+
+def test_describe_reads_a_grid_through_its_space_and_hdim(tmp_path, capsys):
+    # the one summary of every backend: at n = 6 the float sum of the 36
+    # weights 1/6 is not 6, and describe reports the space's own mass
+    assert cli.main(["describe", write(tmp_path, "b.json",
+                                       {"kind": "magnetic_weyl", "n": 6, "L": 12.0})]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    grid = magnetic.MagneticBackend(6, 12.0)
+    assert summary["mass"] == grid.space.mass and summary["points"] == grid.hdim ** 2
+    assert (summary["hdim"], summary["coefficient_blocks"], summary["exact"]) == (6, 6, False)
+    assert grid.family().space is grid.space
 
 
 def test_describe_incomplete_spec_is_validation_failure(tmp_path, capsys):

@@ -302,7 +302,7 @@ def test_compress_keeps_the_declared_tolerance(weyl2):
 def test_families_and_closures_gate_at_the_space_tolerance(weyl2):
     bk = oc.MagneticBackend(8, 6.0)
     mag = bk.family()
-    dense = OperatorFamily(bk.phase_space(), mag.stack)   # not built by the backend
+    dense = OperatorFamily(bk.space, mag.stack)   # not built by the backend
     quadrature = [mag, dense, oc.tensor(mag, weyl2), oc.tensor(weyl2, dense),
                   oc.adjoint_family(dense), oc.direct_sum([mag, dense]),
                   oc.direct_sum_product(weyl2, dense),

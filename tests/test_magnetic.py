@@ -97,8 +97,7 @@ def scaled_xi_step(bk):
 
 
 def scaled_weights(bk):
-    space = bk.phase_space()
-    bk._phase_space = oc.MeasureSpace(space.points, 1.01 * space.weights, tol=bk.tol)
+    bk.space = oc.MeasureSpace(bk.space.points, 1.01 * bk.space.weights, tol=bk.tol)
 
 
 @pytest.mark.parametrize("mutate, want", [
@@ -306,7 +305,7 @@ def test_grid_tables_match_inline_formulas_bitwise(n):
 
 def test_grid_spaces_keep_their_labels():
     bk = mg.MagneticBackend(10, L)
-    for space, rows in ((bk.phase_space(), bk.k), (bk.midpoint_space(), range(20))):
+    for space, rows in ((bk.space, bk.k), (bk.midpoint_space(), range(20))):
         strings = tuple(f"({r},{k})" for r in rows for k in bk.k)
         flat = oc.MeasureSpace(strings, space.weights, tol=bk.tol)
         assert space == flat and space.space_id() == flat.space_id()
@@ -314,7 +313,7 @@ def test_grid_spaces_keep_their_labels():
 
 def test_op_requires_midpoint_space():
     bk = mg.MagneticBackend(16, L)
-    wrong = oc.Symbol(bk.phase_space(), np.ones(16 * 16))
+    wrong = oc.Symbol(bk.space, np.ones(16 * 16))
     with pytest.raises(ValueError, match="midpoint"):
         mg.op_a(bk, wrong)
 
@@ -642,4 +641,4 @@ def test_backend_spec_roundtrip():
     bk = backend_from_spec({"kind": "magnetic_weyl", "n": 16, "L": L,
                             "A": mg.sine_potential(16, L, 0.4).tolist()})
     assert isinstance(bk, mg.MagneticBackend)
-    assert bk.n == 16 and bk.phase_space().mass == pytest.approx(16.0)
+    assert bk.n == 16 and bk.space.mass == pytest.approx(16.0)

@@ -15,7 +15,9 @@ and the sha256 of the report.  Then, per config (the backends do not depend
 on the seed), it prints the sha256 of
 ``json.dumps(cli._describe_backend(cfg["backend"]), sort_keys=True)``, the
 summary ``opcalc describe`` prints, which carries the derived ``exact`` and
-``tol`` fields.  Last, for the library workloads ``symbol_stream`` and
+``tol`` fields.  For the backends of ``EXTRA_DESCRIBED``, which no workload
+builds, it prints each field of that summary on its own line, so a diff names
+the field that moved.  Last, for the library workloads ``symbol_stream`` and
 ``certify`` at the same seeds, it runs ``setup`` and the first ``run_pass``
 and prints the sha256 of each operation's outputs: arrays are hashed by
 dtype, shape and bytes, every other value by its ``repr``, dict keys in
@@ -37,6 +39,16 @@ from bench_pr import export
 WORKLOADS = ("exact_batch", "magnetic_refine")
 LIBRARY_WORKLOADS = ("symbol_stream", "certify")
 SEEDS = (1, 7, 11)
+#: Backends beyond the workloads': a grid whose float mass is not n (6), two
+#: above the family cap that are read by their certificate only (66, 128), and
+#: the largest exact families the tests and the benchmark build.
+EXTRA_DESCRIBED = (
+    {"kind": "magnetic_weyl", "n": 6, "L": 12.0},
+    {"kind": "magnetic_weyl", "n": 66, "L": 12.0},
+    {"kind": "magnetic_weyl", "n": 128, "L": 12.0},
+    {"kind": "discrete_weyl", "N": 30},
+    {"kind": "abelian_metaplectic", "orders": [27], "k": 2},
+)
 
 CHILD = f"""
 import contextlib, hashlib, io, json, sys
@@ -75,6 +87,10 @@ for name in {WORKLOADS!r}:
         summary = json.dumps(cli._describe_backend(cfg["backend"]), sort_keys=True)
         digest = hashlib.sha256(summary.encode()).hexdigest()
         print(f"{{name}} describe config={{i}} sha256={{digest}}")
+for spec in {EXTRA_DESCRIBED!r}:
+    summary = cli._describe_backend(spec)
+    for key in sorted(summary):
+        print(f"describe {{json.dumps(spec, sort_keys=True)}} {{key}}={{summary[key]!r}}")
 for name in {LIBRARY_WORKLOADS!r}:
     for seed in {SEEDS!r}:
         work = workloads.make(name, seed)
