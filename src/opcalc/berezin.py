@@ -15,8 +15,8 @@ import numpy as np
 
 from .core import (MeasureSpace, Symbol, _readonly, _require, as_operator,
                    as_vector, op_norm, product_space, trace, vec_norm)
-from .family import (OperatorFamily, _adjoint_sum, _block_diag, _diag_blocks,
-                     _matrix_blocks, _traces, verify_sq)
+from .family import (OperatorFamily, _adjoint_sum, _diag_blocks, _matrix_blocks,
+                     _scatter, _traces, verify_sq)
 from .calculus import Quantizer, quantize
 
 
@@ -28,8 +28,9 @@ class Frame:
     for a basis vector on a monomial family, else the one block.  Blocks have
     disjoint supports, so the kernel <w(t), w(s)> is exactly 0 between them;
     ``kernel`` holds its k diagonal (r, r) blocks conj(W[b]) W[b]^T.  Both are
-    built unchecked (``make_frame`` checks); the read-only dense ``wfield`` and
-    the blocks' ``overlap`` |<w(s), w(t)>|^2 are computed on first use.
+    built unchecked (``make_frame`` checks).  The read-only dense ``wfield`` is
+    scattered from the blocks on each read; the blocks' ``overlap``
+    |<w(s), w(t)>|^2 is computed on first use.
     """
 
     def __init__(self, fam: OperatorFamily, w):
@@ -44,13 +45,10 @@ class Frame:
     def space(self) -> MeasureSpace:
         return self.fam.space
 
-    @cached_property
+    @property
     def wfield(self) -> np.ndarray:
         """The dense field, ``wfield[s]`` = pi(s)* w, scattered from the blocks."""
-        rows, cols, W = self.blocks
-        out = np.zeros((self.space.npoints, self.fam.hdim), dtype=complex)
-        out[rows[:, :, None], cols[:, None, :]] = W
-        return _readonly(out)
+        return _readonly(_scatter(*self.blocks, (self.space.npoints, self.fam.hdim)))
 
     @cached_property
     def overlap(self) -> np.ndarray:
@@ -120,7 +118,8 @@ def kernel_projector(fr: Frame) -> np.ndarray:
     space dimension.
     """
     rows = fr.blocks[0]
-    return _block_diag(fr.kernel * fr.space.weights[rows][:, None, :], rows, fr.space.npoints)
+    return _scatter(rows, rows, fr.kernel * fr.space.weights[rows][:, None, :],
+                    (fr.space.npoints,) * 2)
 
 
 def berezin_op(fr: Frame, f: Symbol) -> np.ndarray:
@@ -132,13 +131,15 @@ def berezin_op(fr: Frame, f: Symbol) -> np.ndarray:
     _require(f.space == fr.space, "symbol lives on a different space")
     rows, cols, W = fr.blocks
     wf = (fr.space.weights * f.values)[rows]
-    return _block_diag((W.swapaxes(1, 2) * wf[:, None, :]) @ W.conj(), cols, fr.fam.hdim)
+    return _scatter(cols, cols, (W.swapaxes(1, 2) * wf[:, None, :]) @ W.conj(),
+                    (fr.fam.hdim,) * 2)
 
 
 def toeplitz_op(fr: Frame, f: Symbol) -> np.ndarray:
     """Toeplitz compression on symbol space: project, multiply, project."""
     _require(f.space == fr.space, "symbol lives on a different space")
-    return _block_diag(_toeplitz_blocks(fr, f), fr.blocks[0], fr.space.npoints)
+    rows = fr.blocks[0]
+    return _scatter(rows, rows, _toeplitz_blocks(fr, f), (fr.space.npoints,) * 2)
 
 
 def _toeplitz_blocks(fr: Frame, f: Symbol) -> np.ndarray:
@@ -191,7 +192,7 @@ def _smoothed(fr: Frame, f: Symbol) -> Symbol:
     rows, cols, W = fr.blocks
     wf = (fr.space.weights * f.values)[rows]
     M = (W.conj().swapaxes(1, 2) * wf[:, None, :]) @ W       # its transposed blocks
-    return Symbol(fr.space, _traces(fr.fam, _block_diag(M, cols, fr.fam.hdim).T))
+    return Symbol(fr.space, _traces(fr.fam, _scatter(cols, cols, M, (fr.fam.hdim,) * 2).T))
 
 
 def berezin_as_quantization(fr: Frame, q: Quantizer, f: Symbol) -> Symbol:

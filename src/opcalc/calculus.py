@@ -163,10 +163,11 @@ def _three_point_kernel(q: Quantizer) -> tuple[np.ndarray, np.ndarray, np.ndarra
     _require(entries <= _KERNEL_ENTRY_CAP, f"three-point kernel too large: {entries:,} "
              f"stored entries, over _KERNEL_ENTRY_CAP = {_KERNEL_ENTRY_CAP:,}")
     if classes is None:
-        pistar = fam.stack.conj().swapaxes(1, 2)
+        stack = fam.stack
+        pistar = stack.conj().swapaxes(1, 2)
         # pi(s)* pi(t)*, transposed; the product is freed once it is copied
         ts = (pistar[:, None] @ pistar[None]).swapaxes(2, 3).reshape(m * m, d * d)
-        K = (ts @ fam.flat.T)[None, None]
+        K = (ts @ stack.reshape(m, d * d).T)[None, None]
         return np.arange(m)[None], np.zeros((1, 1), dtype=int), K
     rows, perm, target, val = classes
     k, r = rows.shape
@@ -222,15 +223,16 @@ def quantize_measure(q: Quantizer, atoms) -> np.ndarray:
 
     A single unit atom at t returns pi(t)*; a density against the base
     measure reproduces plain quantization.  The operator-norm bound
-    ||result|| <= total variation x sup ||pi(s)|| is asserted.
+    ||result|| <= sum over the atoms of |mass| ||pi(t)|| is asserted.
     """
     c = np.zeros(q.fam.npoints, dtype=complex)
-    total_variation = 0.0
+    bound = 0.0
     for idx, mass in atoms:
-        c[_spec_int(idx, "point index", q.fam.npoints)] += complex(mass)
-        total_variation += abs(complex(mass))
+        t = _spec_int(idx, "point index", q.fam.npoints)
+        c[t] += complex(mass)
+        bound += abs(complex(mass)) * op_norm(q.fam.op(t))
     T = _adjoint_sum(q.fam, c)
-    if op_norm(T) > total_variation * q.fam.sup_norm + q.fam.working_tol():
+    if op_norm(T) > bound + q.fam.working_tol():
         raise ArithmeticError("quantized measure violates the norm bound")
     return T
 

@@ -229,8 +229,8 @@ def _inftensor(task, fam, tol, rng):
     base = next((s for s in range(fam.npoints)
                  if np.abs(fam.op(s) - eye).max() <= tol), None)
     if base is None:
-        raise ConfigError("backend has no identity point; "
-                          "cannot form a restricted product")
+        raise ValueError("backend has no identity point; "
+                         "cannot form a restricted product")
     rp = inftensor.build_restricted(
         [(fam, base, _unit(task, fam.hdim))] * task.get("copies", 3), tol=tol)
     product_vec = rp.embed(np.ones(1, dtype=complex), 0)
@@ -312,8 +312,6 @@ def run_config(config: dict, out_path: str | None) -> int:
         t0 = time.perf_counter()
         try:
             result = _run_task(task, backend, tol, rng)
-        except ConfigError:
-            raise
         except Exception as exc:  # failure is a verdict, not a crash
             result = {"kind": task["kind"], "verdict": "error",
                       "error": f"{type(exc).__name__}: {exc}"}

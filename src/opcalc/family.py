@@ -39,11 +39,11 @@ class OperatorFamily:
     rows and all columns.  The zero test is exact.  A monomial family
     (``_monomial_family``) is built as its blocks directly.  ``stack``
     (npoints, hdim, hdim) and ``flat`` are read-only dense views scattered
-    from the blocks the first time a dense-only reader asks.  ``tol`` and
-    ``exact`` are the space's: a family gates at the quadrature tolerance its
-    space declares, or at ``DEFAULT_TOL`` on an exact space.  The store and
-    weights are read-only, so the views, the square-integrability witness
-    and the sup norm are each computed once, on first use.
+    from the blocks on each read and kept nowhere.  ``tol`` and ``exact`` are
+    the space's: a family gates at the quadrature tolerance its space
+    declares, or at ``DEFAULT_TOL`` on an exact space.  The store and weights
+    are read-only, so the square-integrability witness is computed once, on
+    first use.
     """
 
     def __init__(self, space: MeasureSpace, operators):
@@ -77,12 +77,10 @@ class OperatorFamily:
     def exact(self) -> bool:
         return self.tol is None
 
-    @cached_property
+    @property
     def stack(self) -> np.ndarray:
         """The dense (npoints, hdim, hdim) view, scattered from the blocks."""
-        rows, cols, V = self.blocks
-        flat = np.zeros((self.npoints, self.hdim ** 2), dtype=complex)
-        flat[rows[:, :, None], cols[:, None, :]] = V
+        flat = _scatter(*self.blocks, (self.npoints, self.hdim ** 2))
         return _readonly(flat.reshape(self.npoints, self.hdim, self.hdim))
 
     @property
@@ -136,11 +134,6 @@ class OperatorFamily:
         (j1, i1), (j2, i2) = divmod(row, d), divmod(col, d)
         return top, (i1, j1, i2, j2)
 
-    @cached_property
-    def sup_norm(self) -> float:
-        """sup over the points of the operator norm ||pi(s)||."""
-        return float(np.linalg.norm(self.stack, 2, axis=(1, 2)).max())
-
     def __repr__(self):
         return (f"OperatorFamily(hdim={self.hdim}, npoints={self.npoints}, "
                 f"{'exact' if self.exact else f'tol={self.tol:g}'})")
@@ -171,10 +164,10 @@ def _diag_blocks(A: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return A[idx[:, :, None], idx[:, None, :]]
 
 
-def _block_diag(X: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
-    """The (size, size) array with X[b] at idx[b] x idx[b], zeros elsewhere."""
-    out = np.zeros((size, size), dtype=complex)
-    out[idx[:, :, None], idx[:, None, :]] = X
+def _scatter(rows: np.ndarray, cols: np.ndarray, X: np.ndarray, shape) -> np.ndarray:
+    """The 2-D array of ``shape`` with X[b] at rows[b] x cols[b], zeros elsewhere."""
+    out = np.zeros(shape, dtype=complex)
+    out[rows[:, :, None], cols[:, None, :]] = X
     return out
 
 
@@ -284,7 +277,7 @@ def _basis_gram(fam: OperatorFamily) -> np.ndarray:
     nonzero.
     """
     cols, G = _gram_blocks(fam)
-    return _block_diag(G, cols, fam.hdim ** 2)
+    return _scatter(cols, cols, G, (fam.hdim ** 2,) * 2)
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,6 @@ class MagneticBackend:
         _require(bool(np.all(np.isfinite(A))), "vector potential samples must be finite")
         self.A = _readonly(A)
         self._circ_cum = _circulation_table(A, self.dx)
-        self._family = self._mid_space = None
 
     # -- circulation -------------------------------------------------------
 
@@ -119,22 +118,24 @@ class MagneticBackend:
         return None if self.n <= _FAMILY_MAX_N else f"built only for n <= {_FAMILY_MAX_N}"
 
     def family(self) -> OperatorFamily:
-        """The operator family on ``space``, built as its n shift classes
-        (unless ``family_refusal``).  pi(r, xi) e_c = phase e_(c - r) with the
-        half-shift, modulation and gauge phase of row c - r."""
-        if self._family is None:
-            refusal = self.family_refusal()
-            _require(not refusal, f"the family is {refusal}; use sq_certificate instead")
-            n = self.n
-            r = self.k[:, None]
-            rows = (np.arange(n) - r) % n                       # [r, c]: row c - r
-            x = self.x[rows][:, None]
-            circ = np.take_along_axis(self._circulations(self.k), rows, 1)[:, None]
-            values = np.exp(-1j * (x + r[:, None] * self.dx / 2.0) * self.xi[:, None]
-                            - 1j * circ)
-            perm = np.repeat(rows, n, axis=0)
-            self._family = _monomial_family(self.space, perm, values.reshape(-1, n))
+        """The operator family on ``space`` (unless ``family_refusal``)."""
+        refusal = self.family_refusal()
+        _require(not refusal, f"the family is {refusal}; use sq_certificate instead")
         return self._family
+
+    @cached_property
+    def _family(self) -> OperatorFamily:
+        """The family built as its n shift classes: pi(r, xi) e_c = phase e_(c - r)
+        with the half-shift, modulation and gauge phase of row c - r."""
+        n = self.n
+        r = self.k[:, None]
+        rows = (np.arange(n) - r) % n                       # [r, c]: row c - r
+        x = self.x[rows][:, None]
+        circ = np.take_along_axis(self._circulations(self.k), rows, 1)[:, None]
+        values = np.exp(-1j * (x + r[:, None] * self.dx / 2.0) * self.xi[:, None]
+                        - 1j * circ)
+        perm = np.repeat(rows, n, axis=0)
+        return _monomial_family(self.space, perm, values.reshape(-1, n))
 
     # -- square-integrability certificate (no family materialization) -------
 
@@ -142,28 +143,25 @@ class MagneticBackend:
         """Largest deviation of the family's basis Gram from the identity.
 
         Class r of the family has V_r[xi, m] = h_r(xi) e^{-i x_m xi} g_r(m),
-        h_r the half-shift and g_r the gauge phases, so its Gram block is
-        conj(g_r) g_r^T times C_r, where C_r(d) = sum_xi w |h_r(xi)|^2
-        e^{i d dx xi} depends only on the signed lag d = m1 - m2: one
-        (n, n) x (n, 2n - 1) product, n^3.  The 2n - 1 lags are never folded
-        mod n, since that assumes xi L in 2 pi Z, which is what the Gram
-        checks.  Exact for unit gauge phases, an upper bound otherwise.
+        h_r the half-shift and g_r the gauge phases, both of modulus 1 (the
+        potential is real), so its Gram block is conj(g_r) g_r^T times C_r,
+        where C_r(d) = sum_xi w e^{i d dx xi} depends only on the signed lag
+        d = m1 - m2: one (n, n) x (n, 2n - 1) product, n^3.  The deviation is
+        |C_r(0) - 1| on the diagonal and |C_r(d)| off it.  The 2n - 1 lags are
+        never folded mod n, since that assumes xi L in 2 pi Z, which is what
+        the Gram checks.
         """
         n = self.n
-        half = np.exp(-0.5j * np.outer(self.k * self.dx, self.xi))
-        w = self.space.weights.reshape(n, n) * np.abs(half) ** 2
-        C = w @ np.exp(1j * self.dx * np.outer(self.xi, np.arange(1 - n, n)))
-        g2 = np.abs(np.exp(-1j * self._circulations(self.k))) ** 2
-        diag = np.abs(g2 * C[:, n - 1, None] - 1.0).max()
-        off = g2.max(axis=1) * np.delete(np.abs(C), n - 1, axis=1).max(axis=1)
-        return float(max(diag, off.max()))
+        C = self.space.weights.reshape(n, n) @ np.exp(
+            1j * self.dx * np.outer(self.xi, np.arange(1 - n, n)))
+        off = np.delete(np.abs(C), n - 1, axis=1).max()
+        return float(max(np.abs(C[:, n - 1] - 1.0).max(), off))
 
     # -- symbol sampling on the doubled midpoint grid ------------------------
 
+    @cached_property
     def midpoint_space(self) -> MeasureSpace:
-        if self._mid_space is None:
-            self._mid_space = self._grid_space(range(2 * self.n))
-        return self._mid_space
+        return self._grid_space(range(2 * self.n))
 
     def midpoints(self) -> np.ndarray:
         return -self.L / 2 + (self.dx / 2.0) * np.arange(2 * self.n)
@@ -190,8 +188,7 @@ class MagneticBackend:
     def sample_symbol(self, fn) -> Symbol:
         """Sample a callable a(q, p) on the midpoint grid."""
         Q, P = np.meshgrid(self.midpoints(), self.xi, indexing="ij")
-        return Symbol(self.midpoint_space(), np.asarray(fn(Q, P),
-                                                        dtype=complex).reshape(-1))
+        return Symbol(self.midpoint_space, np.asarray(fn(Q, P), dtype=complex).reshape(-1))
 
 
 def gaussian_symbol(backend: MagneticBackend, sigma=1.0,
@@ -236,7 +233,7 @@ def _lag_transform(backend: MagneticBackend, a: Symbol) -> np.ndarray:
     With dx xi_k lag = 2 pi (k - n/2) lag / n this is (-1)^lag times column
     lag mod n of the inverse FFT over the dual axis: n^2 log n per symbol.
     """
-    _require(a.space == backend.midpoint_space(),
+    _require(a.space == backend.midpoint_space,
              "symbol must be sampled on the backend's midpoint grid")
     _, cols, sign, _, _, _ = backend._kernel_tables
     return np.fft.ifft(a.values.reshape(-1, backend.n), axis=1)[:, cols] * sign
@@ -317,8 +314,8 @@ def magnetic_moyal(backend: MagneticBackend, a: Symbol, b: Symbol) -> Symbol:
     k.  Every entry is still one BLAS dot of the same two rows, so the
     result is bitwise that of the row-by-row loop.
     """
-    _require(a.space == backend.midpoint_space()
-             and b.space == backend.midpoint_space(),
+    _require(a.space == backend.midpoint_space
+             and b.space == backend.midpoint_space,
              "symbols must be sampled on the backend's midpoint grid")
     n = backend.n
     two_n = 2 * n
@@ -350,7 +347,7 @@ def magnetic_moyal(backend: MagneticBackend, a: Symbol, b: Symbol) -> Symbol:
                                     SB[s + r0:s + r1, t:t + two_n])[:, 0, 0]
     del SA, SB          # 14 MiB at n = 192, freed before Symbol copies the output
     out = np.fft.fft(P, axis=1).T / two_n ** 2
-    return Symbol(backend.midpoint_space(), out.reshape(-1))
+    return Symbol(backend.midpoint_space, out.reshape(-1))
 
 
 def composition_residual(backend: MagneticBackend, a: Symbol, b: Symbol) -> float:

@@ -51,6 +51,16 @@ def random_family(rng):
     return oc.OperatorFamily(space, ops)
 
 
+def refuse_dense_views(monkeypatch):
+    """Make every read of ``OperatorFamily.stack`` (and so ``flat``) and of
+    ``Frame.wfield`` raise, so that a reader shows it builds neither view."""
+    def refuse(self):
+        raise AssertionError("a dense view was scattered from the blocks")
+
+    monkeypatch.setattr(oc.OperatorFamily, "stack", property(refuse))
+    monkeypatch.setattr(oc.Frame, "wfield", property(refuse))
+
+
 def brute_inner(u, v):
     return complex(np.sum(np.asarray(u) * np.conj(v)))
 

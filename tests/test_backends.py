@@ -8,7 +8,7 @@ from opcalc import magnetic as mg
 from opcalc.backends import abelian_metaplectic, backend_from_spec
 from opcalc.family import _matrix_blocks, verify_sq
 
-from conftest import magnetic_op_stack, weyl_matrices_oracle
+from conftest import magnetic_op_stack, refuse_dense_views, weyl_matrices_oracle
 
 
 def abelian_metaplectic_loop(orders, k: int):
@@ -98,32 +98,33 @@ def test_discrete_weyl_matches_point_loop_bitwise(N):
     assert np.array_equal(np.signbit(fam.stack.view(float)), np.signbit(ops.view(float)))
 
 
-def assert_built_as_blocks(fam, ops):
-    """fam holds no dense view yet, and its blocks are bitwise those that the
-    row-class rule finds on the dense operators."""
-    assert "stack" not in vars(fam)
+def assert_built_as_blocks(build, ops, monkeypatch):
+    """build() reads no dense view, and the blocks of the family it returns
+    are bitwise those that the row-class rule finds on the dense operators."""
+    refuse_dense_views(monkeypatch)
+    fam = build()
     for got, want in zip(fam.blocks, _matrix_blocks(ops.reshape(len(ops), -1))):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 8, 12, 16, 24])
-def test_discrete_weyl_is_built_as_the_blocks_of_its_stack(N):
-    assert_built_as_blocks(oc.discrete_weyl(N), discrete_weyl_loop(N)[1])
+def test_discrete_weyl_is_built_as_the_blocks_of_its_stack(N, monkeypatch):
+    assert_built_as_blocks(lambda: oc.discrete_weyl(N), discrete_weyl_loop(N)[1], monkeypatch)
 
 
 @pytest.mark.parametrize("orders", [[3], [5], [15], [3, 3], [27]])
 @pytest.mark.parametrize("k", [1, 2])
-def test_metaplectic_is_built_as_the_blocks_of_its_stack(orders, k):
-    assert_built_as_blocks(abelian_metaplectic(orders, k),
-                           abelian_metaplectic_loop(orders, k)[1])
+def test_metaplectic_is_built_as_the_blocks_of_its_stack(orders, k, monkeypatch):
+    assert_built_as_blocks(lambda: abelian_metaplectic(orders, k),
+                           abelian_metaplectic_loop(orders, k)[1], monkeypatch)
 
 
 @pytest.mark.parametrize("n", [8, 10, 16, 32])
 @pytest.mark.parametrize("amplitude", [0.0, 0.8])
-def test_magnetic_family_is_built_as_the_blocks_of_its_stack(n, amplitude):
+def test_magnetic_family_is_built_as_the_blocks_of_its_stack(n, amplitude, monkeypatch):
     bk = mg.MagneticBackend(n, 12.0, A=mg.sine_potential(n, 12.0, amplitude))
-    assert_built_as_blocks(bk.family(), magnetic_op_stack(bk, bk.k, bk.xi))
+    assert_built_as_blocks(bk.family, magnetic_op_stack(bk, bk.k, bk.xi), monkeypatch)
 
 
 @pytest.mark.parametrize("build, message", [

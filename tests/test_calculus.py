@@ -265,26 +265,19 @@ def test_quantize_measure(weyl3_q, rng):
             oc.quantize_measure(weyl3_q, [(4, 1.0), (s, 1.0)])
 
 
-def test_sup_norm_computed_once_per_family(weyl3_q, monkeypatch):
-    calls = []
-    norm = np.linalg.norm
-
-    def counting_norm(x, *args, **kwargs):
-        if kwargs.get("axis") == (1, 2):      # the batched per-point norms
-            calls.append(x.shape)
-        return norm(x, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", counting_norm)
-    fam = weyl3_q.fam
-    T = oc.quantize_measure(weyl3_q, [(4, 1.0)])
-    oc.quantize_measure(weyl3_q, [(4, 1.0), (2, -0.5j)])
-    assert calls == [(9, 3, 3)]
+def test_quantize_measure_bound_is_per_atom(weyl3_q, monkeypatch):
+    # Weyl 3 with pi(s) scaled by 0.5 + s/8, norms 0.5 ... 1.5: a unit atom at
+    # s = 0 is bounded by ||pi(0)|| = 0.5, not by the sup norm 1.5
+    scale = 0.5 + np.arange(9) / 8
+    fam = oc.OperatorFamily(weyl3_q.space, weyl3_q.fam.stack * scale[:, None, None])
+    q = ca.Quantizer(fam)
+    T = oc.quantize_measure(q, [(4, 1.0)])
     assert np.abs(T - fam.op(4).conj().T).max() < 1e-13
-    assert fam.sup_norm == pytest.approx(
-        max(oc.op_norm(fam.op(s)) for s in range(9)), abs=1e-14)
-    fam.__dict__["sup_norm"] = 0.5          # the bound reads the memoized norm
+    assert oc.op_norm(oc.quantize_measure(q, [(0, 1.0)])) == pytest.approx(0.5)
+    real = ca._adjoint_sum
+    monkeypatch.setattr(ca, "_adjoint_sum", lambda f, c: 2.0 * real(f, c))  # norm 1 < 1.5
     with pytest.raises(ArithmeticError, match="norm bound"):
-        oc.quantize_measure(weyl3_q, [(4, 1.0)])
+        oc.quantize_measure(q, [(0, 1.0)])
 
 
 def test_symbol_norms(weyl3_q, rng):

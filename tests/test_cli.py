@@ -14,6 +14,8 @@ from opcalc import calculus as ca
 from opcalc import cli, inftensor, magnetic
 from opcalc import family as fm
 
+from conftest import refuse_dense_views
+
 
 def write(tmp_path, name, payload):
     p = tmp_path / name
@@ -369,9 +371,10 @@ def test_berezin_task_forms_no_point_by_point_array(spec, small):
     assert peak < m * m * 16
 
 
-def test_coefficient_and_subspace_check_form_no_dense_stack():
+def test_coefficient_and_subspace_check_form_no_dense_stack(monkeypatch):
     # the same bound for the library readers on metaplectic [27], whose stack
     # is 8.5 MB; a random 2-plane, as the benchmark's certificate checks use
+    refuse_dense_views(monkeypatch)
     rng = np.random.default_rng(0)
     for orders in ([5], [27]):                 # the [5] run keeps imports out
         fam = opcalc.abelian_metaplectic(orders, k=2)
@@ -383,7 +386,52 @@ def test_coefficient_and_subspace_check_form_no_dense_stack():
     bound = fam.npoints * d * d * 16 / 4
     assert coef.values.shape == (fam.npoints,) and not invariant
     assert coef_peak < bound and check_peak < bound
-    assert "stack" not in vars(fam)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "discrete_weyl", "N": 8},
+    {"kind": "magnetic_weyl", "n": 8, "L": 12.0},
+    {"kind": "magnetic_weyl", "n": 32, "L": 12.0},
+], ids=["weyl8", "magnetic8", "magnetic32"])
+def test_family_tasks_read_no_dense_view(spec, tmp_path, monkeypatch):
+    # 64 points on Weyl 8 and magnetic n = 8, so star_table also runs the
+    # explicit law on class pairs
+    refuse_dense_views(monkeypatch)
+    tasks = [{"kind": "verify_sq"}, {"kind": "quantize", "n_random": 2},
+             {"kind": "dequantize", "n_random": 2}, {"kind": "star_table", "n_random": 2},
+             {"kind": "berezin", "n_random": 2}]
+    cfg = write(tmp_path, "cfg.json", {"backend": spec, "seed": 3, "tasks": tasks})
+    out = tmp_path / "report.json"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 0
+    assert [t["verdict"] for t in json.loads(out.read_text())["tasks"]] == ["pass"] * 5
+
+
+def test_inftensor_task_holds_no_dense_view():
+    # the task scatters the magnetic n = 32 view (n^4 entries, 16 MiB) for its
+    # sweeps; once it ends, the backend's family holds only its blocks
+    backend = cli._build_backend({"kind": "magnetic_weyl", "n": 32, "L": 12.0})
+    tracemalloc.start()
+    try:
+        result = cli._run_task({"kind": "inftensor", "copies": 1}, backend, None,
+                               np.random.default_rng(0))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result["verdict"] == "pass"
+    assert held < 32 ** 4 * 16 / 4
+
+
+def test_inftensor_without_identity_point_is_a_task_error(tmp_path):
+    # no S3 operator lies within 1e-30 of the identity (pi(e) carries rounding
+    # of about 1e-16): the task errors after task 0 ran, and the report is written
+    cfg = write(tmp_path, "cfg.json", {
+        "backend": {"kind": "finite_group", "preset": "s3_standard"}, "tol": 1e-30,
+        "tasks": [{"kind": "verify_sq"}, {"kind": "inftensor", "copies": 2}]})
+    out = tmp_path / "report.json"
+    assert cli.main(["run", cfg, "--out", str(out)]) == cli.EXIT_TASK_FAILURE == 1
+    tasks = json.loads(out.read_text())["tasks"]
+    assert [t["verdict"] for t in tasks] == ["fail", "error"]
+    assert "no identity point" in tasks[1]["error"]
 
 
 def test_verify_sq_report_names_worst_witness(tmp_path):

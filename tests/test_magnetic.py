@@ -305,7 +305,7 @@ def test_grid_tables_match_inline_formulas_bitwise(n):
 
 def test_grid_spaces_keep_their_labels():
     bk = mg.MagneticBackend(10, L)
-    for space, rows in ((bk.space, bk.k), (bk.midpoint_space(), range(20))):
+    for space, rows in ((bk.space, bk.k), (bk.midpoint_space, range(20))):
         strings = tuple(f"({r},{k})" for r in rows for k in bk.k)
         flat = oc.MeasureSpace(strings, space.weights, tol=bk.tol)
         assert space == flat and space.space_id() == flat.space_id()
@@ -404,7 +404,7 @@ def moyal_row_by_row(bk, a, b):
         t = -s % two_n
         P[k] = np.matmul(SA[t:t + two_n], SB[s:s + two_n, t:t + two_n])[:, 0, 0]
     out = np.fft.fft(P, axis=1).T / two_n ** 2
-    return oc.Symbol(bk.midpoint_space(), out.reshape(-1))
+    return oc.Symbol(bk.midpoint_space, out.reshape(-1))
 
 
 @pytest.mark.parametrize("n", [8, 64, 130])

@@ -11,7 +11,8 @@ fresh directory.  A child interpreter there imports that checkout's
 ``exact_batch`` configs and the ``magnetic_refine`` config of
 ``bench/workloads.py`` through ``cli.run_config`` at seeds 1, 7 and 11: 21
 reports.  Each printed line holds the workload, seed, config index, exit code
-and the sha256 of the report.  Then, per config (the backends do not depend
+and the sha256 of the report.  The configs of ``EXTRA_CONFIGS``, which run
+family tasks on grid families, print one such line each.  Then, per config (the backends do not depend
 on the seed), it prints the sha256 of
 ``json.dumps(cli._describe_backend(cfg["backend"]), sort_keys=True)``, the
 summary ``opcalc describe`` prints, which carries the derived ``exact`` and
@@ -50,6 +51,16 @@ EXTRA_DESCRIBED = (
     {"kind": "abelian_metaplectic", "orders": [27], "k": 2},
 )
 
+#: Family tasks on grid families built as their blocks, which no workload runs
+#: (``magnetic_refine`` runs only ``dequantize``); each at its one seed.
+EXTRA_CONFIGS = (
+    {"backend": {"kind": "magnetic_weyl", "n": 32, "L": 12.0}, "seed": 1,
+     "tasks": [{"kind": "inftensor", "copies": 1}, {"kind": "berezin", "n_random": 2},
+               {"kind": "quantize", "n_random": 2}]},
+    {"backend": {"kind": "magnetic_weyl", "n": 8, "L": 12.0}, "seed": 1,
+     "tasks": [{"kind": "star_table", "n_random": 2}]},
+)
+
 CHILD = f"""
 import contextlib, hashlib, io, json, sys
 sys.path.insert(0, "bench")
@@ -74,14 +85,18 @@ def feed(h, value):
         h.update(np.ascontiguousarray(value).tobytes())
     else:
         h.update(repr(value).encode())
+
+def run(cfg):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.run_config(cfg, None)
+    return f"exit={{code}} sha256={{hashlib.sha256(out.getvalue().encode()).hexdigest()}}"
 for name in {WORKLOADS!r}:
     for seed in {SEEDS!r}:
         for i, cfg in enumerate(workloads.make(name, seed).configs):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = cli.run_config(cfg, None)
-            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-            print(f"{{name}} seed={{seed}} config={{i}} exit={{code}} sha256={{digest}}")
+            print(f"{{name}} seed={{seed}} config={{i}} {{run(cfg)}}")
+for i, cfg in enumerate({EXTRA_CONFIGS!r}):
+    print(f"extra seed={{cfg['seed']}} config={{i}} {{run(cfg)}}")
 for name in {WORKLOADS!r}:
     for i, cfg in enumerate(workloads.make(name, {SEEDS[0]!r}).configs):
         summary = json.dumps(cli._describe_backend(cfg["backend"]), sort_keys=True)
