@@ -12,8 +12,8 @@ fresh directory.  A child interpreter there imports that checkout's
 ``bench/workloads.py`` through ``cli.run_config`` at seeds 1, 7 and 11: 21
 reports.  Each printed line holds the workload, seed, config index, exit code
 and the sha256 of the report.  The configs of ``EXTRA_CONFIGS``, which run
-family tasks on grid families, print one such line each.  Then, per config (the backends do not depend
-on the seed), it prints the sha256 of
+family tasks on grid families, print one such line each.  Then, per config
+(the backends do not depend on the seed), it prints the sha256 of
 ``json.dumps(cli._describe_backend(cfg["backend"]), sort_keys=True)``, the
 summary ``opcalc describe`` prints, which carries the derived ``exact`` and
 ``tol`` fields.  For the backends of ``EXTRA_DESCRIBED``, which no workload
