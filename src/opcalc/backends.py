@@ -63,6 +63,7 @@ def cyclic_table(n: int) -> np.ndarray:
     """Multiplication table of Z_n (index arithmetic mod n)."""
     n = _spec_int(n, "n")
     _require(n >= 1, "group order must be positive")
+    _require(n <= GROUP_ORDER_CAP, f"group order {n} exceeds the cap {GROUP_ORDER_CAP}")
     i = np.arange(n)
     return (i[:, None] + i[None, :]) % n
 
@@ -260,8 +261,6 @@ def backend_from_spec(spec: dict):
     if kind == "finite_group":
         if preset == "cyclic_character":
             n = _spec_int(spec["order"], "order")
-            _require(n <= GROUP_ORDER_CAP,
-                     f"group order {n} exceeds the cap {GROUP_ORDER_CAP}")
             table = cyclic_table(n)
             irrep = cyclic_character(n, _spec_int(spec.get("k", 1), "k"))
         elif preset is not None:

@@ -36,16 +36,20 @@ class ConfigError(Exception):
     """Invalid configuration content (exit code 3)."""
 
 
+TASK_INPUT_CAP = 16     # inputs a task draws or is given: star_table forms k^2 products
+
 #: Checks on task parameters: name -> (test of (value, hdim, npoints), what it
 #: must be).  Every task that sets a parameter is checked before the first task runs.
 _PARAM_CHECKS = {
-    "n_random": (lambda x, hdim, m: _is_int(x, 1), "a positive integer"),
+    "n_random": (lambda x, hdim, m: _is_int(x, 1, TASK_INPUT_CAP + 1),
+                 f"an integer in [1, {TASK_INPUT_CAP}]"),
     "w_index": (lambda x, hdim, m: _is_int(x, 0, hdim), "an integer in [0, {hdim})"),
-    # the last level array of a restricted product holds (m * hdim)**copies entries
+    # the integer test first, so a huge count never builds the list of sizes
     "copies": (lambda x, hdim, m: _is_int(x, 1, inftensor.FACTOR_CAP + 1)
-               and (m * hdim) ** x <= inftensor.LEVEL_ENTRY_CAP,
+               and inftensor.level_refusal([(m, hdim)] * x) is None,
                f"an integer in [1, {inftensor.FACTOR_CAP}] "
-               f"with ({{m}}*{{hdim}})**copies <= {inftensor.LEVEL_ENTRY_CAP}"),
+               f"with ({{m}}*{{hdim}})**copies <= {inftensor.LEVEL_ENTRY_CAP} "
+               f"and {{m}}*{{hdim}}**2 <= {inftensor.VIEW_ENTRY_CAP}"),
     # composition_refines reads consecutive rows as coarse -> fine
     "grids": (lambda x, hdim, m: isinstance(x, list) and bool(x)
               and all(map(magnetic.grid_size_ok, x)) and all(a < b for a, b in zip(x, x[1:])),
@@ -100,6 +104,8 @@ def _validate_tasks(tasks: list, backend) -> None:
         for given in ("symbols", "operators"):
             if given in task and "n_random" in task:
                 raise ConfigError(f"task {i}: set '{given}' or 'n_random', not both")
+            if isinstance(task.get(given), list) and len(task[given]) > TASK_INPUT_CAP:
+                raise ConfigError(f"task {i}: {given} exceed the cap {TASK_INPUT_CAP = }")
         if refusal and task["kind"] != "magnetic_study":
             raise ConfigError(f"task {i}: {task['kind']} runs on the grid's family, "
                               f"which is {refusal}")

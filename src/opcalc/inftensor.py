@@ -25,7 +25,23 @@ from .family import OperatorFamily, verify_sq
 #: Cap on the entries of the last level array of ``levels``, prod m_k * prod d_k
 #: (32 MiB of complex numbers); an SQ factor has m_k >= d_k^2, so it bounds D too.
 LEVEL_ENTRY_CAP = 2 ** 21
+#: Cap on the entries of a factor's dense view m_k * d_k^2, which ``levels``
+#: scatters (256 MiB of complex numbers): the n^4 view of a grid n = 64.
+VIEW_ENTRY_CAP = 2 ** 24
 FACTOR_CAP = 12
+
+
+def level_refusal(sizes) -> str | None:
+    """Why factors of these (npoints, hdim) sizes are refused, or None."""
+    if not 1 <= len(sizes) <= FACTOR_CAP:
+        return f"factor count must be between 1 and {FACTOR_CAP}"
+    entries = math.prod(m * d for m, d in sizes)     # exact, no wrap
+    view = max(m * d * d for m, d in sizes)
+    if entries > LEVEL_ENTRY_CAP:
+        return f"a level array of {entries} entries exceeds the cap {LEVEL_ENTRY_CAP = }"
+    if view > VIEW_ENTRY_CAP:
+        return f"a factor view of {view} entries exceeds the cap {VIEW_ENTRY_CAP = }"
+    return None
 
 
 @dataclass(frozen=True)
@@ -104,11 +120,8 @@ def build_restricted(factors, tol: float | None = None) -> RestrictedProduct:
     identity at its base point, and come with a unit distinguished vector.
     """
     factors = list(factors)
-    _require(1 <= len(factors) <= FACTOR_CAP,
-             f"factor count must be between 1 and {FACTOR_CAP}")
-    entries = math.prod(fam.npoints * fam.hdim for fam, _, _ in factors)  # exact, no wrap
-    _require(entries <= LEVEL_ENTRY_CAP, f"a level array of {entries} entries "
-             f"exceeds the cap LEVEL_ENTRY_CAP = {LEVEL_ENTRY_CAP}")
+    refusal = level_refusal([(fam.npoints, fam.hdim) for fam, _, _ in factors])
+    _require(refusal is None, refusal)
     built = []
     for j, (fam, base_index, w) in enumerate(factors):
         t = (fam.working_tol() if tol is None else tol)

@@ -24,16 +24,12 @@ from functools import cached_property
 
 import numpy as np
 
+from .backends import BLOCK_ENTRY_CAP
 from .core import GridLabels, MeasureSpace, Symbol, _is_int, _readonly, _require, op_norm
 from .family import OperatorFamily, _monomial_family
 
 GRID_MAX_N = 512        # largest grid a backend or a study accepts: each costs n^3
 GRID_SIZES = f"an even integer in [4, {GRID_MAX_N}]"    # the rule of grid_size_ok
-
-#: Largest grid whose family is built.  Its blocks and frames hold n^3 numbers,
-#: but ``RestrictedProduct.levels`` reads the dense view, n^4 entries (about
-#: 1.36 GB at n = 96).
-_FAMILY_MAX_N = 64
 
 #: Complex entries per row chunk of ``magnetic_moyal``'s skewed copies: a
 #: chunk of SA (512 KiB) and of the twice-as-wide SB (1 MiB) fit a 2 MiB L2.
@@ -114,8 +110,9 @@ class MagneticBackend:
         return self._circ_cum[m + r + self.n] - self._circ_cum[m + self.n]
 
     def family_refusal(self) -> str | None:
-        """Why ``family`` refuses this grid, or None if it builds."""
-        return None if self.n <= _FAMILY_MAX_N else f"built only for n <= {_FAMILY_MAX_N}"
+        """Why ``family`` refuses this grid, or None: its blocks hold n^3 entries."""
+        return None if self.n ** 3 <= BLOCK_ENTRY_CAP else \
+            f"built only for n^3 <= {BLOCK_ENTRY_CAP = }"
 
     def family(self) -> OperatorFamily:
         """The operator family on ``space`` (unless ``family_refusal``)."""

@@ -144,6 +144,12 @@ def test_constructors_reject_non_integer_sizes(build, message):
         build()
 
 
+def test_cyclic_table_is_sized_before_it_is_built():
+    cap = oc.backends.GROUP_ORDER_CAP
+    with pytest.raises(ValueError, match=f"group order {cap + 1} exceeds the cap {cap}"):
+        oc.cyclic_table(cap + 1)
+
+
 def test_discrete_weyl_identity_at_origin():
     fam = oc.discrete_weyl(4)
     assert np.abs(fam.op(0) - np.eye(4)).max() == 0.0

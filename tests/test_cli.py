@@ -607,11 +607,12 @@ WEYL3 = {"kind": "discrete_weyl", "N": 3}
     ({"backend": WEYL3, "tasks": [{"kind": "dequantize", "n_random": 1, "operators": [
         {"dim": 3, "re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist()}]}]},
      "task 0: set 'operators' or 'n_random', not both"),
-    # a grid beyond the family's size cap runs only the refinement study
-    ({"backend": {"kind": "magnetic_weyl", "n": 66, "L": 12.0},
+    # a grid whose blocks, n^3 entries, exceed the block-store cap runs only the study
+    ({"backend": {"kind": "magnetic_weyl", "n": 130, "L": 12.0},
       "tasks": [{"kind": "magnetic_study", "grids": [8, 16]},
                 {"kind": "dequantize", "n_random": 1}]},
-     "task 1: dequantize runs on the grid's family, which is built only for n <= 64"),
+     "task 1: dequantize runs on the grid's family, which is built only for "
+     f"n^3 <= BLOCK_ENTRY_CAP = {bk.BLOCK_ENTRY_CAP}"),
     # each kind reads only its own keys: a key another kind reads is refused too
     ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study", "grids": [32, 64],
                                    "tol": 1e-30}]},
@@ -671,6 +672,32 @@ WEYL3 = {"kind": "discrete_weyl", "N": 3}
     ({"backend": WEYL3, "tasks": [{"kind": "magnetic_study",
                                    "grids": [8, magnetic.GRID_MAX_N + 2]}]},
      f"grids must be a nonempty, strictly increasing list, each {magnetic.GRID_SIZES}"),
+    # levels scatters each factor's dense view, m * d^2 entries: 1.07 GiB, 4 GiB
+    # and 1.07 GiB of complex numbers here, though the level array fits its cap
+    ({"backend": {"kind": "discrete_weyl", "N": 65},
+      "tasks": [{"kind": "verify_sq"}, {"kind": "inftensor", "copies": 1}]},
+     f"task 1: copies must be an integer in [1, 12] with (4225*65)**copies <= "
+     f"{inftensor.LEVEL_ENTRY_CAP} and 4225*65**2 <= {inftensor.VIEW_ENTRY_CAP}"),
+    ({"backend": {"kind": "discrete_weyl", "N": 128},
+      "tasks": [{"kind": "inftensor", "copies": 1}]},
+     f"and 16384*128**2 <= {inftensor.VIEW_ENTRY_CAP}"),
+    ({"backend": {"kind": "abelian_metaplectic", "orders": [65], "k": 1},
+      "tasks": [{"kind": "inftensor", "copies": 1}]},
+     f"and 4225*65**2 <= {inftensor.VIEW_ENTRY_CAP}"),
+    # a task draws or is given at most TASK_INPUT_CAP inputs: star_table forms
+    # k^2 products, 10^12 here and 26 M complex numbers on the grid
+    ({"backend": WEYL3, "tasks": [{"kind": "star_table", "n_random": 10 ** 6}]},
+     f"task 0: n_random must be an integer in [1, {cli.TASK_INPUT_CAP}]"),
+    ({"backend": {"kind": "magnetic_weyl", "n": 64, "L": 12.0},
+      "tasks": [{"kind": "verify_sq"}, {"kind": "star_table", "n_random": 80}]},
+     f"task 1: n_random must be an integer in [1, {cli.TASK_INPUT_CAP}]"),
+    ({"backend": WEYL3, "tasks": [{"kind": "quantize", "symbols": [
+        {"re": [1.0] * 9, "im": [0.0] * 9}] * (cli.TASK_INPUT_CAP + 1)}]},
+     f"task 0: symbols exceed the cap TASK_INPUT_CAP = {cli.TASK_INPUT_CAP}"),
+    ({"backend": WEYL3, "tasks": [{"kind": "dequantize", "operators": [
+        {"dim": 3, "re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist()}]
+        * (cli.TASK_INPUT_CAP + 1)}]},
+     f"task 0: operators exceed the cap TASK_INPUT_CAP = {cli.TASK_INPUT_CAP}"),
 ])
 def test_bad_task_input_is_validation_failure(tmp_path, capsys, config, message):
     cfg = write(tmp_path, "cfg.json", config)
@@ -693,12 +720,31 @@ def magnetic_study_rows(tmp_path, seed):
 
 def test_magnetic_study_runs_on_a_grid_beyond_the_family_cap(tmp_path):
     cfg = write(tmp_path, "cfg.json", {
-        "backend": {"kind": "magnetic_weyl", "n": 66, "L": 12.0},
+        "backend": {"kind": "magnetic_weyl", "n": 130, "L": 12.0},
         "tasks": [{"kind": "magnetic_study", "grids": [32, 64]}]})
     out = tmp_path / "report.json"
     assert cli.main(["run", cfg, "--out", str(out)]) == cli.EXIT_OK
     (task,) = json.loads(out.read_text())["tasks"]
     assert task["verdict"] == "pass" and [r["n"] for r in task["rows"]] == [32, 64]
+
+
+def test_family_tasks_run_on_a_grid_above_64(tmp_path):
+    # n = 66 is under the block-store cap that every family takes
+    cfg = write(tmp_path, "cfg.json", {
+        "backend": {"kind": "magnetic_weyl", "n": 66, "L": 12.0}, "seed": 1,
+        "tasks": [{"kind": "verify_sq"}] + [{"kind": kind, "n_random": 2} for kind in (
+            "quantize", "dequantize", "star_table", "berezin")]})
+    out = tmp_path / "report.json"
+    assert cli.main(["run", cfg, "--out", str(out)]) == cli.EXIT_OK
+    assert [t["verdict"] for t in json.loads(out.read_text())["tasks"]] == ["pass"] * 5
+
+
+@pytest.mark.parametrize("spec", [{"kind": "discrete_weyl", "N": 64},
+                                  {"kind": "magnetic_weyl", "n": 64, "L": 12.0}])
+def test_inftensor_copies_one_passes_validation_at_64(spec):
+    # the view cap is the n^4 view of a grid n = 64, so no grid that ran is lost
+    assert inftensor.VIEW_ENTRY_CAP == 64 ** 4
+    cli._validate_tasks([{"kind": "inftensor", "copies": 1}], bk.backend_from_spec(spec))
 
 
 def test_magnetic_study_rows_do_not_depend_on_the_seed(tmp_path):

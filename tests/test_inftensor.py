@@ -80,6 +80,8 @@ def test_caps_enforced(monkeypatch):
         it.build_restricted([])
     with pytest.raises(ValueError, match="exceeds the cap"):
         it.build_restricted([(oc.discrete_weyl(3), 0, unit(3))] * 8)   # (9*3)^8 entries
+    with pytest.raises(ValueError, match="exceeds the cap VIEW_ENTRY_CAP"):
+        it.build_restricted([(oc.discrete_weyl(65), 0, unit(65))])     # a 65^4 view
 
 
 def test_embeddings_are_isometries(rp3):

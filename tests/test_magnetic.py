@@ -629,11 +629,13 @@ def test_magnetic_study_shares_one_gauge_lag_transform(monkeypatch):
 
 
 def test_family_materialization_guard():
-    bk = mg.MagneticBackend(128, L)
-    with pytest.raises(ValueError, match="n <= 64"):
+    bk = mg.MagneticBackend(130, L)
+    with pytest.raises(ValueError, match=r"n\^3 <= BLOCK_ENTRY_CAP = 2097152"):
         bk.family()
     # the certificate still works at this size
     assert bk.sq_certificate() < 1e-14
+    # the largest grid whose blocks fit the cap builds its family
+    assert mg.MagneticBackend(128, L).family().npoints == 128 ** 2
 
 
 def test_backend_spec_roundtrip():

@@ -41,8 +41,8 @@ WORKLOADS = ("exact_batch", "magnetic_refine")
 LIBRARY_WORKLOADS = ("symbol_stream", "certify")
 SEEDS = (1, 7, 11)
 #: Backends beyond the workloads': a grid whose float mass is not n (6), two
-#: above the family cap that are read by their certificate only (66, 128), and
-#: the largest exact families the tests and the benchmark build.
+#: grids above 64 (66, 128), which ``describe`` reads by their certificate as it
+#: reads every grid, and the largest exact families the tests and the benchmark build.
 EXTRA_DESCRIBED = (
     {"kind": "magnetic_weyl", "n": 6, "L": 12.0},
     {"kind": "magnetic_weyl", "n": 66, "L": 12.0},
@@ -59,6 +59,9 @@ EXTRA_CONFIGS = (
                {"kind": "quantize", "n_random": 2}]},
     {"backend": {"kind": "magnetic_weyl", "n": 8, "L": 12.0}, "seed": 1,
      "tasks": [{"kind": "star_table", "n_random": 2}]},
+    {"backend": {"kind": "magnetic_weyl", "n": 66, "L": 12.0}, "seed": 1,
+     "tasks": [{"kind": "verify_sq"}] + [{"kind": kind, "n_random": 2} for kind in (
+         "quantize", "dequantize", "star_table", "berezin")]},
 )
 
 CHILD = f"""
@@ -89,7 +92,10 @@ def feed(h, value):
 def run(cfg):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.run_config(cfg, None)
+        try:
+            code = cli.run_config(cfg, None)
+        except (cli.ConfigError, ValueError):   # as cli.main: refused before any task
+            code = cli.EXIT_VALIDATION_FAILURE
     return f"exit={{code}} sha256={{hashlib.sha256(out.getvalue().encode()).hexdigest()}}"
 for name in {WORKLOADS!r}:
     for seed in {SEEDS!r}:
