@@ -6,8 +6,8 @@ a backend spec.  Reports are byte-reproducible for a fixed config and seed:
 keys are sorted, task order is preserved, all randomness flows from the
 single config seed, and timings go to stderr rather than into the report.
 
-Exit codes: 0 all verdicts pass, 1 task failure, 2 parse failure,
-3 validation failure.
+Exit codes: 0 all verdicts pass, 1 task failure, 2 parse failure or an
+unwritable report, 3 validation failure.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class ConfigError(Exception):
 TASK_INPUT_CAP = 16     # inputs a task draws or is given: star_table forms k^2 products
 
 #: Checks on task parameters: name -> (test of (value, hdim, npoints), what it
-#: must be).  Every task that sets a parameter is checked before the first task runs.
+#: must be), run at each task's given or default value before the first task runs.
 _PARAM_CHECKS = {
     "n_random": (lambda x, hdim, m: _is_int(x, 1, TASK_INPUT_CAP + 1),
                  f"an integer in [1, {TASK_INPUT_CAP}]"),
@@ -55,10 +55,6 @@ _PARAM_CHECKS = {
               and all(map(magnetic.grid_size_ok, x)) and all(a < b for a, b in zip(x, x[1:])),
               f"a nonempty, strictly increasing list, each {magnetic.GRID_SIZES}"),
 }
-
-#: Task kinds that need their symbols given, as "symbols" or "n_random".
-_NEEDS_SYMBOLS = ("quantize", "star_table")
-
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
@@ -87,19 +83,20 @@ def _validate_config(config: dict) -> None:
         raise ConfigError("tol must be a positive number")
 
 
-def _validate_tasks(tasks: list, backend) -> None:
-    """Reject task parameters the backend cannot run and given symbols or
-    operators its tasks cannot read, before any task runs.  A grid's symbols
-    are read against its phase space, so validation builds no family."""
-    hdim, space = backend.hdim, backend.space
+def _validate_tasks(tasks: list, backend) -> list:
+    """Each task resolved against its defaults in ``_TASKS``, with its given
+    ``symbols`` or ``operators`` read ([] if none); refuse what the backend
+    cannot run before any task runs.  A grid's symbols are read against its
+    phase space, so validation builds no family."""
+    hdim, space, m = backend.hdim, backend.space, backend.space.npoints
     refusal = isinstance(backend, magnetic.MagneticBackend) and backend.family_refusal()
+    resolved = []
     for i, task in enumerate(tasks):
+        full = {**_TASKS[task["kind"]][1], **task}
         for name, (test, need) in _PARAM_CHECKS.items():
-            if name in task and not test(task[name], hdim, space.npoints):
-                raise ConfigError(f"task {i}: {name} must be "
-                                  f"{need.format(hdim=hdim, m=space.npoints)}")
-        if task["kind"] in _NEEDS_SYMBOLS and "n_random" not in task \
-                and not task.get("symbols"):
+            if (name in task or full.get(name) is not None) and not test(full[name], hdim, m):
+                raise ConfigError(f"task {i}: {name} must be {need.format(hdim=hdim, m=m)}")
+        if "n_random" in full and full["n_random"] is None and not task.get("symbols"):
             raise ConfigError(f"task {i}: {task['kind']} needs 'symbols' or 'n_random'")
         for given in ("symbols", "operators"):
             if given in task and "n_random" in task:
@@ -110,13 +107,17 @@ def _validate_tasks(tasks: list, backend) -> None:
             raise ConfigError(f"task {i}: {task['kind']} runs on the grid's family, "
                               f"which is {refusal}")
         try:
-            for d in task.get("symbols") or []:
-                core.symbol_from_json(d, space)
-            for d in task.get("operators") or []:
-                core.as_operator(core.operator_from_json(d), hdim)
+            if "symbols" in full:
+                full["symbols"] = [core.symbol_from_json(d, space)
+                                   for d in task.get("symbols") or []]
+            if "operators" in full:
+                full["operators"] = [core.as_operator(core.operator_from_json(d), hdim)
+                                     for d in task.get("operators") or []]
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"task {i}: unreadable symbols or operators: "
                               f"{type(exc).__name__}: {exc}") from exc
+        resolved.append(full)
+    return resolved
 
 
 def _build_backend(spec: dict):
@@ -159,17 +160,8 @@ def _render_table(summary: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _symbols(task: dict, space, rng) -> list:
-    """The given ``symbols``, else ``n_random`` seeded draws (default 3)."""
-    if task.get("symbols"):
-        return [core.symbol_from_json(d, space) for d in task["symbols"]]
-    return [core.random_symbol(rng, space) for _ in range(task.get("n_random", 3))]
-
-
-def _unit(task: dict, hdim: int) -> np.ndarray:
-    """The basis vector picked by the task's ``w_index`` (default 0)."""
-    w = np.zeros(hdim, dtype=complex)
-    w[task.get("w_index", 0)] = 1.0
-    return w
+    """The given ``symbols``, else ``n_random`` seeded draws."""
+    return task["symbols"] or [core.random_symbol(rng, space) for _ in range(task["n_random"])]
 
 
 def _verify_sq(task, fam, tol, rng):
@@ -192,8 +184,8 @@ def _quantize(task, fam, tol, rng):
 
 def _dequantize(task, fam, tol, rng):
     q = ca.build_quantizer(fam, tol)
-    ops = [core.operator_from_json(d) for d in task.get("operators") or []] \
-        or [ca.quantize(q, f) for f in _symbols(task, fam.space, rng)]
+    ops = task["operators"] or [ca.quantize(q, core.random_symbol(rng, fam.space))
+                                for _ in range(task["n_random"])]
     symbols = [ca.dequantize(q, T) for T in ops]
     residual = max(core.op_norm(ca.quantize(q, f) - T)
                    for f, T in zip(symbols, ops))
@@ -223,7 +215,7 @@ def _star_table(task, fam, tol, rng):
 
 def _berezin(task, fam, tol, rng):
     q = ca.build_quantizer(fam, tol)
-    fr = bz.make_frame(fam, _unit(task, fam.hdim), tol=tol)
+    fr = bz.make_frame(fam, np.eye(fam.hdim)[task["w_index"]], tol=tol)
     res = bz.frame_identities(fr, q, _symbols(task, fam.space, rng))
     ok = res["positivity_floor"] >= -tol and all(
         v <= tol for k, v in res.items() if k != "positivity_floor")
@@ -238,7 +230,7 @@ def _inftensor(task, fam, tol, rng):
         raise ValueError("backend has no identity point; "
                          "cannot form a restricted product")
     rp = inftensor.build_restricted(
-        [(fam, base, _unit(task, fam.hdim))] * task.get("copies", 3), tol=tol)
+        [(fam, base, eye[task["w_index"]])] * task["copies"], tol=tol)
     product_vec = rp.embed(np.ones(1, dtype=complex), 0)
     ent = np.zeros(rp.full_dim, dtype=complex)
     ent[0] = 1 / np.sqrt(2)
@@ -275,7 +267,7 @@ def _on_family(run):
 def _magnetic_study(task, backend, tol, rng):
     """Builds its own grids, so it never materializes the backend's family;
     its fixed gates are set for the study's one protocol."""
-    rows = magnetic.magnetic_study(task.get("grids", [32, 64]))
+    rows = magnetic.magnetic_study(task["grids"])
     ok = magnetic.composition_refines(rows) \
         and rows[-1]["composition_residual"] < 1e-4 \
         and all(r["sq_residual"] <= 1e-10 for r in rows) \
@@ -285,15 +277,16 @@ def _magnetic_study(task, backend, tol, rng):
 
 
 #: Task kind -> (run(task, backend, tol, rng) returning (ok, report fields),
-#: the task keys it reads); any other key is refused, not ignored.
+#: {task key it reads: default}); any other key is refused, not ignored.  An
+#: ``n_random`` default of None means the task needs ``n_random`` or ``symbols``.
 _TASKS = {
-    "verify_sq": (_on_family(_verify_sq), ()),
-    "quantize": (_on_family(_quantize), ("symbols", "n_random")),
-    "dequantize": (_on_family(_dequantize), ("operators", "n_random")),
-    "star_table": (_on_family(_star_table), ("symbols", "n_random")),
-    "berezin": (_on_family(_berezin), ("symbols", "n_random", "w_index")),
-    "inftensor": (_on_family(_inftensor), ("w_index", "copies")),
-    "magnetic_study": (_magnetic_study, ("grids",)),
+    "verify_sq": (_on_family(_verify_sq), {}),
+    "quantize": (_on_family(_quantize), {"symbols": None, "n_random": None}),
+    "dequantize": (_on_family(_dequantize), {"operators": None, "n_random": 3}),
+    "star_table": (_on_family(_star_table), {"symbols": None, "n_random": None}),
+    "berezin": (_on_family(_berezin), {"symbols": None, "n_random": 3, "w_index": 0}),
+    "inftensor": (_on_family(_inftensor), {"w_index": 0, "copies": 3}),
+    "magnetic_study": (_magnetic_study, {"grids": [32, 64]}),
 }
 
 
@@ -306,7 +299,9 @@ def run_config(config: dict, out_path: str | None) -> int:
     _validate_config(config)
     seed, tol = config.get("seed", 0), config.get("tol")
     backend = _build_backend(config["backend"])
-    _validate_tasks(config["tasks"], backend)
+    tasks = _validate_tasks(config["tasks"], backend)
+    if out_path:                # an unwritable report is found before any task runs
+        open(out_path, "a").close()
 
     rng = np.random.default_rng(seed)
     report = {"seed": int(seed),
@@ -314,7 +309,7 @@ def run_config(config: dict, out_path: str | None) -> int:
               "backend": config["backend"],
               "tasks": []}
     worst = EXIT_OK
-    for i, task in enumerate(config["tasks"]):
+    for i, task in enumerate(tasks):
         t0 = time.perf_counter()
         try:
             result = _run_task(task, backend, tol, rng)
@@ -374,6 +369,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"[opcalc] validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_FAILURE
+    except OSError as exc:
+        print(f"[opcalc] cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_PARSE_FAILURE
 
 
 if __name__ == "__main__":

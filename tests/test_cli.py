@@ -343,9 +343,12 @@ def test_family_tasks_form_no_dense_stack(spec, small):
     # a monomial family is built and read as its blocks, hdim times smaller
     # than the (m, d, d) stack; the small run keeps one-time imports out
     for task in FAMILY_TASKS:
-        cli._run_task(task, cli._build_backend(small), None, np.random.default_rng(0))
+        backend = cli._build_backend(small)
+        cli._run_task(cli._validate_tasks([task], backend)[0], backend, None,
+                      np.random.default_rng(0))
     for task in FAMILY_TASKS:
         backend = cli._build_backend(spec)   # a grid builds its family in the task
+        task = cli._validate_tasks([task], backend)[0]
         m, d = (backend.n ** 2, backend.n) if spec["kind"] == "magnetic_weyl" \
             else (backend.npoints, backend.hdim)
         result, peak = traced_peak(
@@ -362,8 +365,11 @@ def test_berezin_task_forms_no_point_by_point_array(spec, small):
     # the frame of a basis vector is held as its hdim blocks and its kernel as
     # their (r, r) diagonal blocks, so the task stays below one (m, m) array
     task = {"kind": "berezin", "n_random": 3}
-    cli._run_task(task, cli._build_backend(small), None, np.random.default_rng(0))
+    backend = cli._build_backend(small)
+    cli._run_task(cli._validate_tasks([task], backend)[0], backend, None,
+                  np.random.default_rng(0))
     backend = cli._build_backend(spec)
+    task = cli._validate_tasks([task], backend)[0]
     m = backend.n ** 2 if spec["kind"] == "magnetic_weyl" else backend.npoints
     result, peak = traced_peak(
         lambda: cli._run_task(task, backend, None, np.random.default_rng(0)))
@@ -410,10 +416,10 @@ def test_inftensor_task_holds_no_dense_view():
     # the task scatters the magnetic n = 32 view (n^4 entries, 16 MiB) for its
     # sweeps; once it ends, the backend's family holds only its blocks
     backend = cli._build_backend({"kind": "magnetic_weyl", "n": 32, "L": 12.0})
+    (task,) = cli._validate_tasks([{"kind": "inftensor", "copies": 1}], backend)
     tracemalloc.start()
     try:
-        result = cli._run_task({"kind": "inftensor", "copies": 1}, backend, None,
-                               np.random.default_rng(0))
+        result = cli._run_task(task, backend, None, np.random.default_rng(0))
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -698,6 +704,15 @@ WEYL3 = {"kind": "discrete_weyl", "N": 3}
         {"dim": 3, "re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist()}]
         * (cli.TASK_INPUT_CAP + 1)}]},
      f"task 0: operators exceed the cap TASK_INPUT_CAP = {cli.TASK_INPUT_CAP}"),
+    # a parameter a task leaves out is checked at its default: copies 3 here
+    ({"backend": {"kind": "discrete_weyl", "N": 16},
+      "tasks": [{"kind": "verify_sq"}, {"kind": "inftensor"}]},
+     f"task 1: copies must be an integer in [1, 12] with (256*16)**copies <= "
+     f"{inftensor.LEVEL_ENTRY_CAP}"),
+    ({"backend": {"kind": "magnetic_weyl", "n": 16, "L": 12.0},
+      "tasks": [{"kind": "verify_sq"}, {"kind": "inftensor"}]},
+     f"task 1: copies must be an integer in [1, 12] with (256*16)**copies <= "
+     f"{inftensor.LEVEL_ENTRY_CAP}"),
 ])
 def test_bad_task_input_is_validation_failure(tmp_path, capsys, config, message):
     cfg = write(tmp_path, "cfg.json", config)
@@ -707,6 +722,53 @@ def test_bad_task_input_is_validation_failure(tmp_path, capsys, config, message)
     assert message in err
     assert "[opcalc] task" not in err   # rejected before any task ran
     assert not out.exists()
+
+
+def test_every_task_kind_runs_at_its_defaults(tmp_path):
+    # n_random 3, w_index 0, copies 3 and grids [32, 64], each from cli._TASKS
+    kinds = ("verify_sq", "dequantize", "berezin", "inftensor", "magnetic_study")
+    cfg = write(tmp_path, "cfg.json", {"backend": WEYL3,
+                                       "tasks": [{"kind": kind} for kind in kinds]})
+    out = tmp_path / "report.json"
+    assert cli.main(["run", cfg, "--out", str(out)]) == cli.EXIT_OK
+    done = json.loads(out.read_text())["tasks"]
+    assert [t["verdict"] for t in done] == ["pass"] * len(kinds)
+    assert len(done[1]["symbols"]) == 3 and len(done[3]["rows"]) == 3
+    assert [r["n"] for r in done[4]["rows"]] == [32, 64]
+
+
+def test_given_inputs_are_read_once(tmp_path, monkeypatch):
+    # validation reads each given symbol and operator, and the task runs on them
+    from opcalc import core
+    calls = {"symbol_from_json": 0, "operator_from_json": 0}
+    for name in calls:
+        real = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda *a, real=real, name=name:
+                            calls.__setitem__(name, calls[name] + 1) or real(*a))
+    rng = np.random.default_rng(2)
+    symbols = [core.symbol_to_json(opcalc.random_symbol(rng, bk.discrete_weyl(3).space))
+               for _ in range(2)]
+    operators = [core.operator_to_json(np.eye(3)), core.operator_to_json(np.diag([1, 2, 3]))]
+    cfg = write(tmp_path, "cfg.json", {"backend": WEYL3, "tasks": [
+        {"kind": "quantize", "symbols": symbols},
+        {"kind": "dequantize", "operators": operators}]})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "r.json")]) == cli.EXIT_OK
+    assert calls == {"symbol_from_json": 2, "operator_from_json": 2}
+
+
+def test_unwritable_out_exits_before_any_task(tmp_path, capsys):
+    cfg = write(tmp_path, "cfg.json", {"backend": WEYL3, "tasks": [{"kind": "verify_sq"}]})
+    for out in (tmp_path / "missing" / "r.json", tmp_path):
+        assert cli.main(["run", cfg, "--out", str(out)]) == cli.EXIT_PARSE_FAILURE
+        err = capsys.readouterr().err
+        assert "[opcalc] cannot write the report" in err and "[opcalc] task" not in err
+    # the report is probed only after validation, so a refused config leaves it
+    out = tmp_path / "report.json"
+    out.write_text("earlier report\n")
+    bad = write(tmp_path, "bad.json", {"backend": WEYL3,
+                                       "tasks": [{"kind": "quantize", "n_random": 0}]})
+    assert cli.main(["run", bad, "--out", str(out)]) == cli.EXIT_VALIDATION_FAILURE
+    assert out.read_text() == "earlier report\n"
 
 
 def magnetic_study_rows(tmp_path, seed):

@@ -12,7 +12,8 @@ fresh directory.  A child interpreter there imports that checkout's
 ``bench/workloads.py`` through ``cli.run_config`` at seeds 1, 7 and 11: 21
 reports.  Each printed line holds the workload, seed, config index, exit code
 and the sha256 of the report.  The configs of ``EXTRA_CONFIGS``, which run
-family tasks on grid families, print one such line each.  Then, per config
+family tasks on grid families or leave a parameter at its default, print one
+such line each.  Then, per config
 (the backends do not depend on the seed), it prints the sha256 of
 ``json.dumps(cli._describe_backend(cfg["backend"]), sort_keys=True)``, the
 summary ``opcalc describe`` prints, which carries the derived ``exact`` and
@@ -52,7 +53,8 @@ EXTRA_DESCRIBED = (
 )
 
 #: Family tasks on grid families built as their blocks, which no workload runs
-#: (``magnetic_refine`` runs only ``dequantize``); each at its one seed.
+#: (``magnetic_refine`` runs only ``dequantize``), and an ``inftensor`` task whose
+#: default ``copies`` is above the level cap on Weyl 16; each at its one seed.
 EXTRA_CONFIGS = (
     {"backend": {"kind": "magnetic_weyl", "n": 32, "L": 12.0}, "seed": 1,
      "tasks": [{"kind": "inftensor", "copies": 1}, {"kind": "berezin", "n_random": 2},
@@ -62,6 +64,8 @@ EXTRA_CONFIGS = (
     {"backend": {"kind": "magnetic_weyl", "n": 66, "L": 12.0}, "seed": 1,
      "tasks": [{"kind": "verify_sq"}] + [{"kind": kind, "n_random": 2} for kind in (
          "quantize", "dequantize", "star_table", "berezin")]},
+    {"backend": {"kind": "discrete_weyl", "N": 16}, "seed": 1,
+     "tasks": [{"kind": "verify_sq"}, {"kind": "inftensor"}]},
 )
 
 CHILD = f"""
