@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, GridLabels, MeasureSpace, _require, _spec_array, _spec_int,
-                   _spec_keys, _spec_num)
+from .core import (DEFAULT_TOL, GridLabels, MeasureSpace, _require, _spec_array,
+                   _spec_complex, _spec_int, _spec_keys, _spec_num)
 from .family import OperatorFamily, _monomial_family
 
 #: Largest block store, d^2 points of d values, of a Weyl (d = N) or metaplectic
@@ -150,6 +150,11 @@ def finite_group_backend(table, irrep, measure_scale: float = 1.0) -> OperatorFa
              "need one representation matrix per group element")
     d = mats.shape[1]
     _require(mats.shape[2] == d, "representation matrices must be square")
+    # a unitary matrix has no entry of modulus above 1; checked before any product
+    with np.errstate(over="ignore"):
+        big = ~(np.abs(mats) <= 1 + DEFAULT_TOL).all((1, 2))
+    _require(not big.any(), f"representation matrix {big.argmax()} is not unitary: "
+             "an entry is not finite or has modulus above 1")
     bad = np.abs(mats.conj().swapaxes(1, 2) @ mats - np.eye(d)).max((1, 2)) > DEFAULT_TOL
     _require(not bad.any(), f"representation matrix {bad.argmax()} is not unitary")
     for g in range(n):          # the pairs (g, h) for all h: n d^2 numbers
@@ -270,8 +275,8 @@ def backend_from_spec(spec: dict):
             table = _spec_array(spec["table"], "table", integer=True)
             raw = spec["irrep"]
             _spec_keys(raw, ("re", "im"), "irrep", "finite_group irrep")
-            irrep = _spec_array(raw["re"], "irrep re") + \
-                1j * _spec_array(raw.get("im", 0.0), "irrep im")
+            irrep = _spec_complex(_spec_array(raw["re"], "irrep re"),
+                                  _spec_array(raw.get("im", 0.0), "irrep im"))
         return finite_group_backend(
             table, irrep, _spec_num(spec.get("measure_scale", 1.0), "measure_scale"))
     if kind == "abelian_metaplectic":

@@ -78,6 +78,14 @@ def _spec_array(value, name: str, integer: bool = False) -> np.ndarray:
     return np.asarray(value, dtype=int if integer else float)
 
 
+def _spec_complex(re, im) -> np.ndarray:
+    """re + 1j * im of two real arrays, without the RuntimeWarning of 0 * inf:
+    an infinite im gives nan + inf j, which every reader's finiteness check
+    refuses."""
+    with np.errstate(invalid="ignore"):
+        return np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+
+
 # ---------------------------------------------------------------------------
 # measure spaces
 # ---------------------------------------------------------------------------
@@ -332,7 +340,7 @@ def operator_to_json(T) -> dict:
 
 def operator_from_json(d: dict) -> np.ndarray:
     _spec_keys(d, ("dim", "re", "im"), "operator", "given operator")
-    T = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
+    T = _spec_complex(d["re"], d["im"])
     return as_operator(T, _spec_int(d["dim"], "operator dim"))
 
 
@@ -346,5 +354,5 @@ def symbol_from_json(d: dict, space: MeasureSpace) -> Symbol:
     _spec_keys(d, ("space", "re", "im"), "symbol", "given symbol")
     if "space" in d and d["space"] != space.space_id():
         raise ValueError("symbol was serialized against a different measure space")
-    values = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
+    values = _spec_complex(d["re"], d["im"])
     return Symbol(space, values)

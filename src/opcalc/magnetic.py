@@ -69,7 +69,10 @@ class MagneticBackend:
         self.dx = self.L / self.n
         self.x = -self.L / 2 + self.dx * np.arange(self.n)
         self.k = np.arange(-self.n // 2, self.n // 2)
-        self.xi = 2 * np.pi * self.k / self.L
+        with np.errstate(over="ignore"):
+            self.xi = 2 * np.pi * self.k / self.L
+        _require(bool(np.isfinite(self.xi).all()),
+                 "box length too small: the dual grid overflows")
         self.tol = float(tol)
 
         # a copy: the circulation table below is built from A once
@@ -77,7 +80,10 @@ class MagneticBackend:
         _require(A.shape == (self.n,), "need one vector-potential sample per node")
         _require(bool(np.all(np.isfinite(A))), "vector potential samples must be finite")
         self.A = _readonly(A)
-        self._circ_cum = _circulation_table(A, self.dx)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._circ_cum = _circulation_table(A, self.dx)
+        _require(bool(np.isfinite(self._circ_cum).all()),
+                 "vector potential too large: its circulations overflow")
 
     # -- circulation -------------------------------------------------------
 
@@ -387,15 +393,8 @@ def gauge_transform_check(backend: MagneticBackend, rho, drho=None,
     _require(drho.shape == (backend.n,) and bool(np.isfinite(drho).all()),
              "drho needs one finite gradient sample per node")
     lagT = _lag_transform(backend, gaussian_symbol(backend) if symbol is None else symbol)
-    return _gauge_residual(backend, lagT, _kernel(backend, lagT), rho, drho)
-
-
-def _gauge_residual(backend: MagneticBackend, lagT: np.ndarray, kernel: np.ndarray,
-                    rho: np.ndarray, drho: np.ndarray) -> float:
-    """``gauge_transform_check`` for a symbol given by its lag transform and
-    its kernel on the backend's own potential, so checks can share both."""
-    conj_phase = np.exp(1j * rho)
-    conjugated = conj_phase[:, None] * kernel * np.conj(conj_phase)[None, :]
+    phase = np.exp(1j * rho)
+    conjugated = phase[:, None] * _kernel(backend, lagT) * np.conj(phase)[None, :]
     shifted = _kernel(backend, lagT, _arc_phases(
         backend, _circulation_table(backend.A + drho, backend.dx)))
     return op_norm(shifted - conjugated)
@@ -469,13 +468,9 @@ def magnetic_study(grids) -> list[dict]:
         b = gaussian_symbol(bk, sigma=sigma, center=(-0.5, 0.2),
                             modulation=(-0.4, 0.5))
         comp = composition_residual(bk, a, b)
-        # both gauge checks quantize one Gaussian: one lag transform, one kernel
-        lagT = _lag_transform(bk, gaussian_symbol(bk))
-        kernel = _kernel(bk, lagT)
         alpha = 2 * (2 * np.pi / L)   # torus-compatible linear gauge slope
-        gauge_linear = _gauge_residual(bk, lagT, kernel, alpha * bk.x, np.full(n, alpha))
-        rho = 0.3 * np.sin(2 * np.pi * bk.x / L)
-        gauge_smooth = _gauge_residual(bk, lagT, kernel, rho, discrete_gradient(bk, rho))
+        gauge_linear = gauge_transform_check(bk, alpha * bk.x, np.full(n, alpha))
+        gauge_smooth = gauge_transform_check(bk, 0.3 * np.sin(2 * np.pi * bk.x / L))
         rows.append({
             "n": bk.n,
             "sq_residual": bk.sq_certificate(),

@@ -48,7 +48,10 @@ def test_run_all_tasks_pass(tmp_path, capsys):
     assert all(t["verdict"] == "pass" for t in report["tasks"])
     # timings go to stderr, never into the report
     assert "timings" not in report
-    assert "in 0." in capsys.readouterr().err or True
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == len(kinds)
+    for i, (kind, line) in enumerate(zip(kinds, lines)):
+        assert re.fullmatch(rf"\[opcalc\] task {i} \({kind}\): pass in \d+\.\d+s", line)
 
 
 def test_reports_are_byte_identical(tmp_path):
@@ -517,6 +520,16 @@ def test_star_table_hashes_each_space_once(tmp_path, monkeypatch):
 
 
 WEYL3 = {"kind": "discrete_weyl", "N": 3}
+OVERFLOWING_A = {"kind": "magnetic_weyl", "n": 8, "L": 12.0, "A": [1e308] + [0.0] * 7}
+TINY_BOX = {"kind": "magnetic_weyl", "n": 8, "L": 1e-308}
+
+
+def s3_with_entry(z):
+    """The S3 standard irrep spec with entry (0, 0) of element 0 set to z."""
+    irrep = bk.s3_standard_irrep()
+    irrep[0, 0, 0] = z
+    return {"kind": "finite_group", "table": bk.s3_table()[0].tolist(),
+            "irrep": {"re": irrep.real.tolist(), "im": irrep.imag.tolist()}}
 
 
 @pytest.mark.parametrize("config, message", [
@@ -713,6 +726,22 @@ WEYL3 = {"kind": "discrete_weyl", "N": 3}
       "tasks": [{"kind": "verify_sq"}, {"kind": "inftensor"}]},
      f"task 1: copies must be an integer in [1, 12] with (256*16)**copies <= "
      f"{inftensor.LEVEL_ENTRY_CAP}"),
+    # derived grid data that overflow: the circulation table, the dual grid
+    ({"backend": OVERFLOWING_A, "tasks": [{"kind": "verify_sq"}, {"kind": "dequantize"}]},
+     "vector potential too large: its circulations overflow"),
+    ({"backend": TINY_BOX, "tasks": [{"kind": "verify_sq"}, {"kind": "dequantize"}]},
+     "box length too small: the dual grid overflows"),
+    # an irrep entry a unitary matrix cannot have, refused before any product
+    ({"backend": s3_with_entry(1e308j), "tasks": [{"kind": "verify_sq"}]},
+     "representation matrix 0 is not unitary: an entry is not finite"),
+    ({"backend": s3_with_entry(complex(0.0, float("inf"))), "tasks": [{"kind": "verify_sq"}]},
+     "representation matrix 0 is not unitary: an entry is not finite"),
+    # an infinite imaginary part of a given input, read with no warning
+    ({"backend": {"kind": "trivial"}, "tasks": [{"kind": "quantize", "symbols": [
+        {"re": [1.0], "im": [float("inf")]}]}]}, "symbol values must be finite"),
+    ({"backend": {"kind": "trivial"}, "tasks": [{"kind": "dequantize", "operators": [
+        {"dim": 1, "re": [[1.0]], "im": [[float("inf")]]}]}]},
+     "operator entries must be finite"),
 ])
 def test_bad_task_input_is_validation_failure(tmp_path, capsys, config, message):
     cfg = write(tmp_path, "cfg.json", config)
@@ -1005,9 +1034,92 @@ Z4_IRREP = bk.cyclic_character(4, 1)
     ({"kind": "finite_group", "table": [[0] * (bk.GROUP_ORDER_CAP + 1)]
       * (bk.GROUP_ORDER_CAP + 1), "irrep": Z2_IRREP},
      f"group order {bk.GROUP_ORDER_CAP + 1} exceeds"),
+    # derived data that overflow, refused with no RuntimeWarning (an error under
+    # this suite's filter): these grids read a certificate of 3.1e-16 or nan
+    (OVERFLOWING_A, "vector potential too large: its circulations overflow"),
+    (TINY_BOX, "box length too small: the dual grid overflows"),
+    (s3_with_entry(1e308j), "is not unitary: an entry is not finite"),
+    (s3_with_entry(complex(0.0, float("inf"))), "is not unitary: an entry is not finite"),
 ], ids=lambda x: x if isinstance(x, str) else None)
 def test_describe_coerced_value_is_validation_failure(tmp_path, capsys, spec, message):
     spec = write(tmp_path, "backend.json", spec)
     assert cli.main(["describe", spec]) == cli.EXIT_VALIDATION_FAILURE
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+# Small valid configs whose every leaf the fuzz below mutates; together they
+# reach each backend kind, each task kind and each given-input reader.
+FUZZ_BASES = (
+    {"backend": {"kind": "discrete_weyl", "N": 2}, "seed": 1, "tol": 1e-9,
+     "tasks": [{"kind": "quantize", "n_random": 1},
+               {"kind": "berezin", "n_random": 1, "w_index": 0},
+               {"kind": "inftensor", "copies": 1}]},
+    {"backend": {"kind": "magnetic_weyl", "n": 4, "L": 12.0,
+                 "A": [0.0, 0.5, 0.0, -0.5], "tol": 1e-6},
+     "tasks": [{"kind": "verify_sq"}, {"kind": "dequantize", "n_random": 1}]},
+    {"backend": {"kind": "finite_group", "table": [[0, 1], [1, 0]],
+                 "irrep": {"re": [[[1.0]], [[-1.0]]], "im": [[[0.0]], [[0.0]]]},
+                 "measure_scale": 1.0},
+     "tasks": [{"kind": "verify_sq"}]},
+    {"backend": {"kind": "finite_group", "preset": "cyclic_character", "order": 3, "k": 1},
+     "tasks": [{"kind": "star_table", "n_random": 1},
+               {"kind": "magnetic_study", "grids": [4, 6]}]},
+    {"backend": {"kind": "abelian_metaplectic", "orders": [3], "k": 2},
+     "tasks": [{"kind": "verify_sq"}]},
+    {"backend": {"kind": "trivial"},
+     "tasks": [{"kind": "quantize", "symbols": [{"re": [1.0], "im": [0.0]}]},
+               {"kind": "dequantize", "operators": [{"dim": 1, "re": [[1.0]],
+                                                     "im": [[0.0]]}]}]},
+)
+#: Odd JSON values (Python's json reads and writes the infinity), each put in
+#: place of every leaf; deletion is tried besides.
+FUZZ_VALUES = (None, True, -1, 2 ** 70, 1e308, 1e-308, float("inf"), float("nan"), "x")
+_DELETE = object()
+
+
+def _leaf_paths(node, path=()):
+    """The path of every scalar in a JSON value, depth first."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else None
+    if items is None:
+        yield path
+        return
+    for key, child in items:
+        yield from _leaf_paths(child, path + (key,))
+
+
+def _mutated(config, path, value):
+    """A deep copy of config with the leaf at path replaced by value, or deleted."""
+    out = json.loads(json.dumps(config))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return out
+
+
+def test_leaf_mutation_fuzz(tmp_path, capsys):
+    # every leaf of every base, set to each odd JSON value or deleted; under
+    # this suite's warnings-as-errors filter, a RuntimeWarning outside a task
+    # escapes as an exception
+    cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    bad = []
+    for b, base in enumerate(FUZZ_BASES):
+        for path in _leaf_paths(base):
+            for value in FUZZ_VALUES + (_DELETE,):
+                cfg.write_text(json.dumps(_mutated(base, path, value)))
+                try:
+                    code = cli.main(["run", str(cfg), "--out", str(out)])
+                except Exception as exc:    # noqa: BLE001 -- the finding itself
+                    code = f"{type(exc).__name__}: {exc}"
+                if code not in (cli.EXIT_OK, cli.EXIT_TASK_FAILURE,
+                                cli.EXIT_VALIDATION_FAILURE) \
+                        or code == cli.EXIT_VALIDATION_FAILURE and out.exists():
+                    bad.append((b, path, value, code))
+                out.unlink(missing_ok=True)
+    capsys.readouterr()
+    assert not bad, bad

@@ -604,20 +604,19 @@ def test_magnetic_study_builds_one_backend_per_grid(monkeypatch):
     assert spaces == [2 * 16 * 16, 16 * 16, 2 * 32 * 32, 32 * 32]
 
 
-def test_magnetic_study_shares_one_gauge_lag_transform(monkeypatch):
-    gauss_transforms = []
-    lag_transform = mg._lag_transform
+def test_magnetic_study_gauge_rows_are_public_checks(monkeypatch):
+    calls = []
+    check = mg.gauge_transform_check
 
-    def counting(backend, a):
-        if np.array_equal(a.values, mg.gaussian_symbol(backend).values):
-            gauss_transforms.append(backend.n)
-        return lag_transform(backend, a)
+    def counting(backend, *args, **kwargs):
+        calls.append(backend.n)
+        return check(backend, *args, **kwargs)
 
-    monkeypatch.setattr(mg, "_lag_transform", counting)
+    monkeypatch.setattr(mg, "gauge_transform_check", counting)
     rows = mg.magnetic_study([16, 32])
-    assert gauss_transforms == [16, 32]
+    assert calls == [16, 16, 32, 32]
     monkeypatch.undo()
-    # the shared route reports the public check's values bit for bit
+    # the study's rows are the public check's values bit for bit
     for row in rows:
         n = row["n"]
         bk = mg.MagneticBackend(n, L, A=mg.sine_potential(n, L, 0.8))

@@ -12,7 +12,10 @@ base first in even pairs and the change first in odd ones, all at seed
 records every run, each side's median and quartiles per metric, the
 environment and ``src_lines`` of each side, and per metric the pairs the
 change won (lower is better for every end-to-end metric; ties count for
-neither side).
+neither side).  It also keeps each run's ``speed_factor`` (``bench/run.py``'s
+calibration kernel reference time over the kernel's median time in that run)
+with its median and quartiles per side and workload, so that a drift of the
+machine between two BENCH files shows.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ def export(rev: str, dest: Path) -> str:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced ``bench/run.py`` run: its metric values, check counts and env."""
+    """One untraced ``bench/run.py`` run: its metric values, check counts, env
+    and speed factor."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -51,17 +55,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     info, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"], "env": info["env"]}
+            "failed": result["failed"], "env": info["env"],
+            "speed_factor": info["speed_factor"]}
+
+
+def quartiles(values) -> dict:
+    """Median and quartiles of a side's values."""
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
 def summarize(runs: list[dict]) -> dict:
     """Median and quartiles of each metric over a side's runs."""
-    out = {}
-    for name in runs[0]["metrics"]:
-        values = sorted(r["metrics"][name] for r in runs)
-        q1, _, q3 = statistics.quantiles(values, n=4)
-        out[name] = {"median": statistics.median(values), "q1": q1, "q3": q3}
-    return out
+    return {name: quartiles([r["metrics"][name] for r in runs])
+            for name in runs[0]["metrics"]}
 
 
 def main(argv=None) -> int:
@@ -87,8 +94,8 @@ def main(argv=None) -> int:
                     r = run_once(sides[side]["checkout"], w, SEED, seconds)
                     runs[side][w].append(r)
                     print(f"bench_pr: {w} pair {i} {side}: "
-                          + ", ".join(f"{k}={v:.4g}" for k, v in r["metrics"].items()),
-                          file=sys.stderr)
+                          + ", ".join(f"{k}={v:.4g}" for k, v in r["metrics"].items())
+                          + f", speed_factor={r['speed_factor']:.4g}", file=sys.stderr)
 
     report = {"seed": SEED, "seconds": seconds, "pairs": PAIRS,
               "command": "bench/run.py --trace 0, PYTHONDONTWRITEBYTECODE=1",
@@ -101,7 +108,9 @@ def main(argv=None) -> int:
             "workloads": {w: {"summary": summarize(rs),
                               "all_correct": all(r["correct"] for r in rs),
                               "failed": sum(r["failed"] for r in rs),
-                              "runs": [r["metrics"] for r in rs]}
+                              "runs": [r["metrics"] for r in rs],
+                              "speed_factor": quartiles([r["speed_factor"] for r in rs]),
+                              "speed_factors": [r["speed_factor"] for r in rs]}
                           for w, rs in runs[side].items()}}
     for w in workloads:
         base, change = runs["base"][w], runs["change"][w]
