@@ -1034,8 +1034,9 @@ Z4_IRREP = bk.cyclic_character(4, 1)
     ({"kind": "finite_group", "table": [[0] * (bk.GROUP_ORDER_CAP + 1)]
       * (bk.GROUP_ORDER_CAP + 1), "irrep": Z2_IRREP},
      f"group order {bk.GROUP_ORDER_CAP + 1} exceeds"),
-    # derived data that overflow, refused with no RuntimeWarning (an error under
-    # this suite's filter): these grids read a certificate of 3.1e-16 or nan
+    # overflowing grid data and irrep entries no unitary matrix has, refused with
+    # no RuntimeWarning (an error under this suite's filter); the two grids
+    # used to read a certificate of 3.1e-16 and a deviation of nan
     (OVERFLOWING_A, "vector potential too large: its circulations overflow"),
     (TINY_BOX, "box length too small: the dual grid overflows"),
     (s3_with_entry(1e308j), "is not unitary: an entry is not finite"),
@@ -1072,8 +1073,8 @@ FUZZ_BASES = (
                {"kind": "dequantize", "operators": [{"dim": 1, "re": [[1.0]],
                                                      "im": [[0.0]]}]}]},
 )
-#: Odd JSON values (Python's json reads and writes the infinity), each put in
-#: place of every leaf; deletion is tried besides.
+#: Odd JSON values (Python's json reads and writes Infinity and NaN), each put
+#: in place of every leaf; deletion is tried besides.
 FUZZ_VALUES = (None, True, -1, 2 ** 70, 1e308, 1e-308, float("inf"), float("nan"), "x")
 _DELETE = object()
 
@@ -1102,7 +1103,7 @@ def _mutated(config, path, value):
     return out
 
 
-def test_leaf_mutation_fuzz(tmp_path, capsys):
+def test_leaf_mutation_fuzz(tmp_path):
     # every leaf of every base, set to each odd JSON value or deleted; under
     # this suite's warnings-as-errors filter, a RuntimeWarning outside a task
     # escapes as an exception
@@ -1114,12 +1115,11 @@ def test_leaf_mutation_fuzz(tmp_path, capsys):
                 cfg.write_text(json.dumps(_mutated(base, path, value)))
                 try:
                     code = cli.main(["run", str(cfg), "--out", str(out)])
-                except Exception as exc:    # noqa: BLE001 -- the finding itself
+                except Exception as exc:    # an escape is the finding itself
                     code = f"{type(exc).__name__}: {exc}"
                 if code not in (cli.EXIT_OK, cli.EXIT_TASK_FAILURE,
                                 cli.EXIT_VALIDATION_FAILURE) \
                         or code == cli.EXIT_VALIDATION_FAILURE and out.exists():
                     bad.append((b, path, value, code))
                 out.unlink(missing_ok=True)
-    capsys.readouterr()
     assert not bad, bad
